@@ -199,9 +199,11 @@ impl<'a> Engine<'a> {
         self
     }
 
-    /// Sets the deadline `d` from now (see [`Engine::deadline`]).
-    pub fn timeout(self, d: std::time::Duration) -> Self {
-        self.deadline(std::time::Instant::now() + d)
+    /// Sets the deadline `d` from now (see [`Engine::deadline`]); a `d`
+    /// too large for an `Instant` means no deadline.
+    pub fn timeout(mut self, d: std::time::Duration) -> Self {
+        self.reach = self.reach.timeout(d);
+        self
     }
 
     /// Attaches a cooperative cancellation token to every state-space

@@ -367,7 +367,8 @@ fn progress_epoch() -> Instant {
 /// since the previous heartbeat.
 pub fn arm_progress(interval: Duration) {
     progress_epoch();
-    PROGRESS_NS.store(interval.as_nanos().max(1) as u64, Ordering::Relaxed);
+    let nanos = u64::try_from(interval.as_nanos()).unwrap_or(u64::MAX);
+    PROGRESS_NS.store(nanos.max(1), Ordering::Relaxed);
 }
 
 /// Are progress heartbeats armed? One relaxed load — explorers read

@@ -199,9 +199,11 @@ impl Budget {
         self
     }
 
-    /// Sets the deadline `d` from now.
-    pub fn timeout(self, d: Duration) -> Self {
-        self.deadline(Instant::now() + d)
+    /// Sets the deadline `d` from now. A `d` too large for an [`Instant`]
+    /// means no deadline at all.
+    pub fn timeout(mut self, d: Duration) -> Self {
+        self.deadline = Instant::now().checked_add(d);
+        self
     }
 
     /// Attaches a cancellation token.

@@ -84,9 +84,10 @@ impl ReachOptions {
         self
     }
 
-    /// Sets the deadline `d` from now.
-    pub fn timeout(self, d: Duration) -> Self {
-        self.deadline(Instant::now() + d)
+    /// Sets the deadline `d` from now (see [`Budget::timeout`]).
+    pub fn timeout(mut self, d: Duration) -> Self {
+        self.budget = self.budget.timeout(d);
+        self
     }
 
     /// Attaches a cooperative cancellation token.
@@ -863,6 +864,14 @@ mod tests {
         b.arc_pt(p4, t3);
         b.arc_tp(t3, p0);
         b.build()
+    }
+
+    #[test]
+    fn unrepresentable_timeout_sets_no_deadline() {
+        let reach = ReachOptions::with_cap(10).timeout(Duration::MAX);
+        assert_eq!(reach.budget.deadline, None);
+        let reach = ReachOptions::with_cap(10).timeout(Duration::from_secs(60));
+        assert!(reach.budget.deadline.is_some());
     }
 
     #[test]

@@ -285,3 +285,15 @@ fn deadlock_reports_match_the_goldens() {
         golden.check(&format!("{name}.proto"));
     }
 }
+
+#[test]
+fn unrepresentable_timeout_means_no_deadline() {
+    let (_, text) = &specs()[0];
+    let (code, out) = cli(&["check", "--timeout", "18446744073709551615s"], text);
+    assert_eq!(code, 0, "{out}");
+    let (code, out) = cli(
+        &["verify", "--timeout", "300000000000000000m", "--json"],
+        text,
+    );
+    assert_eq!(code, 0, "{out}");
+}
