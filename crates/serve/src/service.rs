@@ -560,7 +560,7 @@ impl Service {
                 }
             }
             Err(e) => Run {
-                response: Response::error(&req.op, synthesis_error_kind(&e), &e.to_string()),
+                response: Response::fresh(synthesis_error_body(&req.op, stg, &e)),
                 // Structural failures are deterministic verdicts about the
                 // spec; a worker panic is not.
                 conclusive: !matches!(e, SynthesisError::WorkerPanicked { .. }),
@@ -577,18 +577,17 @@ impl Service {
             .backend(req.backend);
         let (engine, summary_key) = self.import_summary(engine, spec_hash);
         let mut manifest: Vec<String> = summary_key.into_iter().collect();
-        let (syn, reused, derived, cover_manifest) = match self
-            .synthesize_cached(&engine, stg, &options)
-        {
-            Ok(parts) => parts,
-            Err(e) => {
-                return Run {
-                    response: Response::error(&req.op, synthesis_error_kind(&e), &e.to_string()),
-                    conclusive: !matches!(e, SynthesisError::WorkerPanicked { .. }),
-                    manifest: Vec::new(),
+        let (syn, reused, derived, cover_manifest) =
+            match self.synthesize_cached(&engine, stg, &options) {
+                Ok(parts) => parts,
+                Err(e) => {
+                    return Run {
+                        response: Response::fresh(synthesis_error_body(&req.op, stg, &e)),
+                        conclusive: !matches!(e, SynthesisError::WorkerPanicked { .. }),
+                        manifest: Vec::new(),
+                    }
                 }
-            }
-        };
+            };
         manifest.extend(cover_manifest);
         let volatile = |resp: Response| Response {
             covers_reused: reused,
@@ -753,6 +752,17 @@ fn op_latency_metric(body: &str) -> &'static str {
         }
     }
     "serve.op.other_us"
+}
+
+/// The body of a synth/verify job whose synthesis failed, keyed like the
+/// CLI's `--json` report.
+fn synthesis_error_body(op: &str, stg: &Stg, e: &SynthesisError) -> String {
+    format!(
+        "{{\"command\": {}, \"ok\": false, \"model\": {}, \"error\": {}}}",
+        escape(op),
+        escape(stg.name()),
+        error_json(synthesis_error_kind(e), &e.to_string(), 0),
+    )
 }
 
 fn synthesis_error_kind(e: &SynthesisError) -> &'static str {

@@ -248,11 +248,8 @@ fn run_pair(golden: &mut Golden, name: &str, text: &str, op: &str, flags: &[&str
     let body = service.execute(&request).body;
     golden.add(format!("serve {op} {{{fields}}}"), &body);
     // The surfaces may disagree only where they drifted apart: the CLI
-    // has no `check --json`, and serve's synthesis-error bodies lack the
-    // "model" key the CLI prints.
-    let drifted =
-        op == "check" || (body.contains("\"ok\": false, \"error\"") && !body.contains("\"model\""));
-    if !drifted {
+    // has no `check --json`.
+    if op != "check" {
         assert_eq!(
             mask(out.trim_end()),
             mask(&without_artifact(&body)),
