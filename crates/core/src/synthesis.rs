@@ -57,6 +57,32 @@ pub enum Architecture {
     PerRegion,
 }
 
+impl Architecture {
+    /// The stable CLI identifier (`--arch` vocabulary).
+    pub fn name(self) -> &'static str {
+        match self {
+            Architecture::ComplexGate => "complex",
+            Architecture::ExcitationFunction => "excitation",
+            Architecture::PerRegion => "per-region",
+        }
+    }
+}
+
+impl std::str::FromStr for Architecture {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "complex" => Ok(Architecture::ComplexGate),
+            "excitation" => Ok(Architecture::ExcitationFunction),
+            "per-region" => Ok(Architecture::PerRegion),
+            other => Err(format!(
+                "unknown architecture {other:?} (expected complex, excitation or per-region)"
+            )),
+        }
+    }
+}
+
 /// Which minimization stages run (cumulative in the Fig. 13 sweep).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct MinimizeStages {

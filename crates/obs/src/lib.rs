@@ -509,29 +509,33 @@ pub fn render_tree() -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
+/// `s` as a JSON string literal: quoted, with quotes, backslashes,
+/// newlines (`\n`) and the other control characters (`\u00XX`) escaped.
+/// The workspace's one JSON escaper: the profile and the `si-serve`
+/// reports and wire protocol all write strings through it.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
 fn render_json_span(out: &mut String, name: &str, node: &SpanNode) {
     let _ = write!(
         out,
-        "{{\"name\": \"{}\", \"calls\": {}, \"total_ms\": {}, \"children\": [",
-        json_escape(name),
+        "{{\"name\": {}, \"calls\": {}, \"total_ms\": {}, \"children\": [",
+        json_string(name),
         node.calls,
         fmt_ms(node.total_ns)
     );
@@ -567,12 +571,7 @@ pub fn render_json() -> String {
                 out.push_str(", ");
             }
             first = false;
-            let _ = write!(
-                out,
-                "\"{}\": {}",
-                json_escape(name),
-                c.load(Ordering::Relaxed)
-            );
+            let _ = write!(out, "{}: {}", json_string(name), c.load(Ordering::Relaxed));
         }
     }
     out.push_str("}, \"gauges\": {");
@@ -583,12 +582,7 @@ pub fn render_json() -> String {
                 out.push_str(", ");
             }
             first = false;
-            let _ = write!(
-                out,
-                "\"{}\": {}",
-                json_escape(name),
-                g.load(Ordering::Relaxed)
-            );
+            let _ = write!(out, "{}: {}", json_string(name), g.load(Ordering::Relaxed));
         }
     }
     out.push_str("}, \"histograms\": {");
@@ -606,8 +600,8 @@ pub fn render_json() -> String {
                 .collect();
             let _ = write!(
                 out,
-                "\"{}\": {{\"count\": {}, \"sum\": {}, \"buckets\": [{}]}}",
-                json_escape(name),
+                "{}: {{\"count\": {}, \"sum\": {}, \"buckets\": [{}]}}",
+                json_string(name),
                 h.count(),
                 h.sum(),
                 buckets.join(", ")

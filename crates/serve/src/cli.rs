@@ -10,8 +10,10 @@ use std::path::PathBuf;
 use si_petri::CancelToken;
 
 use crate::client::submit_lines;
-use crate::json::{self, escape, Value};
+use crate::json::{self, Value};
+use crate::report::JobOptions;
 use crate::server::{serve, Endpoint, ServerConfig};
+use crate::service::Request;
 
 /// Exit code of an inconclusive run (matches the CLI convention).
 const EXIT_INCONCLUSIVE: u8 = 3;
@@ -31,9 +33,9 @@ fn submit_usage() -> u8 {
         "usage: sisyn submit (--socket PATH | --tcp ADDR) \
          <check|synth|verify|resolve|stats|metrics> [SPEC.g] [-o FILE] \
          [--arch complex|excitation|per-region] [--stages 0..4|full|none] \
-         [--minimizer espresso|exact|bdd|auto] [--cap N] [--shards N] \
+         [--minimizer espresso|exact|bdd|auto] [--cap N] [--shards N|auto] \
          [--budget N] [--strategy greedy|beam] \
-         [--backend explicit|symbolic|auto] [--timeout-ms N]"
+         [--backend explicit|symbolic|auto] [--timeout DUR]"
     );
     EXIT_USAGE
 }
@@ -101,21 +103,25 @@ pub fn serve_main(args: &[String], cancel: &CancelToken) -> u8 {
     }
 }
 
-/// Runs `sisyn submit ARGS`: builds one request from the flags, sends
-/// it, prints the response line and maps it to the CLI exit codes
-/// (0 ok, 1 failed, 3 inconclusive).
+/// Runs `sisyn submit ARGS`: builds one request from the flags (parsed
+/// by the CLI's option parser), sends it, prints the response line and
+/// maps it to the CLI exit codes (0 ok, 1 failed, 3 inconclusive).
 pub fn submit_main(args: &[String]) -> u8 {
     let mut endpoint = None;
     let mut op = None;
     let mut spec_path = None;
     let mut output = None;
-    // (json key, json value) pairs forwarded verbatim into the request.
-    let mut fields: Vec<(&'static str, String)> = Vec::new();
+    let mut options = JobOptions::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut str_field = |key: &'static str, it: &mut std::slice::Iter<'_, String>| {
-            it.next().map(|v| fields.push((key, escape(v))))
-        };
+        match options.parse_flag(a, &mut it) {
+            Some(Ok(())) => continue,
+            Some(Err(e)) => {
+                eprintln!("{e}");
+                return submit_usage();
+            }
+            None => {}
+        }
         match a.as_str() {
             "--socket" => match it.next() {
                 Some(p) => endpoint = Some(Endpoint::Unix(PathBuf::from(p))),
@@ -129,45 +135,6 @@ pub fn submit_main(args: &[String]) -> u8 {
                 Some(p) => output = Some(p.clone()),
                 None => return submit_usage(),
             },
-            "--arch" => {
-                if str_field("arch", &mut it).is_none() {
-                    return submit_usage();
-                }
-            }
-            "--minimizer" => {
-                if str_field("minimizer", &mut it).is_none() {
-                    return submit_usage();
-                }
-            }
-            "--strategy" => {
-                if str_field("strategy", &mut it).is_none() {
-                    return submit_usage();
-                }
-            }
-            "--backend" => {
-                if str_field("backend", &mut it).is_none() {
-                    return submit_usage();
-                }
-            }
-            "--stages" => match it.next() {
-                Some(v) if v == "full" || v == "none" => fields.push(("stages", escape(v))),
-                Some(v) if v.parse::<u8>().is_ok_and(|n| n <= 4) => {
-                    fields.push(("stages", v.clone()));
-                }
-                _ => return submit_usage(),
-            },
-            "--cap" | "--shards" | "--budget" | "--timeout-ms" => {
-                let key = match a.as_str() {
-                    "--cap" => "cap",
-                    "--shards" => "shards",
-                    "--budget" => "budget",
-                    _ => "timeout_ms",
-                };
-                match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                    Some(n) => fields.push((key, n.to_string())),
-                    None => return submit_usage(),
-                }
-            }
             _ if op.is_none() => op = Some(a.clone()),
             _ if spec_path.is_none() => spec_path = Some(a.clone()),
             other => {
@@ -179,37 +146,24 @@ pub fn submit_main(args: &[String]) -> u8 {
     let (Some(endpoint), Some(op)) = (endpoint, op) else {
         return submit_usage();
     };
+    let mut spec = String::new();
     if !matches!(op.as_str(), "stats" | "metrics") {
         let Some(path) = spec_path else {
             eprintln!("{op} needs a SPEC.g argument");
             return submit_usage();
         };
-        let spec = if path == "-" {
-            let mut s = String::new();
-            match std::io::stdin().read_to_string(&mut s) {
-                Ok(_) => s,
-                Err(e) => {
-                    eprintln!("cannot read stdin: {e}");
-                    return 1;
-                }
-            }
+        let read = if path == "-" {
+            std::io::stdin().read_to_string(&mut spec).map(drop)
         } else {
-            match std::fs::read_to_string(&path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return 1;
-                }
-            }
+            std::fs::read_to_string(&path).map(|text| spec = text)
         };
-        fields.push(("spec", escape(&spec)));
+        if let Err(e) = read {
+            eprintln!("cannot read {path}: {e}");
+            return 1;
+        }
     }
-    let mut request = format!("{{\"op\": {}", escape(&op));
-    for (key, value) in &fields {
-        request.push_str(&format!(", \"{key}\": {value}"));
-    }
-    request.push('}');
-    let response = match submit_lines(&endpoint, &[request]) {
+    let request = Request { op, spec, options };
+    let response = match submit_lines(&endpoint, &[request.to_line()]) {
         Ok(mut lines) => lines.remove(0),
         Err(e) => {
             eprintln!("submit: {e}");

@@ -32,6 +32,7 @@ pub mod cli;
 pub mod client;
 pub mod json;
 pub mod queue;
+pub mod report;
 pub mod server;
 pub mod service;
 pub mod store;

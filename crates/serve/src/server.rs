@@ -19,9 +19,9 @@ use std::time::{Duration, Instant};
 
 use si_petri::{Budget, CancelToken};
 
-use crate::json;
+use crate::json::{Object, Raw};
 use crate::queue::JobQueue;
-use crate::service::{envelope, panic_body, Response, Service};
+use crate::service::{envelope, Request, Response, Service};
 use crate::store::ArtifactStore;
 
 /// Where the server listens.
@@ -355,22 +355,19 @@ fn answer(
     if line.is_empty() {
         return true;
     }
+    let request = Request::parse(&line);
     // A `metrics` op is answered inline on the handler thread: it is the
     // one place the queue and store stats are both in scope, and a
     // snapshot should not wait behind queued synthesis jobs.
-    if json_field(&line, "op").as_deref() == Some("metrics") {
+    if matches!(&request, Ok(r) if r.op == "metrics") {
         let started = Instant::now();
         sync_serve_gauges(&service.store().stats(), &queue.stats());
-        let resp = Response {
-            body: format!(
-                "{{\"command\": \"metrics\", \"ok\": true, \"profile\": {}}}",
-                si_obs::render_json(),
-            ),
-            cache_hit: false,
-            reach_builds: 0,
-            covers_reused: 0,
-            covers_derived: 0,
-        };
+        let body = Object::new()
+            .field("command", "metrics")
+            .field("ok", true)
+            .field("profile", Raw(&si_obs::render_json()))
+            .finish();
+        let resp = Response::new("metrics", body);
         let job_ms = started.elapsed().as_secs_f64() * 1e3;
         if log {
             log_job(&resp, job_ms);
@@ -386,7 +383,7 @@ fn answer(
     let job_queue = Arc::clone(queue);
     let result = queue.submit(move || {
         let started = Instant::now();
-        let resp = job_service.execute(&line);
+        let resp = job_service.execute_parsed(request);
         let job_ms = started.elapsed().as_secs_f64() * 1e3;
         if log {
             log_job(&resp, job_ms);
@@ -403,13 +400,7 @@ fn answer(
         // The panic was isolated by the queue; the connection gets a
         // structured error and stays usable.
         Err(detail) => envelope(
-            &Response {
-                body: panic_body(&detail),
-                cache_hit: false,
-                reach_builds: 0,
-                covers_reused: 0,
-                covers_derived: 0,
-            },
+            &Response::error("?", "worker-panicked", detail),
             0.0,
             &service.store().stats(),
             &queue.stats(),
@@ -422,17 +413,10 @@ fn answer(
         .is_ok()
 }
 
-fn json_field(text: &str, key: &str) -> Option<String> {
-    json::parse(text)
-        .ok()
-        .and_then(|v| v.get(key).and_then(json::Value::as_str).map(String::from))
-}
-
 fn log_job(resp: &Response, job_ms: f64) {
-    let command = json_field(&resp.body, "command").unwrap_or_else(|| "?".to_string());
     si_obs::log_line(&format!(
-        "serve: {command} cache_hit={} job_ms={job_ms:.1} reach_builds={} \
+        "serve: {} cache_hit={} job_ms={job_ms:.1} reach_builds={} \
          covers_reused={} covers_derived={}",
-        resp.cache_hit, resp.reach_builds, resp.covers_reused, resp.covers_derived,
+        resp.op, resp.cache_hit, resp.reach_builds, resp.covers_reused, resp.covers_derived,
     ));
 }

@@ -27,50 +27,31 @@
 //! [`si_core::revalidate_clusters`] before it is realized.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use si_boolean::hash::{fnv1a_64, Fnv64};
-use si_boolean::MinimizerChoice;
 use si_core::{
-    clusters_from_wire, clusters_to_wire, derive_clusters, map_circuit, realize_clusters,
-    revalidate_clusters, signal_fingerprint, to_verilog, Architecture, Backend, Circuit,
-    CscVerdict, Engine, MinimizeStages, Synthesis, SynthesisError, SynthesisOptions,
+    clusters_from_wire, clusters_to_wire, derive_clusters, realize_clusters, revalidate_clusters,
+    signal_fingerprint, to_verilog, Circuit, CscVerdict, Engine, MinimizeStages, Synthesis,
+    SynthesisError, SynthesisOptions,
 };
-use si_csc::{CscOptions, EngineResolve, InsertionPlan, ResolveStats, Strategy};
-use si_petri::{check_live_safe_fc, ReachError, ReachOptions, ReachSummary, StructuralCheck};
-use si_stg::{canonical_g, parse_g, write_g, Stg, StgAnalysis};
-use si_verify::{random_walks, EngineVerify};
+use si_petri::ReachSummary;
+use si_stg::{canonical_g, parse_g, write_g, Stg};
 
-use crate::json::{escape, parse, Value};
+use crate::json::{parse, Object, Value};
 use crate::queue::QueueStats;
+use crate::report::{self, JobOptions, Op, Report};
 use crate::store::{ArtifactStore, StoreStats};
 
-/// A parsed request: the operation plus the same knobs the CLI exposes
-/// as flags, with the same defaults.
+/// A parsed request: the operation, the spec, and the options the CLI
+/// exposes as flags, with the same defaults and validation.
 #[derive(Clone, Debug)]
 pub struct Request {
-    /// `check` | `synth` | `verify` | `resolve` | `stats`.
+    /// `check` | `synth` | `verify` | `resolve` | `stats` | `metrics`.
     pub op: String,
-    /// The `.g` spec text (empty for `stats`).
+    /// The `.g` spec text (empty for `stats` and `metrics`).
     pub spec: String,
-    /// `--arch`.
-    pub arch: Architecture,
-    /// `--stages`.
-    pub stages: MinimizeStages,
-    /// `--minimizer`.
-    pub minimizer: MinimizerChoice,
-    /// `--cap` (`None` keeps the per-op default).
-    pub cap: Option<usize>,
-    /// `--shards`.
-    pub shards: usize,
-    /// `--budget` (resolve).
-    pub budget: usize,
-    /// `--strategy` (resolve).
-    pub strategy: Strategy,
-    /// `--backend` (check / verify).
-    pub backend: Backend,
-    /// `--timeout`.
-    pub timeout: Option<Duration>,
+    /// The job options.
+    pub options: JobOptions,
 }
 
 /// The outcome of executing one request: the core response body (a JSON
@@ -78,6 +59,8 @@ pub struct Request {
 /// execution facts the server splices into the final line.
 #[derive(Clone, Debug)]
 pub struct Response {
+    /// The request's op (`?` when the request had none).
+    pub op: String,
     /// Core JSON object (always starts with `{`).
     pub body: String,
     /// Whether the body came straight from the response cache.
@@ -91,8 +74,10 @@ pub struct Response {
 }
 
 impl Response {
-    fn fresh(body: String) -> Self {
+    /// A freshly computed response with no artifact counters.
+    pub fn new(op: &str, body: String) -> Self {
         Response {
+            op: op.to_string(),
             body,
             cache_hit: false,
             reach_builds: 0,
@@ -101,27 +86,9 @@ impl Response {
         }
     }
 
-    fn error(op: &str, kind: &str, detail: &str) -> Self {
-        Response::fresh(error_body(op, kind, detail))
-    }
-}
-
-/// A structured error body in the CLI's error vocabulary.
-fn error_body(op: &str, kind: &str, detail: &str) -> String {
-    format!(
-        "{{\"command\": {}, \"ok\": false, \"error\": {{\"kind\": {}, \"detail\": {}, \"states_explored\": 0}}}}",
-        escape(op),
-        escape(kind),
-        escape(detail),
-    )
-}
-
-/// The stable CLI identifier of an architecture.
-fn arch_name(arch: Architecture) -> &'static str {
-    match arch {
-        Architecture::ComplexGate => "complex",
-        Architecture::ExcitationFunction => "excitation",
-        Architecture::PerRegion => "per-region",
+    /// A structured error response in the reports' error vocabulary.
+    pub fn error(op: &str, kind: &'static str, detail: impl Into<String>) -> Self {
+        Response::new(op, report::Error::new(kind, detail, 0).body(op))
     }
 }
 
@@ -142,100 +109,23 @@ impl Request {
             .and_then(Value::as_str)
             .ok_or_else(|| ("?".to_string(), "missing \"op\"".to_string()))?
             .to_string();
-        let fail = |detail: String| (op.clone(), detail);
         let spec = v
             .get("spec")
             .and_then(Value::as_str)
             .unwrap_or_default()
             .to_string();
-        let mut req = Request {
-            op: op.clone(),
-            spec,
-            arch: Architecture::ExcitationFunction,
-            stages: MinimizeStages::full(),
-            minimizer: MinimizerChoice::Espresso,
-            cap: None,
-            shards: 1,
-            budget: 100_000,
-            strategy: Strategy::Greedy,
-            backend: Backend::Explicit,
-            timeout: None,
-        };
-        if let Some(a) = v.get("arch").and_then(Value::as_str) {
-            req.arch = match a {
-                "complex" => Architecture::ComplexGate,
-                "excitation" => Architecture::ExcitationFunction,
-                "per-region" => Architecture::PerRegion,
-                other => return Err(fail(format!("unknown architecture {other:?}"))),
-            };
-        }
-        match v.get("stages") {
-            None => {}
-            Some(Value::Str(s)) if s == "full" => {}
-            Some(Value::Str(s)) if s == "none" => req.stages = MinimizeStages::none(),
-            Some(Value::Num(n)) if *n >= 0.0 && *n <= 4.0 => {
-                req.stages = MinimizeStages::stage(*n as usize);
-            }
-            Some(_) => {
-                return Err(fail(
-                    "bad \"stages\" (0..4, \"full\" or \"none\")".to_string(),
-                ))
-            }
-        }
-        if let Some(m) = v.get("minimizer").and_then(Value::as_str) {
-            req.minimizer = m.parse().map_err(|e: String| fail(e))?;
-        }
-        if let Some(c) = v.get("cap") {
-            let n = c
-                .as_usize()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| fail("\"cap\" must be a positive number".to_string()))?;
-            req.cap = Some(n);
-        }
-        if let Some(s) = v.get("shards") {
-            req.shards = s
-                .as_usize()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| fail("\"shards\" must be a positive number".to_string()))?;
-        }
-        if let Some(b) = v.get("budget") {
-            req.budget = b
-                .as_usize()
-                .ok_or_else(|| fail("\"budget\" must be a number".to_string()))?;
-        }
-        if let Some(s) = v.get("strategy").and_then(Value::as_str) {
-            req.strategy = s.parse().map_err(|e: String| fail(e))?;
-        }
-        if let Some(b) = v.get("backend").and_then(Value::as_str) {
-            req.backend =
-                Backend::parse(b).ok_or_else(|| fail(format!("unknown backend {b:?}")))?;
-        }
-        if let Some(t) = v.get("timeout_ms") {
-            let ms = t
-                .as_usize()
-                .ok_or_else(|| fail("\"timeout_ms\" must be a number".to_string()))?;
-            req.timeout = Some(Duration::from_millis(ms as u64));
-        }
-        Ok(req)
+        let options = JobOptions::from_request(&v).map_err(|e| (op.clone(), e))?;
+        Ok(Request { op, spec, options })
     }
 
-    /// Reachability options for an oracle whose per-op default cap is
-    /// `default_cap` — mirroring the CLI's `Args::reach`, minus the
-    /// SIGINT token: queued jobs drain to completion on shutdown.
-    fn reach(&self, default_cap: usize) -> ReachOptions {
-        let mut reach = ReachOptions::with_cap(self.cap.unwrap_or(default_cap)).shards(self.shards);
-        if let Some(d) = self.timeout {
-            reach = reach.timeout(d);
+    /// The request line (`sisyn submit` sends it): the op, the spec when
+    /// there is one, and every option.
+    pub fn to_line(&self) -> String {
+        let mut object = Object::new().field("op", &self.op);
+        if !self.spec.is_empty() {
+            object = object.field("spec", &self.spec);
         }
-        reach
-    }
-
-    fn synthesis(&self) -> SynthesisOptions {
-        SynthesisOptions {
-            architecture: self.arch,
-            stages: self.stages,
-            minimizer: self.minimizer,
-        }
+        self.options.write_request(object).finish()
     }
 
     /// The job key: a digest of the canonical spec and every option that
@@ -243,20 +133,21 @@ impl Request {
     /// timeout) are excluded — they decide whether a run finishes, not
     /// what a finished run reports, and only conclusive runs are cached.
     fn job_key(&self, canonical_spec: &str) -> u64 {
+        let o = &self.options;
         let mut h = Fnv64::new();
         h.write_str("job-v1");
         h.write_str(&self.op);
         h.write_str(canonical_spec);
-        h.write_str(arch_name(self.arch));
-        h.write_u64(stage_bits(self.stages));
-        h.write_str(self.minimizer.name());
+        h.write_str(o.arch.name());
+        h.write_u64(stage_bits(o.stages));
+        h.write_str(o.minimizer.name());
         match self.op.as_str() {
             "check" | "verify" => {
-                h.write_str(self.backend.as_str());
+                h.write_str(o.backend.as_str());
             }
             "resolve" => {
-                h.write_usize(self.budget);
-                h.write_str(self.strategy.name());
+                h.write_usize(o.budget);
+                h.write_str(o.strategy.name());
             }
             _ => {}
         }
@@ -269,6 +160,14 @@ impl Request {
 #[derive(Debug)]
 pub struct Service {
     store: Arc<ArtifactStore>,
+}
+
+/// The per-signal cover artifacts one synthesis reused and derived.
+#[derive(Debug, Default)]
+struct Covers {
+    reused: usize,
+    derived: usize,
+    manifest: Vec<String>,
 }
 
 impl Service {
@@ -284,17 +183,27 @@ impl Service {
 
     /// Executes one request line.
     pub fn execute(&self, line: &str) -> Response {
+        self.execute_parsed(Request::parse(line))
+    }
+
+    /// Executes a parsed request line; a parse failure (op-or-`?`,
+    /// detail) is answered as a bad request.
+    pub fn execute_parsed(&self, request: Result<Request, (String, String)>) -> Response {
         let _span = si_obs::span("serve.execute");
         let t0 = std::time::Instant::now();
-        let resp = self.execute_inner(line);
+        let resp = match request {
+            Ok(req) => self.execute_request(&req),
+            Err((op, detail)) => Response::error(&op, "bad-request", detail),
+        };
         if si_obs::enabled() {
-            // Per-op latency, keyed by the command the response names —
-            // cache hits included, so the histogram shows what clients
-            // actually experienced.
-            si_obs::histogram_record(
-                op_latency_metric(&resp.body),
-                t0.elapsed().as_micros() as u64,
-            );
+            // Per-op latency, cache hits included, so the histogram shows
+            // what clients actually experienced.
+            let op = match resp.op.as_str() {
+                op @ ("check" | "synth" | "verify" | "resolve" | "stats") => op,
+                _ => "other",
+            };
+            let us = t0.elapsed().as_micros() as u64;
+            si_obs::histogram_record(&format!("serve.op.{op}_us"), us);
             if resp.cache_hit {
                 si_obs::counter_inc("serve.cache_hits");
             }
@@ -302,24 +211,27 @@ impl Service {
         resp
     }
 
-    fn execute_inner(&self, line: &str) -> Response {
-        let req = match Request::parse(line) {
-            Ok(req) => req,
-            Err((op, detail)) => return Response::error(&op, "bad-request", &detail),
-        };
+    fn execute_request(&self, req: &Request) -> Response {
         if req.op == "stats" {
-            return Response::fresh("{\"command\": \"stats\", \"ok\": true}".to_string());
+            let body = Object::new()
+                .field("command", "stats")
+                .field("ok", true)
+                .finish();
+            return Response::new("stats", body);
         }
-        if !matches!(req.op.as_str(), "check" | "synth" | "verify" | "resolve") {
-            return Response::error(
-                &req.op,
-                "bad-request",
-                "unknown op (expected check, synth, verify, resolve, stats or metrics)",
-            );
-        }
+        let op = match req.op.parse() {
+            Ok(op) if op != Op::Deadlock => op,
+            _ => {
+                return Response::error(
+                    &req.op,
+                    "bad-request",
+                    "unknown op (expected check, synth, verify, resolve, stats or metrics)",
+                )
+            }
+        };
         let parsed = match parse_g(&req.spec) {
             Ok(stg) => stg,
-            Err(e) => return Response::error(&req.op, "parse-error", &e.to_string()),
+            Err(e) => return Response::error(&req.op, "parse-error", e.to_string()),
         };
         // Work on the canonical reparse: node ids, cube columns and
         // implicit place names are then identical for every textual
@@ -332,18 +244,16 @@ impl Service {
         let resp_key = format!("resp:{job:016x}");
         if let Some(body) = self.store.get(&resp_key) {
             return Response {
-                body,
                 cache_hit: true,
-                reach_builds: 0,
-                covers_reused: 0,
-                covers_derived: 0,
+                ..Response::new(&req.op, body)
             };
         }
-        let run = match req.op.as_str() {
-            "check" => self.run_check(&stg, spec_hash, &req),
-            "synth" => self.run_synth(&stg, &req),
-            "verify" => self.run_verify(&stg, spec_hash, &req),
-            _ => self.run_resolve(&stg, &req),
+        let options = &req.options;
+        let run = match op {
+            Op::Check => self.run_check(&stg, spec_hash, options),
+            Op::Synth => self.run_synth(&stg, options),
+            Op::Verify => self.run_verify(&stg, spec_hash, options),
+            _ => self.run_resolve(&stg, options),
         };
         if run.conclusive {
             self.store.put(&resp_key, &run.response.body);
@@ -353,25 +263,22 @@ impl Service {
         run.response
     }
 
-    /// Imports the spec's cached reachability summary into `engine`, or
-    /// records after the run whichever graph the engine built. Returns
-    /// the artifact key when the summary participated.
-    fn import_summary<'a>(
-        &self,
-        engine: Engine<'a>,
-        spec_hash: u64,
-    ) -> (Engine<'a>, Option<String>) {
+    /// Imports the spec's cached reachability summary into `engine`.
+    /// Returns the engine and the manifest so far: the summary's key
+    /// when it participated.
+    fn import_summary<'a>(&self, engine: Engine<'a>, spec_hash: u64) -> (Engine<'a>, Vec<String>) {
         let key = format!("reach:{spec_hash:016x}");
         match self
             .store
             .get(&key)
             .and_then(|wire| ReachSummary::from_wire(&wire).ok())
         {
-            Some(summary) => (engine.reach_summary(summary), Some(key)),
-            None => (engine, None),
+            Some(summary) => (engine.reach_summary(summary), vec![key]),
+            None => (engine, Vec::new()),
         }
     }
 
+    /// Records whichever graph the engine built as the spec's summary.
     fn export_summary(&self, engine: &Engine<'_>, spec_hash: u64, manifest: &mut Vec<String>) {
         if let Some(summary) = engine.export_reach_summary() {
             let key = format!("reach:{spec_hash:016x}");
@@ -382,78 +289,16 @@ impl Service {
         }
     }
 
-    fn run_check(&self, stg: &Stg, spec_hash: u64, req: &Request) -> Run {
-        let engine = Engine::new(stg)
-            .reach(req.reach(100_000))
-            .options(req.synthesis())
-            .backend(req.backend);
-        let (engine, summary_key) = self.import_summary(engine, spec_hash);
-        let mut manifest: Vec<String> = summary_key.into_iter().collect();
-
-        let count = engine.spec_state_count();
-        let live_safe = matches!(check_live_safe_fc(stg.net()), StructuralCheck::Ok);
-        let consistent = StgAnalysis::analyze(stg).is_ok();
-        let analysis = engine.analyze();
-        // The structural CSC verdict is conservative; a non-default
-        // backend settles an unknown exactly, as `sisyn check` does.
-        let (csc, csc_ok, csc_conclusive) = match &analysis {
-            Ok(a) => match &a.csc {
-                CscVerdict::UscHolds => ("usc-holds", true, true),
-                CscVerdict::CscHolds => ("csc-holds", true, true),
-                CscVerdict::Unknown { .. } if req.backend != Backend::Explicit => {
-                    match engine.symbolic().ok().and_then(|s| s.has_csc()) {
-                        Some(true) => ("csc-holds", true, true),
-                        Some(false) => ("csc-violation", false, true),
-                        None => ("unknown", false, false),
-                    }
-                }
-                CscVerdict::Unknown { .. } => ("unknown", false, true),
-            },
-            Err(_) => ("unknown", false, true),
-        };
+    fn run_check(&self, stg: &Stg, spec_hash: u64, options: &JobOptions) -> Run {
+        let (engine, mut manifest) = self.import_summary(options.engine(stg, Op::Check), spec_hash);
+        let report = report::Check::build(&engine);
         self.export_summary(&engine, spec_hash, &mut manifest);
-
-        let count_conclusive = match &count {
-            Ok(_) => true,
-            Err(e) => !e.is_inconclusive(),
-        };
-        let ok = live_safe && consistent && csc_ok && analysis.is_ok();
-        let (conflicts, rounds, sm, cubes) = match &analysis {
-            Ok(a) => (
-                a.conflicts.to_string(),
-                a.refinement_rounds.to_string(),
-                a.sm_count.to_string(),
-                a.place_cover_cubes.to_string(),
-            ),
-            Err(_) => ("null".into(), "null".into(), "null".into(), "null".into()),
-        };
-        let body = format!(
-            "{{\"command\": \"check\", \"ok\": {ok}, \"model\": {}, \
-             \"signals\": {}, \"transitions\": {}, \"places\": {}, \
-             \"free_choice\": {}, \"spec_states\": {}, \"backend\": {}, \
-             \"live_safe\": {live_safe}, \"consistent\": {consistent}, \
-             \"conflicts\": {conflicts}, \"refinement_rounds\": {rounds}, \
-             \"sm_count\": {sm}, \"place_cover_cubes\": {cubes}, \
-             \"csc\": {}, \"analysis_error\": {}}}",
-            escape(stg.name()),
-            stg.signal_count(),
-            stg.net().transition_count(),
-            stg.net().place_count(),
-            stg.net().is_free_choice(),
-            count.as_ref().map_or("null".to_string(), u128::to_string),
-            escape(req.backend.as_str()),
-            escape(csc),
-            analysis
-                .as_ref()
-                .err()
-                .map_or("null".to_string(), |e| escape(&e.to_string())),
-        );
         Run {
             response: Response {
                 reach_builds: engine.reach_build_count(),
-                ..Response::fresh(body)
+                ..Response::new("check", report.json().finish())
             },
-            conclusive: count_conclusive && csc_conclusive,
+            conclusive: report.is_conclusive(),
             manifest,
         }
     }
@@ -462,13 +307,29 @@ impl Service {
     /// signal, try `cover:<fingerprint>` → parse → revalidate against
     /// the *current* context → realize; fall back to a fresh derivation
     /// (stored for next time). The assembled [`Synthesis`] is
-    /// result-identical to [`si_core::synthesize_with_context`].
+    /// result-identical to [`si_core::synthesize_with_context`]. A failed
+    /// synthesis reports no covers.
     fn synthesize_cached(
         &self,
         engine: &Engine<'_>,
         stg: &Stg,
         options: &SynthesisOptions,
-    ) -> Result<(Synthesis, usize, usize, Vec<String>), SynthesisError> {
+    ) -> (Result<Synthesis, SynthesisError>, Covers) {
+        let mut covers = Covers::default();
+        let synthesis = self.synthesize_covers(engine, stg, options, &mut covers);
+        if synthesis.is_err() {
+            covers = Covers::default();
+        }
+        (synthesis, covers)
+    }
+
+    fn synthesize_covers(
+        &self,
+        engine: &Engine<'_>,
+        stg: &Stg,
+        options: &SynthesisOptions,
+        covers: &mut Covers,
+    ) -> Result<Synthesis, SynthesisError> {
         let ctx = engine.context()?;
         let csc = ctx.csc_verdict();
         if let CscVerdict::Unknown { places } = &csc {
@@ -477,8 +338,6 @@ impl Service {
             });
         }
         let mut results = Vec::new();
-        let (mut reused, mut derived) = (0usize, 0usize);
-        let mut manifest = Vec::new();
         for signal in stg.synthesized_signals() {
             let fp = signal_fingerprint(ctx, signal, options);
             let key = format!("cover:{fp:016x}");
@@ -490,242 +349,94 @@ impl Service {
                 .filter(|c| revalidate_clusters(ctx, c, options));
             let clusters = match cached {
                 Some(clusters) => {
-                    reused += 1;
+                    covers.reused += 1;
                     clusters
                 }
                 None => {
                     let clusters = derive_clusters(ctx, signal, options)?;
                     self.store.put(&key, &clusters_to_wire(stg, &clusters));
-                    derived += 1;
+                    covers.derived += 1;
                     clusters
                 }
             };
-            manifest.push(format!("{key} signal={}", stg.signal_name(signal)));
+            covers
+                .manifest
+                .push(format!("{key} signal={}", stg.signal_name(signal)));
             results.push(realize_clusters(ctx, &clusters, options));
         }
         let circuit = Circuit {
             implementations: results.iter().map(|r| r.implementation.clone()).collect(),
         };
         let literal_area = circuit.literal_area();
-        Ok((
-            Synthesis {
-                results,
-                circuit,
-                literal_area,
-                refinement_rounds: ctx.refinement_rounds,
-                place_cover_cubes: ctx.total_cubes(),
-                sm_count: ctx.sm_cover.len(),
-                csc,
-            },
-            reused,
-            derived,
-            manifest,
-        ))
+        Ok(Synthesis {
+            results,
+            circuit,
+            literal_area,
+            refinement_rounds: ctx.refinement_rounds,
+            place_cover_cubes: ctx.total_cubes(),
+            sm_count: ctx.sm_cover.len(),
+            csc,
+        })
     }
 
-    fn run_synth(&self, stg: &Stg, req: &Request) -> Run {
-        let options = req.synthesis();
-        let engine = Engine::new(stg)
-            .reach(req.reach(4_000_000))
-            .options(options);
-        match self.synthesize_cached(&engine, stg, &options) {
-            Ok((syn, reused, derived, manifest)) => {
-                let mapped = map_circuit(&syn.circuit);
-                let body = format!(
-                    "{{\"command\": \"synth\", \"ok\": true, \"model\": {}, \
-                     \"architecture\": {}, \"minimizer\": {}, \
-                     \"signals\": {}, \"literal_area\": {}, \"mapped_area\": {}, \
-                     \"place_cover_cubes\": {}, \"sm_count\": {}, \
-                     \"refinement_rounds\": {}, \"verilog\": {}}}",
-                    escape(stg.name()),
-                    escape(arch_name(req.arch)),
-                    escape(req.minimizer.name()),
-                    syn.results.len(),
-                    syn.literal_area,
-                    mapped.area,
-                    syn.place_cover_cubes,
-                    syn.sm_count,
-                    syn.refinement_rounds,
-                    escape(&to_verilog(stg, &syn.circuit)),
-                );
-                Run {
-                    response: Response {
-                        covers_reused: reused,
-                        covers_derived: derived,
-                        reach_builds: engine.reach_build_count(),
-                        ..Response::fresh(body)
-                    },
-                    conclusive: true,
-                    manifest,
-                }
-            }
-            Err(e) => Run {
-                response: Response::fresh(synthesis_error_body(&req.op, stg, &e)),
-                // Structural failures are deterministic verdicts about the
-                // spec; a worker panic is not.
-                conclusive: !matches!(e, SynthesisError::WorkerPanicked { .. }),
-                manifest: Vec::new(),
-            },
+    fn run_synth(&self, stg: &Stg, options: &JobOptions) -> Run {
+        let engine = options.engine(stg, Op::Synth);
+        let (synthesis, covers) = self.synthesize_cached(&engine, stg, &options.synthesis());
+        let report = report::Synth::build(stg, options, synthesis);
+        let mut body = report.json();
+        if let Some(syn) = report.synthesis() {
+            body = body.field("verilog", to_verilog(stg, &syn.circuit));
         }
-    }
-
-    fn run_verify(&self, stg: &Stg, spec_hash: u64, req: &Request) -> Run {
-        let options = req.synthesis();
-        let engine = Engine::new(stg)
-            .reach(req.reach(4_000_000))
-            .options(options)
-            .backend(req.backend);
-        let (engine, summary_key) = self.import_summary(engine, spec_hash);
-        let mut manifest: Vec<String> = summary_key.into_iter().collect();
-        let (syn, reused, derived, cover_manifest) =
-            match self.synthesize_cached(&engine, stg, &options) {
-                Ok(parts) => parts,
-                Err(e) => {
-                    return Run {
-                        response: Response::fresh(synthesis_error_body(&req.op, stg, &e)),
-                        conclusive: !matches!(e, SynthesisError::WorkerPanicked { .. }),
-                        manifest: Vec::new(),
-                    }
-                }
-            };
-        manifest.extend(cover_manifest);
-        let volatile = |resp: Response| Response {
-            covers_reused: reused,
-            covers_derived: derived,
-            reach_builds: engine.reach_build_count(),
-            ..resp
-        };
-        let reach_failed = |e: &ReachError| Run {
-            response: volatile(Response::fresh(format!(
-                "{{\"command\": \"verify\", \"ok\": false, \"inconclusive\": {}, \
-                 \"model\": {}, \"error\": {}}}",
-                e.is_inconclusive(),
-                escape(stg.name()),
-                reach_error_json(e),
-            ))),
-            conclusive: !e.is_inconclusive(),
-            manifest: Vec::new(),
-        };
-        let functional = match engine.verify(&syn.circuit) {
-            Ok(report) => report,
-            Err(e) => return reach_failed(&e),
-        };
-        let conformance = match engine.check_conformance(&syn.circuit) {
-            Ok(report) => report,
-            Err(e) => return reach_failed(&e),
-        };
-        let sim = random_walks(stg, &syn.circuit, 4, 4000, 7);
-        self.export_summary(&engine, spec_hash, &mut manifest);
-        let spec_states = engine.spec_state_count().ok();
-        let symbolic = (req.backend == Backend::Symbolic)
-            .then(|| {
-                engine
-                    .symbolic_reach()
-                    .ok()
-                    .map(|s| (s.iterations(), s.peak_nodes()))
-            })
-            .flatten();
-        let failed = !functional.is_ok() || !conformance.is_ok() || !sim.is_clean();
-        let inconclusive = !functional.is_conclusive() || !conformance.is_conclusive();
-        let ok = !failed && !inconclusive;
-        let trace = functional.trace.as_ref().or(conformance.trace.as_ref());
-        let trace_json = trace.map_or("null".to_string(), |ts| {
-            format!(
-                "[{}]",
-                ts.iter()
-                    .map(|&t| escape(stg.net().transition_name(t)))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        });
-        let body = format!(
-            "{{\"command\": \"verify\", \"ok\": {ok}, \"inconclusive\": {inconclusive}, \
-             \"model\": {}, \"backend\": {}, \"spec_states\": {}, \"symbolic\": {}, \
-             \"functional_ok\": {}, \"violations\": {}, \"states_checked\": {}, \
-             \"conformance_ok\": {}, \"conformance_failures\": {}, \
-             \"states_explored\": {}, \"trace\": {trace_json}, \
-             \"random_walks_ok\": {}, \"literal_area\": {}, \"minimizer\": {}}}",
-            escape(stg.name()),
-            escape(req.backend.as_str()),
-            spec_states.map_or("null".to_string(), |n| n.to_string()),
-            symbolic.map_or("null".to_string(), |(iterations, peak)| format!(
-                "{{\"iterations\": {iterations}, \"peak_nodes\": {peak}}}"
-            )),
-            functional.is_ok(),
-            functional.violations.len(),
-            functional.states_checked,
-            conformance.is_ok(),
-            conformance.failures.len(),
-            conformance.states_explored,
-            sim.is_clean(),
-            syn.literal_area,
-            escape(req.minimizer.name()),
-        );
         Run {
-            response: volatile(Response::fresh(body)),
-            conclusive: !inconclusive,
+            response: Response {
+                covers_reused: covers.reused,
+                covers_derived: covers.derived,
+                reach_builds: engine.reach_build_count(),
+                ..Response::new("synth", body.finish())
+            },
+            conclusive: report.is_conclusive(),
+            manifest: covers.manifest,
+        }
+    }
+
+    fn run_verify(&self, stg: &Stg, spec_hash: u64, options: &JobOptions) -> Run {
+        let (engine, mut manifest) =
+            self.import_summary(options.engine(stg, Op::Verify), spec_hash);
+        let (synthesis, covers) = self.synthesize_cached(&engine, stg, &options.synthesis());
+        let report = report::Verify::build(&engine, options, synthesis);
+        // Only a run whose every check finished records its artifacts.
+        if report.completed() {
+            manifest.extend(covers.manifest);
+            self.export_summary(&engine, spec_hash, &mut manifest);
+        } else {
+            manifest.clear();
+        }
+        Run {
+            response: Response {
+                covers_reused: covers.reused,
+                covers_derived: covers.derived,
+                reach_builds: engine.reach_build_count(),
+                ..Response::new("verify", report.json().finish())
+            },
+            conclusive: report.is_conclusive(),
             manifest,
         }
     }
 
-    fn run_resolve(&self, stg: &Stg, req: &Request) -> Run {
-        let engine = Engine::new(stg)
-            .reach(req.reach(1_000_000))
-            .options(req.synthesis());
-        let options = CscOptions::default()
-            .budget(req.budget)
-            .strategy(req.strategy)
-            .reach(req.reach(1_000_000));
-        let outcome = engine.resolve_csc_outcome(&options);
-        let stats = &outcome.stats;
-        let run = |body, conclusive| Run {
+    fn run_resolve(&self, stg: &Stg, options: &JobOptions) -> Run {
+        let engine = options.engine(stg, Op::Resolve);
+        let report = report::Resolve::build(&engine, options);
+        let resolved = report.resolved().map(write_g);
+        Run {
             response: Response {
                 reach_builds: engine.reach_build_count(),
-                ..Response::fresh(body)
-            },
-            conclusive,
-            manifest: Vec::new(),
-        };
-        match outcome.resolution {
-            Some(resolution) => run(
-                format!(
-                    "{{\"command\": \"resolve\", \"ok\": true, \"model\": {}, \
-                     \"signals_before\": {}, \"signals_after\": {}, \
-                     \"plan\": {}, \"cost\": {}, \"stats\": {}, \"resolved\": {}}}",
-                    escape(stg.name()),
-                    stg.signal_count(),
-                    resolution.stg.signal_count(),
-                    plan_json(stg, &resolution.plan),
-                    resolution.cost,
-                    stats_json(stats),
-                    escape(&write_g(&resolution.stg)),
-                ),
-                true,
-            ),
-            None => {
-                let (kind, detail) = match stats.interrupted {
-                    Some(i) => (
-                        i.reason.as_str(),
-                        "candidate search interrupted before a resolution was found",
-                    ),
-                    None => (
-                        "no-resolution",
-                        "no single-signal insertion found within budget",
-                    ),
-                };
-                run(
-                    format!(
-                        "{{\"command\": \"resolve\", \"ok\": false, \
-                         \"inconclusive\": {}, \"model\": {}, \"error\": {}, \
-                         \"stats\": {}, \"resolved\": null}}",
-                        stats.interrupted.is_some(),
-                        escape(stg.name()),
-                        error_json(kind, detail, stats.evaluated),
-                        stats_json(stats),
-                    ),
-                    stats.interrupted.is_none(),
+                ..Response::new(
+                    "resolve",
+                    report.json().field("resolved", resolved).finish(),
                 )
-            }
+            },
+            conclusive: report.is_conclusive(),
+            manifest: Vec::new(),
         }
     }
 }
@@ -734,119 +445,6 @@ struct Run {
     response: Response,
     conclusive: bool,
     manifest: Vec<String>,
-}
-
-/// The per-op latency histogram name for a response body, keyed by its
-/// `"command"` prefix (the body always leads with it, so a prefix probe
-/// avoids reparsing the JSON on every job).
-fn op_latency_metric(body: &str) -> &'static str {
-    for (op, metric) in [
-        ("check", "serve.op.check_us"),
-        ("synth", "serve.op.synth_us"),
-        ("verify", "serve.op.verify_us"),
-        ("resolve", "serve.op.resolve_us"),
-        ("stats", "serve.op.stats_us"),
-    ] {
-        if body.starts_with(&format!("{{\"command\": \"{op}\"")) {
-            return metric;
-        }
-    }
-    "serve.op.other_us"
-}
-
-/// The body of a synth/verify job whose synthesis failed, keyed like the
-/// CLI's `--json` report.
-fn synthesis_error_body(op: &str, stg: &Stg, e: &SynthesisError) -> String {
-    format!(
-        "{{\"command\": {}, \"ok\": false, \"model\": {}, \"error\": {}}}",
-        escape(op),
-        escape(stg.name()),
-        error_json(synthesis_error_kind(e), &e.to_string(), 0),
-    )
-}
-
-fn synthesis_error_kind(e: &SynthesisError) -> &'static str {
-    match e {
-        SynthesisError::WorkerPanicked { .. } => "worker-panicked",
-        _ => "synthesis-failed",
-    }
-}
-
-fn error_json(kind: &str, detail: &str, states_explored: usize) -> String {
-    format!(
-        "{{\"kind\": {}, \"detail\": {}, \"states_explored\": {states_explored}}}",
-        escape(kind),
-        escape(detail),
-    )
-}
-
-fn reach_error_json(e: &ReachError) -> String {
-    let (kind, states, elapsed_ms) = match e {
-        ReachError::StateCapExceeded { cap } => ("cap-exceeded", *cap, 0),
-        ReachError::Interrupted {
-            reason,
-            states_explored,
-            elapsed_ms,
-        } => (reason.as_str(), *states_explored, *elapsed_ms),
-        ReachError::WorkerPanicked { .. } => ("worker-panicked", 0, 0),
-        ReachError::NotSafe { .. } => ("not-safe", 0, 0),
-    };
-    format!(
-        "{{\"kind\": {}, \"detail\": {}, \"states_explored\": {states}, \
-         \"elapsed_ms\": {elapsed_ms}}}",
-        escape(kind),
-        escape(&e.to_string()),
-    )
-}
-
-fn stats_json(stats: &ResolveStats) -> String {
-    let interrupted = match stats.interrupted {
-        None => "null".to_string(),
-        Some(i) => format!(
-            "{{\"reason\": {}, \"candidates_evaluated\": {}}}",
-            escape(i.reason.as_str()),
-            i.states_explored
-        ),
-    };
-    format!(
-        "{{\"strategy\": {}, \"cores\": {}, \"candidates_generated\": {}, \
-         \"candidates_evaluated\": {}, \"candidates_rejected\": {}, \
-         \"candidates_panicked\": {}, \"oracle_calls\": {}, \
-         \"oracle_rejected\": {}, \"interrupted\": {interrupted}, \
-         \"wall_ms\": {:.3}}}",
-        escape(stats.strategy.name()),
-        stats.cores,
-        stats.generated,
-        stats.evaluated,
-        stats.rejected,
-        stats.panicked,
-        stats.oracle_calls,
-        stats.oracle_rejected,
-        stats.wall_ms,
-    )
-}
-
-fn plan_json(stg: &Stg, plan: &InsertionPlan) -> String {
-    if plan.rise_split == plan.fall_split {
-        return "null".to_string(); // sentinel: input already satisfied CSC
-    }
-    let net = stg.net();
-    let waits = plan
-        .rise_waits
-        .iter()
-        .map(|&(t, marked)| {
-            format!(
-                "{{\"after\": {}, \"marked\": {marked}}}",
-                escape(&stg.transition_display(t))
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\"rise_split\": {}, \"fall_split\": {}, \"rise_waits\": [{waits}]}}",
-        escape(net.place_name(plan.rise_split)),
-        escape(net.place_name(plan.fall_split)),
-    )
 }
 
 /// Splices the volatile execution facts and the current counters into a
@@ -883,14 +481,10 @@ pub fn envelope(resp: &Response, job_ms: f64, store: &StoreStats, queue: &QueueS
     )
 }
 
-/// A worker-panic response for a job that never produced a body.
-pub fn panic_body(detail: &str) -> String {
-    error_body("?", "worker-panicked", detail)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::escape;
     use crate::store::ArtifactStore;
 
     fn service() -> Service {
@@ -980,7 +574,10 @@ mod tests {
 
     #[test]
     fn envelope_splices_cleanly() {
-        let resp = Response::fresh("{\"command\": \"stats\", \"ok\": true}".to_string());
+        let resp = Response::new(
+            "stats",
+            "{\"command\": \"stats\", \"ok\": true}".to_string(),
+        );
         let line = envelope(&resp, 1.5, &StoreStats::default(), &QueueStats::default());
         let v = crate::json::parse(&line).expect("envelope is valid json");
         assert_eq!(v.get("cache_hit").and_then(Value::as_bool), Some(false));

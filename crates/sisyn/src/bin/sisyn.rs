@@ -110,13 +110,11 @@
 //! it once.
 
 use sisyn::prelude::*;
+use sisyn::serve::json::Raw;
+use sisyn::serve::report::{self, JobOptions, Op, Report};
 use std::io::Read;
 use std::process::ExitCode;
 use std::time::Duration;
-
-/// Exit code of an inconclusive run: the budget (state cap, `--timeout`
-/// deadline or Ctrl-C) ran out before a definitive verdict.
-const EXIT_INCONCLUSIVE: u8 = 3;
 
 /// The process-wide cancellation token cancelled by SIGINT (Ctrl-C):
 /// every oracle's budget carries a clone, so interrupting a long run
@@ -159,8 +157,9 @@ fn install_interrupt_handler() {}
 enum ProfileFormat {
     /// Human-readable span tree + metrics on stderr (the default).
     Tree,
-    /// The profile JSON object: spliced into the final `--json` report
-    /// when one is emitted, printed alone on stdout otherwise.
+    /// The profile JSON object: a `"profile"` field of the final
+    /// `--json` report when one is emitted, printed alone on stdout
+    /// otherwise.
     Json,
 }
 
@@ -168,9 +167,6 @@ struct Args {
     command: String,
     input: String,
     output: Option<String>,
-    arch: Architecture,
-    stages: MinimizeStages,
-    minimizer: MinimizerChoice,
     json: bool,
     waveform: Option<usize>,
     /// `--profile[=tree|json]`: turn the observability layer on and
@@ -178,58 +174,14 @@ struct Args {
     profile: Option<ProfileFormat>,
     /// `--progress DUR`: periodic exploration heartbeats on stderr.
     progress: Option<Duration>,
-    /// `--cap`: one explicit cap for every oracle; `None` keeps the
-    /// per-command defaults.
-    cap: Option<usize>,
-    /// `--shards`: reachability shard workers (1 = sequential engine).
-    shards: usize,
-    /// `--budget`: candidate-search budget for `resolve`.
-    budget: usize,
-    /// `--strategy`: candidate-selection strategy for `resolve`.
-    strategy: Strategy,
-    /// `--timeout`: wall-clock budget for the run's state-space oracles.
-    timeout: Option<Duration>,
-    /// `--backend`: reachability backend for check/verify state queries.
-    backend: Backend,
-}
-
-impl Args {
-    /// The reachability options for an oracle whose default cap is
-    /// `default_cap` (overridden by `--cap`), sharded per `--shards`,
-    /// under the `--timeout` deadline and the SIGINT cancellation token.
-    fn reach(&self, default_cap: usize) -> ReachOptions {
-        let mut reach = ReachOptions::with_cap(self.cap.unwrap_or(default_cap))
-            .shards(self.shards)
-            .cancel(interrupt_token().clone());
-        if let Some(d) = self.timeout {
-            reach = reach.timeout(d);
-        }
-        reach
-    }
-
-    /// The synthesis options of this invocation.
-    fn synthesis(&self) -> SynthesisOptions {
-        SynthesisOptions {
-            architecture: self.arch,
-            stages: self.stages,
-            minimizer: self.minimizer,
-        }
-    }
-
-    /// The configured session over `stg`, with `default_cap` as the
-    /// `--cap` fallback.
-    fn engine<'a>(&self, stg: &'a Stg, default_cap: usize) -> Engine<'a> {
-        Engine::new(stg)
-            .reach(self.reach(default_cap))
-            .options(self.synthesis())
-            .backend(self.backend)
-    }
+    /// The job options (`--arch` … `--timeout`), shared with serve.
+    options: JobOptions,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: sisyn <check|synth|verify|resolve|deadlock|dot|serve|submit> SPEC.g|SPEC.proto \
-         [-o FILE] [--arch complex|excitation|per-region] [--stages 0..4|full] \
+         [-o FILE] [--arch complex|excitation|per-region] [--stages 0..4|full|none] \
          [--minimizer espresso|exact|bdd|auto] [--json] [--waveform N] \
          [--cap N] [--shards N|auto] [--budget N] [--strategy greedy|beam] \
          [--timeout DUR] [--backend explicit|symbolic|auto] \
@@ -238,137 +190,45 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Parses a `--timeout` duration: `500ms`, `2s`, `1m` or a plain number
-/// of milliseconds.
-fn parse_duration(s: &str) -> Option<Duration> {
-    let digits = s.len() - s.trim_start_matches(|c: char| c.is_ascii_digit()).len();
-    let (num, unit) = s.split_at(digits);
-    let n: u64 = num.parse().ok()?;
-    match unit {
-        "" | "ms" => Some(Duration::from_millis(n)),
-        "s" => Some(Duration::from_secs(n)),
-        "m" => Some(Duration::from_secs(n.checked_mul(60)?)),
-        _ => None,
-    }
-}
-
-fn parse_args() -> Result<Args, ExitCode> {
-    let mut argv = std::env::args().skip(1);
-    let command = argv.next().ok_or_else(usage)?;
+fn parse_args(argv: &[String]) -> Result<Args, ExitCode> {
+    let mut it = argv.iter();
+    let command = it.next().ok_or_else(usage)?.clone();
     let mut input = None;
     let mut output = None;
-    let mut arch = Architecture::ExcitationFunction;
-    let mut stages = MinimizeStages::full();
-    let mut minimizer = MinimizerChoice::Espresso;
     let mut json = false;
     let mut waveform = None;
-    let mut cap = None;
-    let mut shards = 1usize;
-    let mut budget = 100_000usize;
-    let mut strategy = Strategy::Greedy;
-    let mut timeout = None;
-    let mut backend = Backend::Explicit;
     let mut profile = None;
     let mut progress = None;
-    while let Some(a) = argv.next() {
+    let mut options = JobOptions {
+        cancel: Some(interrupt_token().clone()),
+        ..JobOptions::default()
+    };
+    while let Some(a) = it.next() {
+        match options.parse_flag(a, &mut it) {
+            Some(Ok(())) => continue,
+            Some(Err(e)) => {
+                eprintln!("{e}");
+                return Err(usage());
+            }
+            None => {}
+        }
         match a.as_str() {
             "--profile" | "--profile=tree" => profile = Some(ProfileFormat::Tree),
             "--profile=json" => profile = Some(ProfileFormat::Json),
             "--progress" => {
-                let v = argv.next().ok_or_else(usage)?;
-                progress = Some(parse_duration(&v).ok_or_else(|| {
+                let v = it.next().ok_or_else(usage)?;
+                progress = Some(report::parse_duration(v).ok_or_else(|| {
                     eprintln!("bad --progress {v:?} (expected e.g. 500ms, 2s, 1m)");
                     usage()
                 })?);
             }
-            "-o" => output = Some(argv.next().ok_or_else(usage)?),
-            "--arch" => {
-                arch = match argv.next().ok_or_else(usage)?.as_str() {
-                    "complex" => Architecture::ComplexGate,
-                    "excitation" => Architecture::ExcitationFunction,
-                    "per-region" => Architecture::PerRegion,
-                    other => {
-                        eprintln!("unknown architecture {other:?}");
-                        return Err(usage());
-                    }
-                }
-            }
-            "--stages" => {
-                let v = argv.next().ok_or_else(usage)?;
-                stages = match v.as_str() {
-                    "full" => MinimizeStages::full(),
-                    "none" => MinimizeStages::none(),
-                    n => MinimizeStages::stage(n.parse().map_err(|_| usage())?),
-                }
-            }
-            "--minimizer" => {
-                minimizer = argv.next().ok_or_else(usage)?.parse().map_err(|e| {
-                    eprintln!("{e}");
-                    usage()
-                })?;
-            }
+            "-o" => output = Some(it.next().ok_or_else(usage)?.clone()),
             "--json" => json = true,
             "--waveform" => {
-                waveform = Some(
-                    argv.next()
-                        .ok_or_else(usage)?
-                        .parse()
-                        .map_err(|_| usage())?,
-                )
+                let v = it.next().ok_or_else(usage)?;
+                waveform = Some(v.parse().map_err(|_| usage())?);
             }
-            "--cap" => {
-                let n: usize = argv
-                    .next()
-                    .ok_or_else(usage)?
-                    .parse()
-                    .map_err(|_| usage())?;
-                if n == 0 {
-                    eprintln!("--cap must be positive");
-                    return Err(usage());
-                }
-                cap = Some(n);
-            }
-            "--shards" => {
-                let v = argv.next().ok_or_else(usage)?;
-                shards = if v == "auto" {
-                    ReachOptions::auto(1).shards
-                } else {
-                    let n: usize = v.parse().map_err(|_| usage())?;
-                    if n == 0 {
-                        eprintln!("--shards must be positive (or `auto`)");
-                        return Err(usage());
-                    }
-                    n
-                };
-            }
-            "--budget" => {
-                budget = argv
-                    .next()
-                    .ok_or_else(usage)?
-                    .parse()
-                    .map_err(|_| usage())?;
-            }
-            "--strategy" => {
-                strategy = argv.next().ok_or_else(usage)?.parse().map_err(|e| {
-                    eprintln!("{e}");
-                    usage()
-                })?;
-            }
-            "--timeout" => {
-                let v = argv.next().ok_or_else(usage)?;
-                timeout = Some(parse_duration(&v).ok_or_else(|| {
-                    eprintln!("bad --timeout {v:?} (expected e.g. 500ms, 2s, 1m)");
-                    usage()
-                })?);
-            }
-            "--backend" => {
-                let v = argv.next().ok_or_else(usage)?;
-                backend = Backend::parse(&v).ok_or_else(|| {
-                    eprintln!("unknown backend {v:?} (expected explicit, symbolic or auto)");
-                    usage()
-                })?;
-            }
-            _ if input.is_none() => input = Some(a),
+            _ if input.is_none() => input = Some(a.clone()),
             other => {
                 eprintln!("unexpected argument {other:?}");
                 return Err(usage());
@@ -379,19 +239,11 @@ fn parse_args() -> Result<Args, ExitCode> {
         command,
         input: input.ok_or_else(usage)?,
         output,
-        arch,
-        stages,
-        minimizer,
         json,
         waveform,
-        cap,
-        shards,
-        budget,
-        strategy,
-        timeout,
-        backend,
         profile,
         progress,
+        options,
     })
 }
 
@@ -418,96 +270,27 @@ fn emit(args: &Args, content: &str) -> std::io::Result<()> {
     }
 }
 
-/// The stable CLI identifier of an architecture — the same vocabulary
-/// `--arch` accepts, so JSON reports round-trip into reproduction
-/// commands.
-fn arch_name(arch: Architecture) -> &'static str {
-    match arch {
-        Architecture::ComplexGate => "complex",
-        Architecture::ExcitationFunction => "excitation",
-        Architecture::PerRegion => "per-region",
+/// Prints a command's report: its human summary on stdout (stderr when
+/// `--json` owns stdout), its notes on stderr, then under `--json` the
+/// report object — with the collected profile as a `"profile"` field
+/// under `--profile=json`. The report is the last thing a command
+/// prints, so every phase span below the CLI's own has closed by then.
+fn finish(args: &Args, report: &dyn Report) -> ExitCode {
+    let summary = report.summary();
+    if args.json {
+        eprint!("{summary}");
+    } else {
+        print!("{summary}");
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    eprint!("{}", report.notes());
+    if args.json {
+        let mut json = report.json();
+        if args.profile == Some(ProfileFormat::Json) {
+            json = json.field("profile", Raw(&si_obs::render_json()));
         }
+        println!("{}", json.finish());
     }
-    out.push('"');
-    out
-}
-
-/// A structured `--json` error object: a stable machine-readable kind, a
-/// human-readable detail, and how far the exploration got before
-/// stopping (0 when no state space was involved).
-fn error_json(kind: &str, detail: &str, states_explored: usize) -> String {
-    format!(
-        "{{\"kind\": {}, \"detail\": {}, \"states_explored\": {}}}",
-        json_str(kind),
-        json_str(detail),
-        states_explored
-    )
-}
-
-/// The structured error object of a [`ReachError`]. The kind vocabulary
-/// matches [`InterruptReason`]'s stable identifiers (`cap-exceeded`,
-/// `deadline-expired`, `cancelled`, `memory-exhausted`) plus `not-safe`
-/// and `worker-panicked`.
-fn reach_error_json(e: &ReachError) -> String {
-    let (kind, states, elapsed_ms) = match e {
-        ReachError::StateCapExceeded { cap } => (InterruptReason::CapExceeded.as_str(), *cap, 0),
-        ReachError::Interrupted {
-            reason,
-            states_explored,
-            elapsed_ms,
-        } => (reason.as_str(), *states_explored, *elapsed_ms),
-        ReachError::WorkerPanicked { .. } => ("worker-panicked", 0, 0),
-        ReachError::NotSafe { .. } => ("not-safe", 0, 0),
-    };
-    format!(
-        "{{\"kind\": {}, \"detail\": {}, \"states_explored\": {}, \"elapsed_ms\": {}}}",
-        json_str(kind),
-        json_str(&e.to_string()),
-        states,
-        elapsed_ms
-    )
-}
-
-/// Prints a command's final `--json` report object to stdout. Under
-/// `--profile=json` the collected profile is spliced into the object as
-/// a `"profile"` key — the report is the last thing a command prints, so
-/// every phase span below the CLI's own has closed by then.
-fn print_json(args: &Args, body: &str) {
-    let body = body.trim_end();
-    if args.profile == Some(ProfileFormat::Json) && body.ends_with('}') {
-        println!(
-            "{}, \"profile\": {}}}",
-            &body[..body.len() - 1],
-            si_obs::render_json()
-        );
-    } else {
-        println!("{body}");
-    }
-}
-
-/// Exit code for a [`ReachError`]: inconclusive budget exhaustion gets
-/// its own code so scripts can tell "the circuit is broken" from "the
-/// analysis ran out of budget".
-fn reach_error_exit(e: &ReachError) -> ExitCode {
-    if e.is_inconclusive() {
-        ExitCode::from(EXIT_INCONCLUSIVE)
-    } else {
-        ExitCode::FAILURE
-    }
+    ExitCode::from(report.exit_code())
 }
 
 fn main() -> ExitCode {
@@ -522,7 +305,7 @@ fn main() -> ExitCode {
         Some("submit") => return ExitCode::from(sisyn::serve::cli::submit_main(&argv[1..])),
         _ => {}
     }
-    let args = match parse_args() {
+    let args = match parse_args(&argv) {
         Ok(a) => a,
         Err(code) => return code,
     };
@@ -535,8 +318,8 @@ fn main() -> ExitCode {
     let code = run(&args);
     // The tree profile goes to stderr after the command wound down (its
     // top-level span has closed by now); the JSON profile was already
-    // spliced into the final `--json` report by `print_json`, or prints
-    // alone on stdout when no report owned stdout.
+    // added to the final `--json` report by `finish`, or prints alone on
+    // stdout when no report owned stdout.
     match args.profile {
         Some(ProfileFormat::Tree) => si_obs::log_lines(&si_obs::render_tree()),
         Some(ProfileFormat::Json) if !args.json => println!("{}", si_obs::render_json()),
@@ -567,18 +350,25 @@ fn run(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let options = &args.options;
     // Protocol deadlock checking parses `.proto` CFSM systems, not `.g`
     // STGs — dispatch before the STG parser. It runs on the explicit
     // explorer only (the symbolic backend encodes Petri-net markings).
     if args.command == "deadlock" {
-        if args.backend != Backend::Explicit {
+        if options.backend != Backend::Explicit {
             eprintln!(
                 "--backend {}: deadlock checking runs on the explicit explorer only",
-                args.backend.as_str()
+                options.backend.as_str()
             );
             return usage();
         }
-        return cmd_deadlock(&text, args);
+        return match parse_proto(&text) {
+            Ok(sys) => finish(args, &report::Deadlock::build(&sys, options)),
+            Err(e) => {
+                eprintln!("parse error: {e}");
+                ExitCode::FAILURE
+            }
+        };
     }
     let stg = match parse_g(&text) {
         Ok(s) => s,
@@ -598,676 +388,53 @@ fn run(args: &Args) -> ExitCode {
     // `--backend` selects who answers the state-space queries of check and
     // verify; the other commands have no such query, so a stray flag is a
     // mistake worth naming rather than ignoring.
-    if args.backend != Backend::Explicit && !matches!(args.command.as_str(), "check" | "verify") {
+    if options.backend != Backend::Explicit && !matches!(args.command.as_str(), "check" | "verify")
+    {
         eprintln!("--backend is only supported for check and verify");
         return usage();
     }
 
     match args.command.as_str() {
-        "check" => cmd_check(&stg, args),
-        "synth" => cmd_synth(&stg, args),
-        "verify" => cmd_verify(&stg, args),
-        "resolve" => cmd_resolve(&stg, args),
+        "check" => finish(
+            args,
+            &report::Check::build(&options.engine(&stg, Op::Check)),
+        ),
+        "synth" => {
+            let engine = options.engine(&stg, Op::Synth);
+            let report = report::Synth::build(&stg, options, engine.synthesize());
+            let code = finish(args, &report);
+            if let Some(syn) = report.synthesis() {
+                let _ = emit(args, &to_verilog(&stg, &syn.circuit));
+                if let Some(n) = args.waveform {
+                    let (outcome, trace) = record_walk(&stg, &syn.circuit, n, 1);
+                    eprintln!("simulation: {outcome:?}");
+                    eprint!("{}", sisyn::stg::render_waveform(&stg, &trace));
+                }
+            }
+            code
+        }
+        "verify" => {
+            // One session: the graph built for the functional oracle
+            // doubles as the conformance probe, so the state space is
+            // explored once.
+            let engine = options.engine(&stg, Op::Verify);
+            finish(
+                args,
+                &report::Verify::build(&engine, options, engine.synthesize()),
+            )
+        }
+        "resolve" => {
+            let report = report::Resolve::build(&options.engine(&stg, Op::Resolve), options);
+            let code = finish(args, &report);
+            if let Some(resolved) = report.resolved() {
+                let _ = emit(args, &write_g(resolved));
+            }
+            code
+        }
         "dot" => {
             let _ = emit(args, &stg_to_dot(&stg));
             ExitCode::SUCCESS
         }
         _ => usage(),
-    }
-}
-
-fn cmd_check(stg: &sisyn::stg::Stg, args: &Args) -> ExitCode {
-    let engine = args.engine(stg, 100_000);
-    println!(
-        "model {}: {} signals, {} transitions, {} places, free-choice: {}",
-        stg.name(),
-        stg.signal_count(),
-        stg.net().transition_count(),
-        stg.net().place_count(),
-        stg.net().is_free_choice()
-    );
-    // Cheap default: the count is informational and the structural flow
-    // never needs the state graph, so don't burn time/memory on huge nets
-    // unless the user explicitly raises --cap (or picks a backend that
-    // counts without enumerating).
-    match engine.spec_state_count() {
-        Ok(n) if args.backend == Backend::Explicit => println!("reachable markings: {n}"),
-        Ok(n) => println!(
-            "reachable markings: {n} ({} backend)",
-            args.backend.as_str()
-        ),
-        Err(sisyn::petri::ReachError::StateCapExceeded { cap }) => println!(
-            "reachable markings: > {cap} (state cap exceeded — the \
-             structural flow does not need the state graph; pass a larger \
-             `--cap N` for exact counts, `--shards auto` to explore big \
-             state spaces in parallel, or `--backend symbolic` to count \
-             without enumerating)"
-        ),
-        Err(ReachError::Interrupted {
-            reason,
-            states_explored,
-            ..
-        }) => println!(
-            "reachable markings: >= {states_explored} (count interrupted: \
-             {reason} — the structural flow does not need the state graph)"
-        ),
-        Err(e) => {
-            println!("reachability: FAILED ({e})");
-            return ExitCode::FAILURE;
-        }
-    }
-    match check_live_safe_fc(stg.net()) {
-        sisyn::petri::StructuralCheck::Ok => println!("liveness/safeness: OK (Commoner)"),
-        other => {
-            println!("liveness/safeness: FAILED {other:?}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match StgAnalysis::analyze(stg) {
-        Ok(_) => println!("consistency: OK"),
-        Err(e) => {
-            println!("consistency: FAILED ({e})");
-            return ExitCode::FAILURE;
-        }
-    }
-    match engine.analyze() {
-        Ok(report) => {
-            println!(
-                "coding conflicts: {} (after {} refinement round(s))",
-                report.conflicts, report.refinement_rounds
-            );
-            match report.csc {
-                CscVerdict::UscHolds => println!("state coding: USC holds"),
-                CscVerdict::CscHolds => println!("state coding: CSC holds"),
-                CscVerdict::Unknown { places } => {
-                    // The structural verdict is conservative; a non-default
-                    // backend can settle it exactly from the reachable set
-                    // without enumerating states.
-                    if args.backend != Backend::Explicit {
-                        if let Ok(sym) = engine.symbolic() {
-                            match sym.has_csc() {
-                                Some(true) => {
-                                    println!(
-                                        "state coding: CSC holds (symbolic exact check; \
-                                         {} structural witness place(s) were false alarms)",
-                                        places.len()
-                                    );
-                                    return ExitCode::SUCCESS;
-                                }
-                                Some(false) => {
-                                    println!(
-                                        "state coding: CSC violation (symbolic exact \
-                                         check) — try `sisyn resolve`"
-                                    );
-                                    return ExitCode::FAILURE;
-                                }
-                                None => {}
-                            }
-                        }
-                    }
-                    println!(
-                        "state coding: possible CSC violation ({} witness place(s)) — try `sisyn resolve`",
-                        places.len()
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        Err(e) => {
-            println!("structural analysis failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_synth(stg: &sisyn::stg::Stg, args: &Args) -> ExitCode {
-    let engine = args.engine(stg, 4_000_000);
-    match engine.synthesize() {
-        Ok(syn) => {
-            let mapped = map_circuit(&syn.circuit);
-            eprintln!(
-                "synthesized {} signal(s): {} literal units, {} transistor pairs",
-                syn.results.len(),
-                syn.literal_area,
-                mapped.area
-            );
-            if args.json {
-                print_json(
-                    args,
-                    &format!(
-                        "{{\"command\": \"synth\", \"ok\": true, \"model\": {}, \
-                     \"architecture\": {}, \"minimizer\": {}, \
-                     \"signals\": {}, \"literal_area\": {}, \"mapped_area\": {}, \
-                     \"place_cover_cubes\": {}, \"sm_count\": {}, \
-                     \"refinement_rounds\": {}}}",
-                        json_str(stg.name()),
-                        json_str(arch_name(args.arch)),
-                        json_str(args.minimizer.name()),
-                        syn.results.len(),
-                        syn.literal_area,
-                        mapped.area,
-                        syn.place_cover_cubes,
-                        syn.sm_count,
-                        syn.refinement_rounds,
-                    ),
-                );
-            }
-            let _ = emit(args, &to_verilog(stg, &syn.circuit));
-            if let Some(n) = args.waveform {
-                let (outcome, trace) = record_walk(stg, &syn.circuit, n, 1);
-                eprintln!("simulation: {outcome:?}");
-                eprint!("{}", sisyn::stg::render_waveform(stg, &trace));
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("synthesis failed: {e}");
-            if args.json {
-                print_json(
-                    args,
-                    &format!(
-                        "{{\"command\": \"synth\", \"ok\": false, \"model\": {}, \"error\": {}}}",
-                        json_str(stg.name()),
-                        error_json(synthesis_error_kind(&e), &e.to_string(), 0),
-                    ),
-                );
-            }
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// The stable machine-readable kind of a synthesis error.
-fn synthesis_error_kind(e: &sisyn::core::SynthesisError) -> &'static str {
-    match e {
-        sisyn::core::SynthesisError::WorkerPanicked { .. } => "worker-panicked",
-        _ => "synthesis-failed",
-    }
-}
-
-fn cmd_verify(stg: &sisyn::stg::Stg, args: &Args) -> ExitCode {
-    // One session: the graph built for the functional oracle doubles as
-    // the conformance probe, so the state space is explored once.
-    let engine = args.engine(stg, 4_000_000);
-    let syn = match engine.synthesize() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("synthesis failed: {e}");
-            if args.json {
-                print_json(
-                    args,
-                    &format!(
-                        "{{\"command\": \"verify\", \"ok\": false, \"model\": {}, \"error\": {}}}",
-                        json_str(stg.name()),
-                        error_json(synthesis_error_kind(&e), &e.to_string(), 0),
-                    ),
-                );
-            }
-            return ExitCode::FAILURE;
-        }
-    };
-    let functional = match engine.verify(&syn.circuit) {
-        Ok(report) => report,
-        Err(e) => {
-            if e.is_inconclusive() {
-                eprintln!(
-                    "verification inconclusive: {e} — state-based \
-                     verification needs the full reachability graph; pass \
-                     a larger `--cap N` / `--timeout DUR` to raise the \
-                     budget (and `--shards auto` to build the graph in \
-                     parallel)"
-                );
-            } else {
-                eprintln!("verification failed: {e}");
-            }
-            if args.json {
-                print_json(
-                    args,
-                    &format!(
-                        "{{\"command\": \"verify\", \"ok\": false, \
-                     \"inconclusive\": {}, \"model\": {}, \"error\": {}}}",
-                        e.is_inconclusive(),
-                        json_str(stg.name()),
-                        reach_error_json(&e),
-                    ),
-                );
-            }
-            return reach_error_exit(&e);
-        }
-    };
-    let conformance = match engine.check_conformance(&syn.circuit) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("conformance check failed: {e}");
-            if args.json {
-                print_json(
-                    args,
-                    &format!(
-                        "{{\"command\": \"verify\", \"ok\": false, \
-                     \"inconclusive\": {}, \"model\": {}, \"error\": {}}}",
-                        e.is_inconclusive(),
-                        json_str(stg.name()),
-                        reach_error_json(&e),
-                    ),
-                );
-            }
-            return reach_error_exit(&e);
-        }
-    };
-    let sim = random_walks(stg, &syn.circuit, 4, 4000, 7);
-    let verdict = |ok: bool, conclusive: bool| match (ok, conclusive) {
-        (false, _) => "FAILED",
-        (true, true) => "OK",
-        (true, false) => "OK so far (partial)",
-    };
-    let summary = format!(
-        "functional+monotonic: {} ({} states) | conformance: {} ({} states) | random walks: {}",
-        verdict(functional.is_ok(), functional.is_conclusive()),
-        functional.states_checked,
-        verdict(conformance.is_ok(), conformance.is_conclusive()),
-        conformance.states_explored,
-        if sim.is_clean() { "OK" } else { "FAILED" },
-    );
-    // `--json` owns stdout; the human summary moves to stderr there.
-    if args.json {
-        eprintln!("{summary}");
-    } else {
-        println!("{summary}");
-    }
-    // Partial verdicts: the budget (cap / --timeout / Ctrl-C) stopped an
-    // exploration early. Name what ran out and how far the check got —
-    // "no violation in the N states explored" is a verdict about a
-    // prefix, not the whole space.
-    if let Some(i) = functional.interrupted {
-        eprintln!(
-            "functional verification inconclusive ({}): no violation in \
-             the {} states explored — raise `--timeout DUR` for a \
-             definitive verdict",
-            i.reason, i.states_explored
-        );
-    }
-    if let Some(i) = conformance.interrupted {
-        eprintln!(
-            "conformance inconclusive ({}): no failure in the {} product \
-             states explored — pass a larger `--cap N` / `--timeout DUR` \
-             to raise the budget (and `--shards auto` to explore the \
-             product in parallel)",
-            i.reason, i.states_explored
-        );
-    }
-    // A failing check comes with a firing-sequence counterexample from the
-    // explorer's witness machinery; print it as transition names.
-    let trace = functional.trace.as_ref().or(conformance.trace.as_ref());
-    if let Some(trace) = trace {
-        let names: Vec<&str> = trace
-            .iter()
-            .map(|&t| stg.net().transition_name(t))
-            .collect();
-        eprintln!(
-            "counterexample ({} firings from the initial state): {}",
-            names.len(),
-            names.join(" ")
-        );
-    }
-    // The spec's reachable-state count via the selected backend: the
-    // cached explicit graph under the default, the BDD reachable set
-    // under `--backend symbolic` (where the CI smoke cross-checks the two
-    // spellings report the same number).
-    let spec_states = engine.spec_state_count().ok();
-    let symbolic_stats = (args.backend == Backend::Symbolic)
-        .then(|| {
-            engine
-                .symbolic_reach()
-                .ok()
-                .map(|s| (s.iterations(), s.peak_nodes()))
-        })
-        .flatten();
-    if let Some((iterations, peak_nodes)) = symbolic_stats {
-        eprintln!(
-            "symbolic backend: {} spec state(s) in {iterations} iteration(s), \
-             peak {peak_nodes} BDD node(s)",
-            spec_states.map_or("?".to_string(), |n| n.to_string()),
-        );
-    }
-    let failed = !functional.is_ok() || !conformance.is_ok() || !sim.is_clean();
-    let inconclusive = !functional.is_conclusive() || !conformance.is_conclusive();
-    let ok = !failed && !inconclusive;
-    if args.json {
-        let trace_json = match trace {
-            None => "null".to_string(),
-            Some(ts) => format!(
-                "[{}]",
-                ts.iter()
-                    .map(|&t| json_str(stg.net().transition_name(t)))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-        };
-        let spec_states_json = spec_states.map_or("null".to_string(), |n| n.to_string());
-        let symbolic_json = symbolic_stats.map_or("null".to_string(), |(iterations, peak)| {
-            format!("{{\"iterations\": {iterations}, \"peak_nodes\": {peak}}}")
-        });
-        print_json(
-            args,
-            &format!(
-                "{{\"command\": \"verify\", \"ok\": {}, \"inconclusive\": {}, \"model\": {}, \
-             \"backend\": {}, \"spec_states\": {spec_states_json}, \
-             \"symbolic\": {symbolic_json}, \
-             \"functional_ok\": {}, \"violations\": {}, \"states_checked\": {}, \
-             \"conformance_ok\": {}, \"conformance_failures\": {}, \
-             \"states_explored\": {}, \"trace\": {}, \"random_walks_ok\": {}, \
-             \"literal_area\": {}, \"minimizer\": {}}}",
-                ok,
-                inconclusive,
-                json_str(stg.name()),
-                json_str(args.backend.as_str()),
-                functional.is_ok(),
-                functional.violations.len(),
-                functional.states_checked,
-                conformance.is_ok(),
-                conformance.failures.len(),
-                conformance.states_explored,
-                trace_json,
-                sim.is_clean(),
-                syn.literal_area,
-                json_str(args.minimizer.name()),
-            ),
-        );
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else if inconclusive {
-        ExitCode::from(EXIT_INCONCLUSIVE)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// The per-candidate search statistics as a JSON object fragment.
-fn stats_json(stats: &ResolveStats) -> String {
-    let interrupted = match stats.interrupted {
-        None => "null".to_string(),
-        Some(i) => format!(
-            "{{\"reason\": {}, \"candidates_evaluated\": {}}}",
-            json_str(i.reason.as_str()),
-            i.states_explored
-        ),
-    };
-    format!(
-        "{{\"strategy\": {}, \"cores\": {}, \"candidates_generated\": {}, \
-         \"candidates_evaluated\": {}, \"candidates_rejected\": {}, \
-         \"candidates_panicked\": {}, \"oracle_calls\": {}, \
-         \"oracle_rejected\": {}, \"interrupted\": {interrupted}, \
-         \"wall_ms\": {:.3}}}",
-        json_str(stats.strategy.name()),
-        stats.cores,
-        stats.generated,
-        stats.evaluated,
-        stats.rejected,
-        stats.panicked,
-        stats.oracle_calls,
-        stats.oracle_rejected,
-        stats.wall_ms,
-    )
-}
-
-/// Renders an accepted insertion plan over the *input* STG's node names
-/// (`null` for the no-conflict sentinel plan).
-fn plan_json(stg: &sisyn::stg::Stg, plan: &InsertionPlan) -> String {
-    if plan.rise_split == plan.fall_split {
-        return "null".to_string(); // sentinel: input already satisfied CSC
-    }
-    let net = stg.net();
-    let waits = plan
-        .rise_waits
-        .iter()
-        .map(|&(t, marked)| {
-            format!(
-                "{{\"after\": {}, \"marked\": {marked}}}",
-                json_str(&stg.transition_display(t))
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\"rise_split\": {}, \"fall_split\": {}, \"rise_waits\": [{waits}]}}",
-        json_str(net.place_name(plan.rise_split)),
-        json_str(net.place_name(plan.fall_split)),
-    )
-}
-
-fn cmd_resolve(stg: &sisyn::stg::Stg, args: &Args) -> ExitCode {
-    // `--cap`/`--shards` govern the behavioural acceptance oracle (like
-    // every other reachability-based oracle); `--budget` bounds the
-    // candidate search, which is a search bound, not a state cap.
-    let engine = args.engine(stg, 1_000_000);
-    let options = CscOptions::default()
-        .budget(args.budget)
-        .strategy(args.strategy)
-        .reach(args.reach(1_000_000));
-    let outcome = engine.resolve_csc_outcome(&options);
-    let stats = &outcome.stats;
-    eprintln!(
-        "search[{}]: {} core(s), {} candidate(s) generated, {} evaluated, \
-         {} rejected, {} oracle call(s), {:.1} ms",
-        stats.strategy.name(),
-        stats.cores,
-        stats.generated,
-        stats.evaluated,
-        stats.rejected,
-        stats.oracle_calls,
-        stats.wall_ms,
-    );
-    match outcome.resolution {
-        Some(resolution) => {
-            eprintln!(
-                "resolved: {} -> {} signals",
-                stg.signal_count(),
-                resolution.stg.signal_count()
-            );
-            if args.json {
-                print_json(
-                    args,
-                    &format!(
-                        "{{\"command\": \"resolve\", \"ok\": true, \"model\": {}, \
-                     \"signals_before\": {}, \"signals_after\": {}, \
-                     \"plan\": {}, \"cost\": {}, \"stats\": {}}}",
-                        json_str(stg.name()),
-                        stg.signal_count(),
-                        resolution.stg.signal_count(),
-                        plan_json(stg, &resolution.plan),
-                        resolution.cost,
-                        stats_json(stats),
-                    ),
-                );
-            }
-            let _ = emit(args, &write_g(&resolution.stg));
-            ExitCode::SUCCESS
-        }
-        None => {
-            let (kind, detail) = match stats.interrupted {
-                Some(i) => {
-                    eprintln!(
-                        "search interrupted ({}): no resolution among the \
-                         {} candidate(s) evaluated before the budget ran \
-                         out — raise `--timeout DUR` (or don't Ctrl-C) \
-                         for a definitive answer",
-                        i.reason, i.states_explored
-                    );
-                    (
-                        i.reason.as_str(),
-                        "candidate search interrupted before a resolution was found",
-                    )
-                }
-                None => {
-                    eprintln!("no single-signal insertion found within budget");
-                    (
-                        "no-resolution",
-                        "no single-signal insertion found within budget",
-                    )
-                }
-            };
-            if args.json {
-                print_json(
-                    args,
-                    &format!(
-                        "{{\"command\": \"resolve\", \"ok\": false, \
-                     \"inconclusive\": {}, \"model\": {}, \"error\": {}, \
-                     \"stats\": {}}}",
-                        stats.interrupted.is_some(),
-                        json_str(stg.name()),
-                        error_json(kind, detail, stats.evaluated),
-                        stats_json(stats),
-                    ),
-                );
-            }
-            if stats.interrupted.is_some() {
-                ExitCode::from(EXIT_INCONCLUSIVE)
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-    }
-}
-
-fn cmd_deadlock(text: &str, args: &Args) -> ExitCode {
-    let sys = match parse_proto(text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("parse error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let report = match check_deadlock_with(&sys, args.reach(sisyn::proto::DEFAULT_CAP)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("deadlock check failed: {e}");
-            if args.json {
-                print_json(
-                    args,
-                    &format!(
-                        "{{\"command\": \"deadlock\", \"ok\": false, \
-                     \"inconclusive\": false, \"model\": {}, \"error\": {}}}",
-                        json_str(sys.name()),
-                        error_json("worker-panicked", &e.to_string(), 0),
-                    ),
-                );
-            }
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // Human report on stdout (stderr when --json owns stdout) — one
-    // summary line, then the counterexample as an action sequence.
-    let mut human = String::new();
-    let verdict = if !report.is_ok() {
-        "FAILED"
-    } else if report.is_conclusive() {
-        "OK"
-    } else {
-        "OK so far (partial)"
-    };
-    human.push_str(&format!(
-        "model {}: {} modules, {} channels\n\
-         deadlock check: {verdict} ({} deadlock(s), {} dangling send(s), \
-         {} overflow(s) in {} states)\n",
-        sys.name(),
-        sys.modules().len(),
-        sys.channels().len(),
-        report.deadlocks(),
-        report.dangling_sends(),
-        report.overflows(),
-        report.states_explored,
-    ));
-    if let Some(first) = report.violations.first() {
-        human.push_str(&format!(
-            "first violation ({}): {}\n  at state: {}\n",
-            first.violation.kind(),
-            first.violation.render(&sys),
-            first.state.render(&sys),
-        ));
-    }
-    if let Some(trace) = &report.trace {
-        human.push_str(&format!(
-            "counterexample ({} action(s) from the initial state):\n",
-            trace.len()
-        ));
-        for step in trace {
-            human.push_str(&format!("  {step}\n"));
-        }
-    }
-    if let Some(i) = report.interrupted {
-        if report.is_ok() {
-            human.push_str(&format!(
-                "inconclusive ({}): no violation in the {} states explored — \
-                 raise `--cap N` / `--timeout DUR` for a definitive verdict \
-                 (and `--shards auto` to explore in parallel)\n",
-                i.reason, i.states_explored
-            ));
-        }
-    }
-    if args.json {
-        eprint!("{human}");
-    } else {
-        print!("{human}");
-    }
-
-    if args.json {
-        let trace_json = match &report.trace {
-            None => "null".to_string(),
-            Some(ts) => format!(
-                "[{}]",
-                ts.iter()
-                    .map(|s| json_str(s))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-        };
-        let state_json = report
-            .violations
-            .first()
-            .map_or("null".to_string(), |v| json_str(&v.state.render(&sys)));
-        // A clean-but-interrupted run carries the same structured error
-        // object as the other inconclusive commands (kind matches
-        // InterruptReason's stable identifiers).
-        let error_json_field = match report.interrupted {
-            Some(i) if report.is_ok() => error_json(
-                i.reason.as_str(),
-                &format!("deadlock check interrupted: {i}"),
-                i.states_explored,
-            ),
-            _ => "null".to_string(),
-        };
-        print_json(
-            args,
-            &format!(
-                "{{\"command\": \"deadlock\", \"ok\": {}, \"inconclusive\": {}, \
-             \"model\": {}, \"modules\": {}, \"channels\": {}, \
-             \"states_explored\": {}, \"violations\": {}, \"deadlocks\": {}, \
-             \"dangling_sends\": {}, \"overflows\": {}, \"state\": {}, \
-             \"trace\": {}, \"error\": {}}}",
-                report.is_ok() && report.is_conclusive(),
-                !report.is_conclusive(),
-                json_str(sys.name()),
-                sys.modules().len(),
-                sys.channels().len(),
-                report.states_explored,
-                report.violations.len(),
-                report.deadlocks(),
-                report.dangling_sends(),
-                report.overflows(),
-                state_json,
-                trace_json,
-                error_json_field,
-            ),
-        );
-    }
-    if !report.is_ok() {
-        ExitCode::FAILURE
-    } else if !report.is_conclusive() {
-        ExitCode::from(EXIT_INCONCLUSIVE)
-    } else {
-        ExitCode::SUCCESS
     }
 }

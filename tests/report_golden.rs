@@ -91,12 +91,8 @@ fn cli(args: &[&str], input: &str) -> (i32, String) {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn sisyn");
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(input.as_bytes())
-        .expect("write stdin");
+    // A usage error exits before reading its input: ignore the broken pipe.
+    let _ = child.stdin.take().unwrap().write_all(input.as_bytes());
     let out = child.wait_with_output().expect("sisyn output");
     let code = out.status.code().expect("exit code");
     (code, String::from_utf8(out.stdout).expect("utf-8 stdout"))
@@ -293,4 +289,53 @@ fn unrepresentable_timeout_means_no_deadline() {
         text,
     );
     assert_eq!(code, 0, "{out}");
+}
+
+// One validation rule for the numeric options on every surface: stages
+// are 0..4, full or none, and numbers are integers.
+
+#[test]
+fn cli_rejects_bad_numeric_options() {
+    let (_, text) = &specs()[0];
+    for bad in [["--stages", "9"], ["--stages", "2.5"], ["--budget", "2.7"]] {
+        let (code, _) = cli(&["synth", bad[0], bad[1]], text);
+        assert_eq!(code, 2, "{bad:?}");
+    }
+    let (code, _) = cli(&["synth", "--stages", "none"], text);
+    assert_eq!(code, 0);
+}
+
+#[test]
+fn submit_rejects_bad_numeric_options() {
+    // Rejected while parsing, before any connection is attempted.
+    for bad in [
+        ["--stages", "9"],
+        ["--budget", "2.7"],
+        ["--timeout-ms", "5"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sisyn"))
+            .args([
+                "submit",
+                "--socket",
+                "/nonexistent/sisyn.sock",
+                "synth",
+                "spec.g",
+            ])
+            .args(bad)
+            .stderr(Stdio::null())
+            .status()
+            .expect("run sisyn submit");
+        assert_eq!(out.code(), Some(2), "{bad:?}");
+    }
+}
+
+#[test]
+fn serve_rejects_bad_numeric_options() {
+    let service = Service::new(Arc::new(ArtifactStore::in_memory(1 << 20)));
+    let (_, text) = &specs()[0];
+    for bad in [r#""stages": 9"#, r#""stages": 2.5"#, r#""budget": 2.7"#] {
+        let request = format!("{{\"op\": \"synth\", \"spec\": {}, {bad}}}", escape(text));
+        let body = service.execute(&request).body;
+        assert!(body.contains("\"kind\": \"bad-request\""), "{bad}: {body}");
+    }
 }
