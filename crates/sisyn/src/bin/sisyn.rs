@@ -28,9 +28,10 @@
 //!                      `auto` picks per signal by cover size and is never
 //!                      worse in literals than espresso)
 //!   --json             machine-readable JSON report on stdout for
-//!                      synth / verify / resolve / deadlock (exit codes
-//!                      unchanged; the artifact is only written when -o
-//!                      is given)
+//!                      check / synth / verify / resolve / deadlock — the
+//!                      same object `sisyn serve` answers (exit codes
+//!                      unchanged; the human report moves to stderr and
+//!                      the artifact is only written when -o is given)
 //!   --waveform N       also print an N-step simulated waveform
 //!   --cap N            state cap for every reachability-based oracle;
 //!                      exceeding it fails fast with a StateCapExceeded
@@ -381,8 +382,8 @@ fn run(args: &Args) -> ExitCode {
     // `--json` is defined for the commands that emit a report; rejecting
     // it elsewhere beats silently swallowing the artifact (`dot --json`
     // would otherwise print nothing and exit 0).
-    if args.json && !matches!(args.command.as_str(), "synth" | "verify" | "resolve") {
-        eprintln!("--json is only supported for synth, verify, resolve and deadlock");
+    if args.json && args.command == "dot" {
+        eprintln!("--json is only supported for check, synth, verify, resolve and deadlock");
         return usage();
     }
     // `--backend` selects who answers the state-space queries of check and

@@ -243,16 +243,12 @@ fn run_pair(golden: &mut Golden, name: &str, text: &str, op: &str, flags: &[&str
     request.push('}');
     let body = service.execute(&request).body;
     golden.add(format!("serve {op} {{{fields}}}"), &body);
-    // The surfaces may disagree only where they drifted apart: the CLI
-    // has no `check --json`.
-    if op != "check" {
-        assert_eq!(
-            mask(out.trim_end()),
-            mask(&without_artifact(&body)),
-            "{name}: cli {} vs serve {op} {{{fields}}}",
-            args.join(" ")
-        );
-    }
+    assert_eq!(
+        mask(out.trim_end()),
+        mask(&without_artifact(&body)),
+        "{name}: cli {} vs serve {op} {{{fields}}}",
+        args.join(" ")
+    );
 }
 
 #[test]
