@@ -17,6 +17,8 @@
 //!   explorers' existing amortized budget checkpoints.
 //! * **A locked line sink** — [`log_line`] / [`log_lines`] serialize
 //!   multi-threaded stderr logging so lines never shear.
+//! * **The JSON writer** — [`json::Object`], which the profile and the
+//!   `si-serve` reports share.
 //!
 //! The switch is **off by default** and the off-path of every recording
 //! helper is a single relaxed atomic load ([`enabled`]): instrumented
@@ -46,6 +48,10 @@ use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
+
+pub mod json;
+
+use json::{Millis, Object};
 
 // ---------------------------------------------------------------------------
 // The switch
@@ -509,107 +515,47 @@ pub fn render_tree() -> String {
     out
 }
 
-/// `s` as a JSON string literal: quoted, with quotes, backslashes,
-/// newlines (`\n`) and the other control characters (`\u00XX`) escaped.
-/// The workspace's one JSON escaper: the profile and the `si-serve`
-/// reports and wire protocol all write strings through it.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn render_json_span(out: &mut String, name: &str, node: &SpanNode) {
-    let _ = write!(
-        out,
-        "{{\"name\": {}, \"calls\": {}, \"total_ms\": {}, \"children\": [",
-        json_string(name),
-        node.calls,
-        fmt_ms(node.total_ns)
-    );
-    for (i, (child_name, child)) in node.children.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        render_json_span(out, child_name, child);
-    }
-    out.push_str("]}");
+fn span_json(name: &str, node: &SpanNode) -> Object {
+    let children: Vec<Object> = node.children.iter().map(|(n, c)| span_json(n, c)).collect();
+    Object::new()
+        .field("name", name)
+        .field("calls", node.calls)
+        .field("total_ms", Millis(node.total_ns as f64 / 1e6))
+        .field("children", children)
 }
 
 /// Renders the profile snapshot as one JSON object in the CLI's
 /// `--json` vocabulary: `{"spans": [...], "counters": {...},
 /// "gauges": {...}, "histograms": {...}}`.
 pub fn render_json() -> String {
-    let mut out = String::from("{\"spans\": [");
-    {
-        let root = lock(span_root());
-        for (i, (name, node)) in root.children.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+    let root = lock(span_root());
+    let spans: Vec<Object> = root.children.iter().map(|(n, c)| span_json(n, c)).collect();
+    drop(root);
+    let (mut counters, mut gauges, mut histograms) = (Object::new(), Object::new(), Object::new());
+    for (name, metric) in lock(registry()).iter() {
+        match metric {
+            Metric::Counter(c) => counters = counters.field(name, c.load(Ordering::Relaxed)),
+            Metric::Gauge(g) => gauges = gauges.field(name, g.load(Ordering::Relaxed)),
+            Metric::Histogram(h) => {
+                let buckets: Vec<Vec<u64>> = h
+                    .nonzero_buckets()
+                    .iter()
+                    .map(|&(ceil, n)| vec![ceil, n])
+                    .collect();
+                let h = Object::new()
+                    .field("count", h.count())
+                    .field("sum", h.sum())
+                    .field("buckets", buckets);
+                histograms = histograms.field(name, h);
             }
-            render_json_span(&mut out, name, node);
         }
     }
-    let reg = lock(registry());
-    out.push_str("], \"counters\": {");
-    let mut first = true;
-    for (name, metric) in reg.iter() {
-        if let Metric::Counter(c) = metric {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            let _ = write!(out, "{}: {}", json_string(name), c.load(Ordering::Relaxed));
-        }
-    }
-    out.push_str("}, \"gauges\": {");
-    let mut first = true;
-    for (name, metric) in reg.iter() {
-        if let Metric::Gauge(g) = metric {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            let _ = write!(out, "{}: {}", json_string(name), g.load(Ordering::Relaxed));
-        }
-    }
-    out.push_str("}, \"histograms\": {");
-    let mut first = true;
-    for (name, metric) in reg.iter() {
-        if let Metric::Histogram(h) = metric {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            let buckets: Vec<String> = h
-                .nonzero_buckets()
-                .iter()
-                .map(|(ceil, n)| format!("[{ceil}, {n}]"))
-                .collect();
-            let _ = write!(
-                out,
-                "{}: {{\"count\": {}, \"sum\": {}, \"buckets\": [{}]}}",
-                json_string(name),
-                h.count(),
-                h.sum(),
-                buckets.join(", ")
-            );
-        }
-    }
-    out.push_str("}}");
-    out
+    Object::new()
+        .field("spans", spans)
+        .field("counters", counters)
+        .field("gauges", gauges)
+        .field("histograms", histograms)
+        .finish()
 }
 
 fn prom_name(name: &str) -> String {

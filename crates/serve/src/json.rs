@@ -1,21 +1,19 @@
-//! Minimal JSON: a recursive-descent parser and the report writer.
+//! Minimal JSON: a recursive-descent parser, plus the workspace's one
+//! writer re-exported from `si_obs::json`.
 //!
 //! The workspace ships no serde (offline build environment). [`Object`]
 //! writes every report and wire line — the CLI's `--json` output and the
-//! serve requests and responses — field by field in insertion order, with
-//! `", "` between fields and `": "` after keys. The server side also
-//! needs to *read* requests and cached response objects, so this module
-//! provides the smallest JSON value model that covers the wire protocol.
-//! Numbers are kept as `f64` — protocol numbers are small counters; the
-//! one potentially huge value (`spec_states`, a `u128`) is only ever
-//! emitted, never parsed back by the server.
+//! serve requests and responses. The server side also needs to *read*
+//! requests and cached response objects, so this module provides the
+//! smallest JSON value model that covers the wire protocol. Numbers are
+//! kept as `f64` — protocol numbers are small counters; the one
+//! potentially huge value (`spec_states`, a `u128`) is only ever emitted,
+//! never parsed back by the server.
 
 use std::collections::BTreeMap;
-use std::fmt::{self, Write as _};
+use std::fmt;
 
-/// JSON string literal with minimal escaping (quotes, backslashes,
-/// control characters).
-pub use si_obs::json_string as escape;
+pub use si_obs::json::{json_string as escape, Millis, Object, Raw, ToJson};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -293,150 +291,6 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
     Ok(v)
 }
 
-/// A value [`Object`] can write.
-pub trait ToJson {
-    /// Appends the JSON text of `self` to `out`.
-    fn write_json(&self, out: &mut String);
-}
-
-impl ToJson for bool {
-    fn write_json(&self, out: &mut String) {
-        out.push_str(if *self { "true" } else { "false" });
-    }
-}
-
-macro_rules! integer_to_json {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn write_json(&self, out: &mut String) {
-                let _ = write!(out, "{self}");
-            }
-        }
-    )*};
-}
-integer_to_json!(usize, u64, u128, i64);
-
-impl ToJson for str {
-    fn write_json(&self, out: &mut String) {
-        out.push_str(&escape(self));
-    }
-}
-
-impl ToJson for String {
-    fn write_json(&self, out: &mut String) {
-        self.as_str().write_json(out);
-    }
-}
-
-impl<T: ToJson + ?Sized> ToJson for &T {
-    fn write_json(&self, out: &mut String) {
-        (**self).write_json(out);
-    }
-}
-
-/// `None` is `null`.
-impl<T: ToJson> ToJson for Option<T> {
-    fn write_json(&self, out: &mut String) {
-        match self {
-            Some(v) => v.write_json(out),
-            None => out.push_str("null"),
-        }
-    }
-}
-
-/// An array, `[a, b]`.
-impl<T: ToJson> ToJson for [T] {
-    fn write_json(&self, out: &mut String) {
-        out.push('[');
-        for (i, v) in self.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            v.write_json(out);
-        }
-        out.push(']');
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn write_json(&self, out: &mut String) {
-        self.as_slice().write_json(out);
-    }
-}
-
-/// Milliseconds, written with three decimals.
-#[derive(Clone, Copy, Debug)]
-pub struct Millis(pub f64);
-
-impl ToJson for Millis {
-    fn write_json(&self, out: &mut String) {
-        let _ = write!(out, "{:.3}", self.0);
-    }
-}
-
-/// Already-rendered JSON, written verbatim (the profile object).
-#[derive(Clone, Copy, Debug)]
-pub struct Raw<'a>(pub &'a str);
-
-impl ToJson for Raw<'_> {
-    fn write_json(&self, out: &mut String) {
-        out.push_str(self.0);
-    }
-}
-
-/// One JSON object, written field by field in insertion order. Keys are
-/// plain identifiers and are not escaped.
-#[derive(Clone, Debug)]
-pub struct Object {
-    out: String,
-}
-
-impl Default for Object {
-    fn default() -> Self {
-        Object::new()
-    }
-}
-
-impl Object {
-    /// An empty object.
-    pub fn new() -> Self {
-        Object {
-            out: String::from("{"),
-        }
-    }
-
-    /// Appends `"key": value`.
-    pub fn field(mut self, key: &str, value: impl ToJson) -> Self {
-        if self.out.len() > 1 {
-            self.out.push_str(", ");
-        }
-        let _ = write!(self.out, "\"{key}\": ");
-        value.write_json(&mut self.out);
-        self
-    }
-
-    /// Appends `"key": value` when `value` is `Some`.
-    pub fn field_opt(self, key: &str, value: Option<impl ToJson>) -> Self {
-        match value {
-            Some(v) => self.field(key, v),
-            None => self,
-        }
-    }
-
-    /// The finished object text.
-    pub fn finish(mut self) -> String {
-        self.out.push('}');
-        self.out
-    }
-}
-
-impl ToJson for Object {
-    fn write_json(&self, out: &mut String) {
-        out.push_str(&self.out);
-        out.push('}');
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,26 +322,6 @@ mod tests {
         let nasty = "a \"b\"\\\n\tc\u{1}";
         let v = parse(&escape(nasty)).unwrap();
         assert_eq!(v.as_str(), Some(nasty));
-    }
-
-    #[test]
-    fn object_writes_fields_in_order() {
-        let inner = Object::new().field("reason", "cap-exceeded");
-        let line = Object::new()
-            .field("ok", false)
-            .field("n", 3usize)
-            .field("none", None::<u64>)
-            .field("names", vec!["a", "b\"c"])
-            .field("empty", Vec::<u64>::new())
-            .field("ms", Millis(1.5))
-            .field("inner", inner)
-            .field("raw", Raw("{\"x\": 1}"))
-            .finish();
-        assert_eq!(
-            line,
-            r#"{"ok": false, "n": 3, "none": null, "names": ["a", "b\"c"], "empty": [], "ms": 1.500, "inner": {"reason": "cap-exceeded"}, "raw": {"x": 1}}"#
-        );
-        assert!(parse(&line).is_ok());
     }
 
     #[test]

@@ -162,12 +162,33 @@ pub struct Service {
     store: Arc<ArtifactStore>,
 }
 
-/// The per-signal cover artifacts one synthesis reused and derived.
+/// The artifacts one job reused and derived: per-signal cover counts
+/// and the keys its response was built on.
 #[derive(Debug, Default)]
-struct Covers {
-    reused: usize,
-    derived: usize,
+struct Artifacts {
+    covers_reused: usize,
+    covers_derived: usize,
     manifest: Vec<String>,
+}
+
+/// One executed op: its body, whether the body may be cached, and what
+/// the job built and reused.
+struct Run {
+    body: String,
+    conclusive: bool,
+    reach_builds: usize,
+    artifacts: Artifacts,
+}
+
+impl Run {
+    fn new(body: Object, report: &dyn Report, engine: &Engine<'_>, artifacts: Artifacts) -> Run {
+        Run {
+            body: body.finish(),
+            conclusive: report.is_conclusive(),
+            reach_builds: engine.reach_build_count(),
+            artifacts,
+        }
+    }
 }
 
 impl Service {
@@ -256,25 +277,38 @@ impl Service {
             _ => self.run_resolve(&stg, options),
         };
         if run.conclusive {
-            self.store.put(&resp_key, &run.response.body);
-            let manifest = format!("manifest-v1\n{}\n", run.manifest.join("\n"));
+            self.store.put(&resp_key, &run.body);
+            let manifest = run.artifacts.manifest.join("\n");
+            let manifest = format!("manifest-v1\n{manifest}\n");
             self.store.put(&format!("manifest:{job:016x}"), &manifest);
         }
-        run.response
+        Response {
+            reach_builds: run.reach_builds,
+            covers_reused: run.artifacts.covers_reused,
+            covers_derived: run.artifacts.covers_derived,
+            ..Response::new(&req.op, run.body)
+        }
     }
 
-    /// Imports the spec's cached reachability summary into `engine`.
-    /// Returns the engine and the manifest so far: the summary's key
-    /// when it participated.
-    fn import_summary<'a>(&self, engine: Engine<'a>, spec_hash: u64) -> (Engine<'a>, Vec<String>) {
+    /// Imports the spec's cached reachability summary into `engine`,
+    /// adding its key to `manifest` when it participates.
+    fn import_summary<'a>(
+        &self,
+        engine: Engine<'a>,
+        spec_hash: u64,
+        manifest: &mut Vec<String>,
+    ) -> Engine<'a> {
         let key = format!("reach:{spec_hash:016x}");
         match self
             .store
             .get(&key)
             .and_then(|wire| ReachSummary::from_wire(&wire).ok())
         {
-            Some(summary) => (engine.reach_summary(summary), vec![key]),
-            None => (engine, Vec::new()),
+            Some(summary) => {
+                manifest.push(key);
+                engine.reach_summary(summary)
+            }
+            None => engine,
         }
     }
 
@@ -290,17 +324,12 @@ impl Service {
     }
 
     fn run_check(&self, stg: &Stg, spec_hash: u64, options: &JobOptions) -> Run {
-        let (engine, mut manifest) = self.import_summary(options.engine(stg, Op::Check), spec_hash);
+        let mut artifacts = Artifacts::default();
+        let engine = options.engine(stg, Op::Check);
+        let engine = self.import_summary(engine, spec_hash, &mut artifacts.manifest);
         let report = report::Check::build(&engine);
-        self.export_summary(&engine, spec_hash, &mut manifest);
-        Run {
-            response: Response {
-                reach_builds: engine.reach_build_count(),
-                ..Response::new("check", report.json().finish())
-            },
-            conclusive: report.is_conclusive(),
-            manifest,
-        }
+        self.export_summary(&engine, spec_hash, &mut artifacts.manifest);
+        Run::new(report.json(), &report, &engine, artifacts)
     }
 
     /// The per-signal cached synthesis path: for every synthesized
@@ -314,13 +343,13 @@ impl Service {
         engine: &Engine<'_>,
         stg: &Stg,
         options: &SynthesisOptions,
-    ) -> (Result<Synthesis, SynthesisError>, Covers) {
-        let mut covers = Covers::default();
-        let synthesis = self.synthesize_covers(engine, stg, options, &mut covers);
+    ) -> (Result<Synthesis, SynthesisError>, Artifacts) {
+        let mut artifacts = Artifacts::default();
+        let synthesis = self.synthesize_covers(engine, stg, options, &mut artifacts);
         if synthesis.is_err() {
-            covers = Covers::default();
+            artifacts = Artifacts::default();
         }
-        (synthesis, covers)
+        (synthesis, artifacts)
     }
 
     fn synthesize_covers(
@@ -328,7 +357,7 @@ impl Service {
         engine: &Engine<'_>,
         stg: &Stg,
         options: &SynthesisOptions,
-        covers: &mut Covers,
+        artifacts: &mut Artifacts,
     ) -> Result<Synthesis, SynthesisError> {
         let ctx = engine.context()?;
         let csc = ctx.csc_verdict();
@@ -349,17 +378,17 @@ impl Service {
                 .filter(|c| revalidate_clusters(ctx, c, options));
             let clusters = match cached {
                 Some(clusters) => {
-                    covers.reused += 1;
+                    artifacts.covers_reused += 1;
                     clusters
                 }
                 None => {
                     let clusters = derive_clusters(ctx, signal, options)?;
                     self.store.put(&key, &clusters_to_wire(stg, &clusters));
-                    covers.derived += 1;
+                    artifacts.covers_derived += 1;
                     clusters
                 }
             };
-            covers
+            artifacts
                 .manifest
                 .push(format!("{key} signal={}", stg.signal_name(signal)));
             results.push(realize_clusters(ctx, &clusters, options));
@@ -381,70 +410,38 @@ impl Service {
 
     fn run_synth(&self, stg: &Stg, options: &JobOptions) -> Run {
         let engine = options.engine(stg, Op::Synth);
-        let (synthesis, covers) = self.synthesize_cached(&engine, stg, &options.synthesis());
+        let (synthesis, artifacts) = self.synthesize_cached(&engine, stg, &options.synthesis());
         let report = report::Synth::build(stg, options, synthesis);
-        let mut body = report.json();
-        if let Some(syn) = report.synthesis() {
-            body = body.field("verilog", to_verilog(stg, &syn.circuit));
-        }
-        Run {
-            response: Response {
-                covers_reused: covers.reused,
-                covers_derived: covers.derived,
-                reach_builds: engine.reach_build_count(),
-                ..Response::new("synth", body.finish())
-            },
-            conclusive: report.is_conclusive(),
-            manifest: covers.manifest,
-        }
+        let verilog = report.synthesis().map(|syn| to_verilog(stg, &syn.circuit));
+        let body = report.json().field_opt("verilog", verilog);
+        Run::new(body, &report, &engine, artifacts)
     }
 
     fn run_verify(&self, stg: &Stg, spec_hash: u64, options: &JobOptions) -> Run {
-        let (engine, mut manifest) =
-            self.import_summary(options.engine(stg, Op::Verify), spec_hash);
-        let (synthesis, covers) = self.synthesize_cached(&engine, stg, &options.synthesis());
+        let mut manifest = Vec::new();
+        let engine = options.engine(stg, Op::Verify);
+        let engine = self.import_summary(engine, spec_hash, &mut manifest);
+        let (synthesis, mut artifacts) = self.synthesize_cached(&engine, stg, &options.synthesis());
         let report = report::Verify::build(&engine, options, synthesis);
         // Only a run whose every check finished records its artifacts.
         if report.completed() {
-            manifest.extend(covers.manifest);
+            manifest.append(&mut artifacts.manifest);
             self.export_summary(&engine, spec_hash, &mut manifest);
+            artifacts.manifest = manifest;
         } else {
-            manifest.clear();
+            artifacts.manifest.clear();
         }
-        Run {
-            response: Response {
-                covers_reused: covers.reused,
-                covers_derived: covers.derived,
-                reach_builds: engine.reach_build_count(),
-                ..Response::new("verify", report.json().finish())
-            },
-            conclusive: report.is_conclusive(),
-            manifest,
-        }
+        Run::new(report.json(), &report, &engine, artifacts)
     }
 
     fn run_resolve(&self, stg: &Stg, options: &JobOptions) -> Run {
         let engine = options.engine(stg, Op::Resolve);
         let report = report::Resolve::build(&engine, options);
-        let resolved = report.resolved().map(write_g);
-        Run {
-            response: Response {
-                reach_builds: engine.reach_build_count(),
-                ..Response::new(
-                    "resolve",
-                    report.json().field("resolved", resolved).finish(),
-                )
-            },
-            conclusive: report.is_conclusive(),
-            manifest: Vec::new(),
-        }
+        let body = report
+            .json()
+            .field("resolved", report.resolved().map(write_g));
+        Run::new(body, &report, &engine, Artifacts::default())
     }
-}
-
-struct Run {
-    response: Response,
-    conclusive: bool,
-    manifest: Vec<String>,
 }
 
 /// Splices the volatile execution facts and the current counters into a
