@@ -78,7 +78,7 @@ impl<T: ToJson> ToJson for Option<T> {
 }
 
 /// An array, `[a, b]`.
-impl<T: ToJson> ToJson for [T] {
+impl<T: ToJson> ToJson for Vec<T> {
     fn write_json(&self, out: &mut String) {
         out.push('[');
         for (i, v) in self.iter().enumerate() {
@@ -88,12 +88,6 @@ impl<T: ToJson> ToJson for [T] {
             v.write_json(out);
         }
         out.push(']');
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn write_json(&self, out: &mut String) {
-        self.as_slice().write_json(out);
     }
 }
 

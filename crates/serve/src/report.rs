@@ -9,7 +9,7 @@
 //! [`Verify`], [`Resolve`] and [`Deadlock`]. A [`Report`] renders itself
 //! twice: as the JSON object written by [`Object`] (the CLI's `--json`
 //! output and the serve response body are the same object) and as the
-//! CLI's human text. [`Error`] is the one structured error object.
+//! CLI's human text. `Error` is the one structured error object.
 //!
 //! The synth and verify builders take a finished synthesis, so each
 //! surface keeps its own way of deriving covers: the CLI spreads signals
@@ -231,7 +231,7 @@ impl JobOptions {
     /// # Errors
     ///
     /// The message of the first rejected key.
-    pub fn from_request(request: &Value) -> Result<JobOptions, String> {
+    pub(crate) fn from_request(request: &Value) -> Result<JobOptions, String> {
         let mut options = JobOptions::default();
         for name in OPTION_NAMES {
             let key = if name == "timeout" {
@@ -252,7 +252,7 @@ impl JobOptions {
 
     /// Appends every option under its request key; `cap` and
     /// `timeout_ms` only when set.
-    pub fn write_request(&self, object: Object) -> Object {
+    pub(crate) fn write_request(&self, object: Object) -> Object {
         let stages = match (0..4).find(|&n| MinimizeStages::stage(n) == self.stages) {
             Some(n) => n.to_string(),
             None if self.stages == MinimizeStages::none() => "none".to_string(),
@@ -310,7 +310,7 @@ impl JobOptions {
 /// got before stopping (0 when no state space was involved) and, for
 /// reachability errors, its wall time.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Error {
+pub(crate) struct Error {
     kind: &'static str,
     detail: String,
     states_explored: usize,
@@ -319,7 +319,11 @@ pub struct Error {
 
 impl Error {
     /// An error object without a wall time.
-    pub fn new(kind: &'static str, detail: impl Into<String>, states_explored: usize) -> Self {
+    pub(crate) fn new(
+        kind: &'static str,
+        detail: impl Into<String>,
+        states_explored: usize,
+    ) -> Self {
         Error {
             kind,
             detail: detail.into(),
@@ -365,7 +369,7 @@ impl Error {
 
     /// The body of a request that failed before its op could run:
     /// `{"command", "ok": false, "error"}`.
-    pub fn body(&self, command: &str) -> String {
+    pub(crate) fn body(&self, command: &str) -> String {
         Object::new()
             .field("command", command)
             .field("ok", false)
@@ -756,7 +760,7 @@ impl<'a> Verify<'a> {
     }
 
     /// Whether every check ran (a budget may still have cut one short).
-    pub fn completed(&self) -> bool {
+    pub(crate) fn completed(&self) -> bool {
         self.outcome.is_ok()
     }
 }

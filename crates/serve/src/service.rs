@@ -75,7 +75,7 @@ pub struct Response {
 
 impl Response {
     /// A freshly computed response with no artifact counters.
-    pub fn new(op: &str, body: String) -> Self {
+    pub(crate) fn new(op: &str, body: String) -> Self {
         Response {
             op: op.to_string(),
             body,
@@ -87,7 +87,7 @@ impl Response {
     }
 
     /// A structured error response in the reports' error vocabulary.
-    pub fn error(op: &str, kind: &'static str, detail: impl Into<String>) -> Self {
+    pub(crate) fn error(op: &str, kind: &'static str, detail: impl Into<String>) -> Self {
         Response::new(op, report::Error::new(kind, detail, 0).body(op))
     }
 }
@@ -120,7 +120,7 @@ impl Request {
 
     /// The request line (`sisyn submit` sends it): the op, the spec when
     /// there is one, and every option.
-    pub fn to_line(&self) -> String {
+    pub(crate) fn to_line(&self) -> String {
         let mut object = Object::new().field("op", &self.op);
         if !self.spec.is_empty() {
             object = object.field("spec", &self.spec);
@@ -209,7 +209,7 @@ impl Service {
 
     /// Executes a parsed request line; a parse failure (op-or-`?`,
     /// detail) is answered as a bad request.
-    pub fn execute_parsed(&self, request: Result<Request, (String, String)>) -> Response {
+    pub(crate) fn execute_parsed(&self, request: Result<Request, (String, String)>) -> Response {
         let _span = si_obs::span("serve.execute");
         let t0 = std::time::Instant::now();
         let resp = match request {

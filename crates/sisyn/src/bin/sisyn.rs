@@ -17,11 +17,14 @@
 //!                                    Unix/TCP socket with a content-addressed
 //!                                    artifact store (see `sisyn::serve`)
 //! sisyn submit  --socket PATH OP SPEC.g   send one job to a running server
+//!                                    (takes the options below, parsed by
+//!                                    the same code; see `sisyn::serve`)
 //!
 //! options:
 //!   -o FILE            write the main artifact (Verilog / .g / dot) to FILE
 //!   --arch ARCH        complex | excitation | per-region   (default excitation)
-//!   --stages N         minimization stage 0..4 or "full"    (default full)
+//!   --stages N         minimization stage 0..4, "full" or "none"
+//!                      (default full)
 //!   --minimizer M      two-level minimizer backend for the complex-gate
 //!                      architecture and the state-based oracles:
 //!                      espresso | exact | bdd | auto        (default espresso;
@@ -108,7 +111,9 @@
 //!
 //! Every command drives one [`Engine`] session, so oracles that need the
 //! same artifact (the reachability graph, the structural context) compute
-//! it once.
+//! it once. The options, the pipelines and the reports come from
+//! `sisyn::serve::report`, which `sisyn serve` answers with too: this
+//! file only parses the command line, writes artifacts and prints.
 
 use sisyn::prelude::*;
 use sisyn::serve::json::Raw;
