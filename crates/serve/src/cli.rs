@@ -11,12 +11,10 @@ use si_petri::CancelToken;
 
 use crate::client::submit_lines;
 use crate::json::{self, Value};
-use crate::report::JobOptions;
+use crate::report::{JobOptions, EXIT_INCONCLUSIVE};
 use crate::server::{serve, Endpoint, ServerConfig};
 use crate::service::Request;
 
-/// Exit code of an inconclusive run (matches the CLI convention).
-const EXIT_INCONCLUSIVE: u8 = 3;
 /// Exit code for usage errors (matches the CLI convention).
 const EXIT_USAGE: u8 = 2;
 

@@ -37,7 +37,7 @@ use crate::json::{Millis, Object, Value};
 const EXIT_FAILED: u8 = 1;
 /// Exit code of an inconclusive run: the budget (state cap, deadline or
 /// cancellation) ran out before a definitive verdict.
-const EXIT_INCONCLUSIVE: u8 = 3;
+pub(crate) const EXIT_INCONCLUSIVE: u8 = 3;
 
 /// An operation with a report.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
