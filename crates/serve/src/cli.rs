@@ -11,7 +11,7 @@ use si_petri::CancelToken;
 
 use crate::client::submit_lines;
 use crate::json::{self, Value};
-use crate::report::{JobOptions, EXIT_INCONCLUSIVE};
+use crate::report::{JobOptions, EXIT_INCONCLUSIVE, OPTION_USAGE};
 use crate::server::{serve, Endpoint, ServerConfig};
 use crate::service::Request;
 
@@ -29,13 +29,24 @@ fn serve_usage() -> u8 {
 fn submit_usage() -> u8 {
     eprintln!(
         "usage: sisyn submit (--socket PATH | --tcp ADDR) \
-         <check|synth|verify|resolve|stats|metrics> [SPEC.g] [-o FILE] \
-         [--arch complex|excitation|per-region] [--stages 0..4|full|none] \
-         [--minimizer espresso|exact|bdd|auto] [--cap N] [--shards N|auto] \
-         [--budget N] [--strategy greedy|beam] \
-         [--backend explicit|symbolic|auto] [--timeout DUR]"
+         <check|synth|verify|resolve|stats|metrics> [SPEC.g] [-o FILE] {OPTION_USAGE}"
     );
     EXIT_USAGE
+}
+
+/// Reads the spec at `path`, or stdin for `-`.
+///
+/// # Errors
+///
+/// The read failure.
+pub fn read_input(path: &str) -> std::io::Result<String> {
+    if path == "-" {
+        let mut s = String::new();
+        std::io::stdin().read_to_string(&mut s)?;
+        Ok(s)
+    } else {
+        std::fs::read_to_string(path)
+    }
 }
 
 /// Runs `sisyn serve ARGS` until `cancel` fires (Ctrl-C in the binary),
@@ -150,15 +161,13 @@ pub fn submit_main(args: &[String]) -> u8 {
             eprintln!("{op} needs a SPEC.g argument");
             return submit_usage();
         };
-        let read = if path == "-" {
-            std::io::stdin().read_to_string(&mut spec).map(drop)
-        } else {
-            std::fs::read_to_string(&path).map(|text| spec = text)
+        spec = match read_input(&path) {
+            Ok(text) => text,
+            Err(e) => {
+                eprintln!("cannot read {path}: {e}");
+                return 1;
+            }
         };
-        if let Err(e) = read {
-            eprintln!("cannot read {path}: {e}");
-            return 1;
-        }
     }
     let request = Request { op, spec, options };
     let response = match submit_lines(&endpoint, &[request.to_line()]) {

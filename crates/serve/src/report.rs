@@ -148,6 +148,13 @@ impl Default for JobOptions {
     }
 }
 
+/// The option flags as usage text, for the CLI's and `sisyn submit`'s
+/// usage lines.
+pub const OPTION_USAGE: &str = "[--arch complex|excitation|per-region] \
+    [--stages 0..4|full|none] [--minimizer espresso|exact|bdd|auto] [--cap N] \
+    [--shards N|auto] [--budget N] [--strategy greedy|beam] \
+    [--backend explicit|symbolic|auto] [--timeout DUR]";
+
 /// The option names: the CLI flags without their `--`, and the request
 /// keys — except that a request spells `timeout` as `timeout_ms`.
 const OPTION_NAMES: [&str; 9] = [

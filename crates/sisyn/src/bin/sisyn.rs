@@ -118,7 +118,6 @@
 use sisyn::prelude::*;
 use sisyn::serve::json::Raw;
 use sisyn::serve::report::{self, JobOptions, Op, Report};
-use std::io::Read;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -187,11 +186,8 @@ struct Args {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: sisyn <check|synth|verify|resolve|deadlock|dot|serve|submit> SPEC.g|SPEC.proto \
-         [-o FILE] [--arch complex|excitation|per-region] [--stages 0..4|full|none] \
-         [--minimizer espresso|exact|bdd|auto] [--json] [--waveform N] \
-         [--cap N] [--shards N|auto] [--budget N] [--strategy greedy|beam] \
-         [--timeout DUR] [--backend explicit|symbolic|auto] \
-         [--profile[=tree|json]] [--progress DUR]"
+         [-o FILE] [--json] [--waveform N] {} [--profile[=tree|json]] [--progress DUR]",
+        report::OPTION_USAGE
     );
     ExitCode::from(2)
 }
@@ -251,16 +247,6 @@ fn parse_args(argv: &[String]) -> Result<Args, ExitCode> {
         progress,
         options,
     })
-}
-
-fn read_input(path: &str) -> std::io::Result<String> {
-    if path == "-" {
-        let mut s = String::new();
-        std::io::stdin().read_to_string(&mut s)?;
-        Ok(s)
-    } else {
-        std::fs::read_to_string(path)
-    }
 }
 
 /// Writes `content` to `-o FILE`, or to stdout when no file was given and
@@ -349,7 +335,7 @@ fn cli_span(command: &str) -> &'static str {
 
 fn run(args: &Args) -> ExitCode {
     let _span = si_obs::span(cli_span(&args.command));
-    let text = match read_input(&args.input) {
+    let text = match sisyn::serve::cli::read_input(&args.input) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("cannot read {}: {e}", args.input);
