@@ -2,10 +2,10 @@
 //!
 //! A long-running server that accepts synthesis jobs over a Unix or TCP
 //! socket, speaking line-delimited JSON: one request object per line in,
-//! one response object per line out. The response vocabulary extends the
-//! CLI's `--json` reports (`sisyn synth --json` and friends) with a
-//! volatile envelope — `cache_hit`, `job_ms`, per-run artifact counters
-//! and the current store/queue statistics.
+//! one response object per line out. Each response body is the report
+//! `sisyn OP --json` prints — both surfaces build it with [`report`] —
+//! inside a volatile envelope: `cache_hit`, `job_ms`, per-run artifact
+//! counters and the current store/queue statistics.
 //!
 //! What makes the server worth keeping alive is the **content-addressed
 //! artifact store** ([`ArtifactStore`]): specs are canonicalized
@@ -21,9 +21,11 @@
 //! panic-isolated execution, and SIGINT drains in-flight work before the
 //! server exits.
 //!
-//! Layering: [`json`] (wire values) → [`store`] (artifacts) → [`queue`]
-//! (execution) → [`service`] (request semantics) → [`server`] / [`client`]
-//! (sockets) → [`cli`] (the `sisyn serve` / `sisyn submit` subcommands).
+//! Layering: [`json`] (wire values) → [`report`] (options, pipelines and
+//! reports, shared with the `sisyn` CLI) → [`store`] (artifacts) →
+//! [`queue`] (execution) → [`service`] (request semantics) → [`server`] /
+//! [`client`] (sockets) → [`cli`] (the `sisyn serve` / `sisyn submit`
+//! subcommands).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -5,7 +5,9 @@
 //! ([`si_stg::canonical_g`]) and reparsed, so identifiers, cube columns
 //! and implicit place names are identical across sessions and textual
 //! permutations of the same STG — the content hash of the canonical text
-//! is the spec's identity.
+//! is the spec's identity. The ops run through the [`crate::report`]
+//! builders the CLI uses; this module adds only what is serve-specific:
+//! canonicalization, the job key, the artifact store and the envelope.
 //!
 //! Artifacts are keyed content-addressed:
 //!
