@@ -316,7 +316,7 @@ impl JobOptions {
 /// in ARCHITECTURE.md), a human-readable detail, how far the exploration
 /// got before stopping (0 when no state space was involved) and, for
 /// reachability errors, its wall time.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub(crate) struct Error {
     kind: &'static str,
     detail: String,
@@ -403,8 +403,8 @@ pub trait Report {
     /// The CLI exit code: 0 success, 1 failure, 3 inconclusive.
     fn exit_code(&self) -> u8;
 
-    /// Whether the verdict is final, so serve may cache it: a run the
-    /// budget cut short, or a worker panic, is not.
+    /// Whether the verdict is final, so serve may cache it; by default
+    /// whether the run was not inconclusive.
     fn is_conclusive(&self) -> bool {
         self.exit_code() != EXIT_INCONCLUSIVE
     }
