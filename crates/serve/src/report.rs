@@ -631,7 +631,7 @@ impl<'a> Synth<'a> {
         }
     }
 
-    /// The synthesized circuit's session result, if synthesis succeeded.
+    /// The synthesis, if it succeeded.
     pub fn synthesis(&self) -> Option<&Synthesis> {
         self.outcome.as_ref().ok().map(|(syn, _)| syn)
     }
