@@ -99,6 +99,43 @@ fn assert_stg_agrees(stg: &Stg) {
     assert_eq!(sym.has_usc(), Some(coding.has_usc()), "USC verdict");
     assert_eq!(sym.has_csc(), Some(coding.has_csc()), "CSC verdict");
 
+    // Every edge against the encoding: the switched signal reads the
+    // opposite of the edge's target value at the source, and the target's
+    // code is the source's with exactly that bit toggled.
+    for s in rg.states() {
+        for &(t, d) in rg.successors(s) {
+            let a = stg.signal_of(t);
+            assert_eq!(
+                enc.value(s, a),
+                !stg.direction_of(t).target_value(),
+                "{} at state {}",
+                stg.transition_display(t),
+                s.index()
+            );
+            let mut switched = enc.code(s).clone();
+            switched.toggle(a.index());
+            assert_eq!(
+                enc.code(d),
+                &switched,
+                "code across {} from state {}",
+                stg.transition_display(t),
+                s.index()
+            );
+        }
+    }
+    // The initial code against the symbolic initial values.
+    let s0 = rg
+        .state_of(&stg.net().initial_marking())
+        .expect("initial state");
+    for sig in stg.signals() {
+        assert_eq!(
+            sym.initial_value(sig),
+            Some(enc.value(s0, sig)),
+            "initial value of {}",
+            stg.signal_name(sig)
+        );
+    }
+
     let samples = sample_states(&rg);
     for sig in stg.signals() {
         let regions = SignalRegions::compute(stg, &rg, sig);

@@ -9,6 +9,7 @@ use crate::signal::{Direction, SignalId};
 use crate::stg::Stg;
 use si_boolean::Bits;
 use si_petri::{ReachabilityGraph, StateId, TransId};
+use std::collections::VecDeque;
 
 /// Binary codes assigned to every reachable marking.
 #[derive(Clone, Debug)]
@@ -58,88 +59,69 @@ impl std::error::Error for EncodingError {}
 
 impl StateEncoding {
     /// Computes the (unique) consistent binary encoding of the reachability
-    /// graph by constraint propagation, or reports why none exists.
+    /// graph in one breadth-first pass from the initial state, or reports
+    /// why none exists.
     ///
-    /// Seeds: an edge labelled `a+` forces `a = 0` at its source and `a = 1`
-    /// at its target (and dually for `a-`); every other signal keeps its
-    /// value across the edge. A contradiction is exactly a violation of
+    /// Codes are first taken relative to the initial state's: a tree edge
+    /// labelled `a±` gives its target the source's code with `a` toggled,
+    /// and the first `a±` edge fixes `a`'s initial value (`a` reads the
+    /// opposite of the edge's target value at its source). Every edge is
+    /// checked against both, so a failed check is exactly a violation of
     /// behavioural consistency (autoconcurrency or switchover error).
     ///
     /// # Errors
     ///
     /// See [`EncodingError`].
     pub fn compute(stg: &Stg, rg: &ReachabilityGraph) -> Result<Self, EncodingError> {
-        let ns = rg.state_count();
         let nsig = stg.signal_count();
-        let mut val: Vec<Vec<Option<bool>>> = vec![vec![None; nsig]; ns];
-
-        // Seed from edge labels.
-        for s in rg.states() {
+        let mut initial: Vec<Option<bool>> = vec![None; nsig];
+        let mut codes = vec![Bits::zeros(nsig); rg.state_count()];
+        let mut seen = vec![false; rg.state_count()];
+        // The graph numbers its initial marking 0.
+        seen[0] = true;
+        let mut queue = VecDeque::from([StateId(0)]);
+        let (mut from, mut diff) = (Bits::zeros(nsig), Bits::zeros(nsig));
+        while let Some(s) = queue.pop_front() {
+            from.copy_from(&codes[s.index()]);
             for &(t, d) in rg.successors(s) {
-                let sig = stg.signal_of(t);
-                let tgt = stg.direction_of(t).target_value();
-                for (state, v) in [(s, !tgt), (d, tgt)] {
-                    match val[state.index()][sig.index()] {
-                        None => val[state.index()][sig.index()] = Some(v),
-                        Some(old) if old == v => {}
-                        Some(_) => return Err(EncodingError::Inconsistent { state, signal: sig }),
-                    }
+                let a = stg.signal_of(t).index();
+                let target = stg.direction_of(t).target_value();
+                // `a` reads `!target` at the source; its first edge fixes
+                // its initial value to make it so.
+                let toggled = from.get(a);
+                if *initial[a].get_or_insert(!target ^ toggled) ^ toggled == target {
+                    return Err(EncodingError::Inconsistent {
+                        state: s,
+                        signal: SignalId(a as u16),
+                    });
+                }
+                let code = &mut codes[d.index()];
+                if !std::mem::replace(&mut seen[d.index()], true) {
+                    code.copy_from(&from);
+                    code.toggle(a);
+                    queue.push_back(d);
+                    continue;
+                }
+                // The target's code is the source's with `a` toggled.
+                diff.copy_from(code);
+                diff.xor_with(&from);
+                diff.toggle(a);
+                if let Some(b) = diff.first_one() {
+                    return Err(EncodingError::Inconsistent {
+                        state: d,
+                        signal: SignalId(b as u16),
+                    });
                 }
             }
         }
-
-        // Propagate equality of unswitched signals across edges.
-        let mut work: Vec<StateId> = rg.states().collect();
-        while let Some(s) = work.pop() {
-            // forward and backward edges
-            let fwd: Vec<(TransId, StateId)> = rg.successors(s).to_vec();
-            let bwd: Vec<(TransId, StateId)> = rg.predecessors(s).to_vec();
-            for (edges, other_is_succ) in [(fwd, true), (bwd, false)] {
-                for (t, o) in edges {
-                    let switched = stg.signal_of(t);
-                    #[allow(clippy::needless_range_loop)]
-                    for sig in 0..nsig {
-                        if sig == switched.index() {
-                            continue;
-                        }
-                        let (a, b) = (val[s.index()][sig], val[o.index()][sig]);
-                        match (a, b) {
-                            (Some(x), None) => {
-                                val[o.index()][sig] = Some(x);
-                                work.push(o);
-                            }
-                            (None, Some(x)) => {
-                                val[s.index()][sig] = Some(x);
-                                work.push(s);
-                            }
-                            (Some(x), Some(y)) if x != y => {
-                                let state = if other_is_succ { o } else { s };
-                                return Err(EncodingError::Inconsistent {
-                                    state,
-                                    signal: SignalId(sig as u16),
-                                });
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
+        if let Some(a) = initial.iter().position(Option::is_none) {
+            return Err(EncodingError::Undetermined {
+                signal: SignalId(a as u16),
+            });
         }
-
-        let mut codes = Vec::with_capacity(ns);
-        for row in val.iter().take(ns) {
-            let mut code = Bits::zeros(nsig);
-            for (sig, v) in row.iter().enumerate() {
-                match v {
-                    Some(v) => code.set(sig, *v),
-                    None => {
-                        return Err(EncodingError::Undetermined {
-                            signal: SignalId(sig as u16),
-                        })
-                    }
-                }
-            }
-            codes.push(code);
+        let init = Bits::from_ones(nsig, (0..nsig).filter(|&a| initial[a] == Some(true)));
+        for code in &mut codes {
+            code.xor_with(&init);
         }
         Ok(StateEncoding { codes })
     }
@@ -307,9 +289,15 @@ mod tests {
     use super::*;
     use crate::signal::Direction::{Fall, Rise};
     use crate::signal::SignalKind;
+    use crate::stg::StgBuilder;
 
     /// x+ -> y+ -> x- -> y- -> (loop), marked on the last arc.
     fn toggle() -> Stg {
+        toggle_builder().build()
+    }
+
+    /// The builder of [`toggle`], for tests that extend the net.
+    fn toggle_builder() -> StgBuilder {
         let mut b = Stg::builder("toggle");
         let x = b.add_signal("x", SignalKind::Input);
         let y = b.add_signal("y", SignalKind::Output);
@@ -322,7 +310,7 @@ mod tests {
         b.arc(xm, ym);
         let p = b.arc(ym, xp);
         b.mark_place(p);
-        b.build()
+        b
     }
 
     fn rg_of(stg: &Stg) -> ReachabilityGraph {
@@ -389,6 +377,30 @@ mod tests {
         let rg = rg_of(&stg);
         let err = StateEncoding::compute(&stg, &rg).unwrap_err();
         assert!(matches!(err, EncodingError::Inconsistent { .. }));
+    }
+
+    #[test]
+    fn dead_signal_is_undetermined() {
+        // The toggle plus a signal z whose two transitions wait on each
+        // other with no token between them: z never switches, so neither
+        // the explicit pass nor the symbolic analysis can fix its value.
+        let mut b = toggle_builder();
+        let z = b.add_signal("z", SignalKind::Output);
+        let zp = b.add_transition(z, Rise);
+        let zm = b.add_transition(z, Fall);
+        b.arc(zp, zm);
+        b.arc(zm, zp);
+        let stg = b.build();
+        let rg = rg_of(&stg);
+        assert_eq!(
+            StateEncoding::compute(&stg, &rg).unwrap_err(),
+            EncodingError::Undetermined { signal: z }
+        );
+        let sym = crate::SymbolicAnalysis::build(&stg).unwrap();
+        assert_eq!(
+            sym.consistency(),
+            crate::SymbolicConsistency::Undetermined { signal: z }
+        );
     }
 
     #[test]
