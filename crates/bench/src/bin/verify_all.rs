@@ -2,10 +2,10 @@
 //! verified to be speed independent". Runs every benchmark through every
 //! architecture, then through the three independent verifiers — over one
 //! [`Engine`] session per benchmark, so the reachability graph behind the
-//! six verifier calls is built once per STG, not once per (arch, verifier).
+//! nine verifier calls is built once per STG, not once per (arch, verifier).
 
 use si_core::{Architecture, Engine, MinimizeStages, SynthesisOptions};
-use si_verify::{random_walks, EngineVerify};
+use si_verify::EngineVerify;
 
 fn main() {
     let header = format!(
@@ -53,7 +53,8 @@ fn main() {
                 }
             };
             let conform = engine.check_conformance(&syn.circuit).is_ok();
-            let sim = random_walks(&stg, &syn.circuit, 4, 2000, 2024).is_clean();
+            let walks = engine.random_walks(&syn.circuit, 4, 2000, 2024);
+            let sim = walks.is_ok_and(|w| w.is_clean());
             if !(functional && conform && sim) {
                 failures += 1;
             }

@@ -37,7 +37,8 @@ use crate::synthesis::{
 };
 use si_boolean::MinimizerChoice;
 use si_petri::{
-    ConcurrencyRelation, ReachError, ReachOptions, ReachSummary, ReachabilityGraph, SymbolicReach,
+    ConcurrencyRelation, Interrupt, ReachError, ReachOptions, ReachSummary, ReachabilityGraph,
+    SymbolicReach,
 };
 use si_stg::{EncodingError, StateEncoding, Stg, SymbolicAnalysis};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -144,14 +145,18 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
+    /// The state cap of a session that sets none.
+    pub const DEFAULT_CAP: usize = 4_000_000;
+
     /// A session over `stg` with default options: excitation-function
     /// architecture, full minimization ladder, espresso minimizer, a
-    /// 4M-state cap and the sequential reachability engine.
+    /// [`Engine::DEFAULT_CAP`] state cap and the sequential reachability
+    /// engine.
     pub fn new(stg: &'a Stg) -> Self {
         Engine {
             stg,
             options: SynthesisOptions::default(),
-            reach: ReachOptions::with_cap(4_000_000),
+            reach: ReachOptions::with_cap(Self::DEFAULT_CAP),
             backend: Backend::Explicit,
             ctx: OnceLock::new(),
             rg: OnceLock::new(),
@@ -351,14 +356,7 @@ impl<'a> Engine<'a> {
             .get_or_init(|| {
                 si_obs::counter_inc("engine.symbolic_builds");
                 let sym = SymbolicAnalysis::build_with(self.stg, &self.reach.budget)?;
-                match sym.interrupt() {
-                    Some(i) => Err(ReachError::Interrupted {
-                        reason: i.reason,
-                        states_explored: i.states_explored,
-                        elapsed_ms: i.elapsed.as_millis() as u64,
-                    }),
-                    None => Ok(sym),
-                }
+                uninterrupted(sym.interrupt(), sym)
             })
             .as_ref()
             .map_err(Clone::clone)
@@ -377,14 +375,7 @@ impl<'a> Engine<'a> {
             .get_or_init(|| {
                 si_obs::counter_inc("engine.symbolic_builds");
                 let sym = SymbolicReach::build_with(self.stg.net(), &self.reach.budget)?;
-                match sym.interrupt() {
-                    Some(i) => Err(ReachError::Interrupted {
-                        reason: i.reason,
-                        states_explored: i.states_explored,
-                        elapsed_ms: i.elapsed.as_millis() as u64,
-                    }),
-                    None => Ok(sym),
-                }
+                uninterrupted(sym.interrupt(), sym)
             })
             .as_ref()
             .map_err(Clone::clone)
@@ -515,5 +506,18 @@ impl<'a> Engine<'a> {
             .as_ref()
             .map_err(|e| BaselineError::Inconsistent(e.clone()))?;
         synthesize_state_based_on(self.stg, flavor, rg, enc, self.options.minimizer)
+    }
+}
+
+/// A symbolic build as a session artifact: complete, or the
+/// [`ReachError::Interrupted`] its budget interrupt maps to.
+fn uninterrupted<T>(interrupt: Option<Interrupt>, built: T) -> Result<T, ReachError> {
+    match interrupt {
+        Some(i) => Err(ReachError::Interrupted {
+            reason: i.reason,
+            states_explored: i.states_explored,
+            elapsed_ms: i.elapsed.as_millis() as u64,
+        }),
+        None => Ok(built),
     }
 }

@@ -28,15 +28,15 @@
 //!   │ MarkingSpace  │────▶│ explore (sequential) │───▶│ ReachabilityGraph│
 //!   │ (firing rule) │  ┌─▶│                      │    │ ::build[_sharded]│
 //!   ├───────────────┤  │  ├──────────────────────┤    ├──────────────────┤
-//!   │ SI-verify     │──┤  │ shard::              │───▶│ verify_circuit_on│
-//!   │ (rg walk)     │  │  │   explore_sharded    │    ├──────────────────┤
-//!   ├───────────────┤  │  │ (hash-partitioned,   │    │ conform::        │
-//!   │ spec×circuit  │──┤  │  N workers)          │    │   check_*        │
-//!   │ product       │  │  └──────────────────────┘    ├──────────────────┤
-//!   ├───────────────┤  │                              │ si_proto::       │
-//!   │ CFSM channel  │──┘                              │   check_deadlock │
-//!   │ protocols     │                                 └──────────────────┘
-//!   └───────────────┘
+//!   │ SI-verify     │──┤  │ shard::              │───▶│ EngineVerify::   │
+//!   │ (rg walk)     │  │  │   explore_sharded    │    │   verify         │
+//!   ├───────────────┤  │  │ (hash-partitioned,   │    ├──────────────────┤
+//!   │ spec×circuit  │──┤  │  N workers)          │    │ conform::        │
+//!   │ product       │  │  └──────────────────────┘    │   check_*        │
+//!   ├───────────────┤  │                              ├──────────────────┤
+//!   │ CFSM channel  │──┘                              │ si_proto::       │
+//!   │ protocols     │                                 │   check_deadlock │
+//!   └───────────────┘                                 └──────────────────┘
 //! ```
 //!
 //! The abstraction is not Petri-net shaped: `si_proto::ProtoSpace` packs

@@ -29,7 +29,7 @@ use si_csc::{CscOptions, EngineResolve, ResolveOutcome, Strategy};
 use si_petri::{check_live_safe_fc, CancelToken, ReachError, ReachOptions, StructuralCheck};
 use si_proto::{check_deadlock_with, DeadlockReport, ProtoError, ProtoSystem};
 use si_stg::{ConsistencyError, Stg, StgAnalysis};
-use si_verify::{random_walks, ConformanceReport, EngineVerify, VerificationReport};
+use si_verify::{ConformanceReport, EngineVerify, VerificationReport};
 
 use crate::json::{Millis, Object, Value};
 
@@ -73,7 +73,7 @@ impl Op {
     pub fn default_cap(self) -> usize {
         match self {
             Op::Check => 100_000,
-            Op::Synth | Op::Verify => 4_000_000,
+            Op::Synth | Op::Verify => Engine::DEFAULT_CAP,
             Op::Resolve => 1_000_000,
             Op::Deadlock => si_proto::DEFAULT_CAP,
         }
@@ -730,8 +730,8 @@ pub struct Verify<'a> {
 
 impl<'a> Verify<'a> {
     /// Verifies `synthesis`, a run of `options` on the session's STG: the
-    /// functional and conformance oracles on the session's one graph,
-    /// then random walks.
+    /// functional and conformance oracles, then random walks, all on the
+    /// session's one graph and encoding.
     pub fn build(
         engine: &Engine<'a>,
         options: &JobOptions,
@@ -744,7 +744,9 @@ impl<'a> Verify<'a> {
             let conformance = engine
                 .check_conformance(circuit)
                 .map_err(VerifyFailure::Conformance)?;
-            let walks_clean = random_walks(stg, circuit, 4, 4000, 7).is_clean();
+            // The walks start from the code the conformance probe read.
+            let walks = engine.random_walks(circuit, 4, 4000, 7);
+            let walks_clean = walks.map_err(VerifyFailure::Conformance)?.is_clean();
             let spec_states = engine.spec_state_count().ok();
             let symbolic = match options.backend {
                 Backend::Symbolic => engine.symbolic_reach().ok(),

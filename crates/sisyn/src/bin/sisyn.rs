@@ -406,9 +406,9 @@ fn run(args: &Args) -> ExitCode {
             code
         }
         "verify" => {
-            // One session: the graph built for the functional oracle
-            // doubles as the conformance probe, so the state space is
-            // explored once.
+            // One session: the graph and encoding built for the
+            // functional oracle also seed the conformance probe and the
+            // random walks, so the state space is explored once.
             let engine = options.engine(&stg, Op::Verify);
             finish(
                 args,

@@ -75,7 +75,7 @@ pub mod prelude {
     pub use si_stg::{parse_g, stg_to_dot, write_g, SignalKind, Stg, StgAnalysis};
     pub use si_verify::{
         check_conformance, check_conformance_with, random_walks, record_walk, verify_circuit,
-        verify_circuit_on, verify_circuit_on_opts, verify_circuit_on_with, verify_circuit_with,
-        ConformanceFailure, ConformanceReport, EngineVerify, VerificationReport, Violation,
+        verify_circuit_with, ConformanceFailure, ConformanceReport, EngineVerify,
+        VerificationReport, Violation,
     };
 }

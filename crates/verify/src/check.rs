@@ -23,6 +23,7 @@
 //! first violation ([`VerificationReport::trace`]) from the explorer's
 //! witness machinery.
 
+use crate::EngineVerify;
 use si_boolean::Cover;
 use si_core::{Circuit, ImplKind};
 use si_petri::space::{
@@ -146,7 +147,7 @@ fn spec_next(
 /// Panics if the STG is not safe/consistent (callers verify synthesizable
 /// inputs, which always are).
 pub fn verify_circuit(stg: &Stg, circuit: &Circuit) -> VerificationReport {
-    match verify_circuit_with(stg, circuit, si_petri::ReachOptions::with_cap(4_000_000)) {
+    match si_core::Engine::new(stg).verify(circuit) {
         Ok(report) => report,
         Err(e) => panic!("state-based verification impossible: {e}"),
     }
@@ -172,59 +173,27 @@ pub fn verify_circuit_with(
     circuit: &Circuit,
     reach: si_petri::ReachOptions,
 ) -> Result<VerificationReport, si_petri::ReachError> {
-    use crate::EngineVerify;
     si_core::Engine::new(stg).reach(reach).verify(circuit)
 }
 
 /// Verification over a **prebuilt** reachability graph and encoding — the
 /// form the [`si_core::Engine`] artifact cache calls (via
 /// [`crate::EngineVerify`]) so a synth-then-verify pipeline explores the
-/// state space once. Sequential; see [`verify_circuit_on_with`] for the
-/// sharded walk.
-pub fn verify_circuit_on(
-    stg: &Stg,
-    circuit: &Circuit,
-    rg: &ReachabilityGraph,
-    enc: &StateEncoding,
-) -> VerificationReport {
-    verify_circuit_on_with(stg, circuit, rg, enc, 1)
-}
-
-/// Like [`verify_circuit_on`], walking the graph with `shards` parallel
-/// explorer workers (`<= 1` = sequential). The violation list is
-/// identical at any shard count; the counterexample trace is always a
-/// valid firing sequence to `violations[0].at_state()` but may differ
-/// between runs (any witness is a witness).
-pub fn verify_circuit_on_with(
-    stg: &Stg,
-    circuit: &Circuit,
-    rg: &ReachabilityGraph,
-    enc: &StateEncoding,
-    shards: usize,
-) -> VerificationReport {
-    verify_circuit_on_opts(
-        stg,
-        circuit,
-        rg,
-        enc,
-        &si_petri::ReachOptions::with_cap(usize::MAX).shards(shards),
-    )
-    .expect("an ungoverned verify walk cannot fail")
-}
-
-/// The full-control form of [`verify_circuit_on`]: the violation search
-/// over the prebuilt graph runs under `reach`'s shard count **and** soft
-/// budget (deadline, cancellation) — exhausting a soft limit returns a
-/// partial report tagged [`VerificationReport::interrupted`] instead of
-/// aborting. The budget's state *cap* is ignored here: the walk is
-/// bounded by the graph, whose construction the cap already governed.
+/// state space once. The violation search runs under `reach`'s shard
+/// count **and** soft budget (deadline, cancellation) — exhausting a soft
+/// limit returns a partial report tagged [`VerificationReport::interrupted`]
+/// instead of aborting. The budget's state *cap* is ignored here: the walk
+/// is bounded by the graph, whose construction the cap already governed.
+/// The violation list is identical at any shard count; the counterexample
+/// trace is always a valid firing sequence to `violations[0].at_state()`
+/// but may differ between runs (any witness is a witness).
 ///
 /// # Errors
 ///
 /// [`si_petri::ReachError::WorkerPanicked`] when a sharded explorer
 /// worker panicked (only observable with fault injection or a broken
 /// space — panics are isolated per worker and surface structurally).
-pub fn verify_circuit_on_opts(
+pub(crate) fn verify_circuit_on_opts(
     stg: &Stg,
     circuit: &Circuit,
     rg: &ReachabilityGraph,
@@ -380,7 +349,7 @@ impl StateSpace for VerifySpace<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use si_core::{synthesize, Architecture, MinimizeStages, SynthesisOptions};
+    use si_core::{synthesize, Architecture, Engine, MinimizeStages, SynthesisOptions};
     use si_stg::benchmarks;
 
     #[test]
@@ -468,10 +437,9 @@ y- x+
                 inverted: false,
             },
         };
-        let rg = ReachabilityGraph::build(stg.net(), 100_000).unwrap();
-        let enc = StateEncoding::compute(&stg, &rg).unwrap();
         for shards in [1, 4] {
-            let report = verify_circuit_on_with(&stg, &syn.circuit, &rg, &enc, shards);
+            let engine = Engine::new(&stg).cap(100_000).shards(shards);
+            let report = engine.verify(&syn.circuit).unwrap();
             assert!(!report.is_ok());
             let trace = report.trace.as_ref().expect("violations come with a trace");
             // Replay the firing sequence on the net: it must be enabled at
@@ -486,7 +454,7 @@ y- x+
                 m = net.fire(&m, t);
             }
             assert_eq!(
-                rg.state_of(&m),
+                engine.reachability().unwrap().state_of(&m),
                 Some(report.violations[0].at_state()),
                 "{shards} shards: trace does not reach the violating state"
             );
@@ -497,8 +465,6 @@ y- x+
     fn sharded_verification_matches_sequential() {
         let stg = benchmarks::running_example();
         let syn = synthesize(&stg, &SynthesisOptions::default()).unwrap();
-        let rg = ReachabilityGraph::build(stg.net(), 100_000).unwrap();
-        let enc = StateEncoding::compute(&stg, &rg).unwrap();
         // A clean circuit and a sabotaged one: violation lists must be
         // identical at any shard count.
         let mut broken = syn.circuit.clone();
@@ -507,9 +473,13 @@ y- x+
             inverted: false,
         };
         for circuit in [&syn.circuit, &broken] {
-            let seq = verify_circuit_on_with(&stg, circuit, &rg, &enc, 1);
+            let verify = |shards| {
+                let engine = Engine::new(&stg).cap(100_000).shards(shards);
+                engine.verify(circuit).unwrap()
+            };
+            let seq = verify(1);
             for shards in [2, 4, 8] {
-                let par = verify_circuit_on_with(&stg, circuit, &rg, &enc, shards);
+                let par = verify(shards);
                 assert_eq!(seq.violations, par.violations);
                 assert_eq!(seq.states_checked, par.states_checked);
                 assert_eq!(seq.is_ok(), par.is_ok());

@@ -27,8 +27,9 @@
 //! counterexample ([`ConformanceReport::trace`]) from the same machinery
 //! as every other traversal.
 
+use crate::engine_ext::initial_code;
 use si_boolean::Bits;
-use si_core::Circuit;
+use si_core::{Circuit, Engine};
 use si_petri::space::{explore_with, ExploreError, ExploreOptions, SpaceVisitor, StateSpace};
 use si_petri::{FiringView, Interrupt, InterruptReason, ReachError, TransId};
 use si_stg::{SignalId, SignalKind, Stg};
@@ -118,10 +119,10 @@ pub fn check_conformance(
 ///
 /// Exhausting the budget is **not** an error: the report comes back
 /// partial, tagged [`ConformanceReport::interrupted`]. The probe keeps at
-/// least the historical 4M-state headroom so a small product cap still
+/// least the [`Engine::DEFAULT_CAP`] headroom so a small product cap still
 /// allows partial product exploration; only past that does the report turn
 /// inconclusive with zero product states. This is a one-shot wrapper over
-/// [`si_core::Engine`]; pipelines that also verify should hold an `Engine`
+/// [`Engine`]; pipelines that also verify should hold an `Engine`
 /// and call [`crate::EngineVerify::check_conformance`] so the probe graph
 /// is shared.
 ///
@@ -135,10 +136,7 @@ pub fn check_conformance_with(
     circuit: &Circuit,
     reach: si_petri::ReachOptions,
 ) -> Result<ConformanceReport, ReachError> {
-    let mut probe_opts = reach.clone();
-    probe_opts.budget.cap = reach.budget.cap.max(4_000_000);
-    let engine = si_core::Engine::new(stg).reach(probe_opts);
-    engine_conformance(&engine, circuit, reach)
+    engine_conformance(&Engine::new(stg).reach(reach.clone()), circuit, reach)
 }
 
 /// A zero-progress inconclusive report: the specification probe itself ran
@@ -156,70 +154,28 @@ fn probe_exhausted(reason: InterruptReason) -> ConformanceReport {
     }
 }
 
-/// Conformance over an [`si_core::Engine`]'s cached probe graph: the
-/// engine supplies the reachability graph and encoding that seed the
-/// initial wire values; `reach`'s budget bounds the product exploration
-/// itself and `reach.shards` parallelizes it.
-///
-/// When the session's cap is too small for the specification, the probe
-/// falls back to a **one-shot** graph at the historical 4M-state headroom
-/// (without touching the session cache), so a small product cap still
-/// allows partial product exploration — the same contract as
-/// [`check_conformance_with`]. Only past that headroom (or when the
-/// probe's deadline/cancellation fires first) does the report turn
-/// inconclusive with zero product states.
+/// Conformance over an [`Engine`]'s cached probe graph: the engine
+/// supplies the initial wire values ([`initial_code`], with its headroom
+/// fallback under a small session cap — the same contract as
+/// [`check_conformance_with`]); `reach`'s budget bounds the product
+/// exploration itself and `reach.shards` parallelizes it. When the probe
+/// runs out of budget the report turns inconclusive with zero product
+/// states.
 pub(crate) fn engine_conformance(
-    engine: &si_core::Engine<'_>,
+    engine: &Engine<'_>,
     circuit: &Circuit,
     reach: si_petri::ReachOptions,
 ) -> Result<ConformanceReport, ReachError> {
     let _span = si_obs::span("verify.conformance");
-    let stg = engine.stg();
-    let code0 = match engine.reachability() {
-        Ok(rg) => {
-            let enc = engine.encoding().expect("reachability already succeeded");
-            let s0 = rg
-                .state_of(&stg.net().initial_marking())
-                .expect("initial state");
-            enc.code(s0).clone()
-        }
-        Err(ReachError::StateCapExceeded { cap: session_cap }) if session_cap < 4_000_000 => {
-            // Probe-headroom fallback, outside the session cache.
-            let mut probe = engine.reach_options();
-            probe.budget.cap = 4_000_000;
-            match si_petri::ReachabilityGraph::build_with(stg.net(), probe) {
-                Ok(rg) => {
-                    let enc = si_stg::StateEncoding::compute(stg, &rg).expect("consistent");
-                    let s0 = rg
-                        .state_of(&stg.net().initial_marking())
-                        .expect("initial state");
-                    enc.code(s0).clone()
-                }
-                Err(ReachError::StateCapExceeded { .. }) => {
-                    return Ok(probe_exhausted(InterruptReason::CapExceeded))
-                }
-                Err(ReachError::Interrupted { reason, .. }) => return Ok(probe_exhausted(reason)),
-                Err(e) => return Err(e),
-            }
-        }
+    let code0 = match initial_code(engine) {
+        Ok(code) => code,
         Err(ReachError::StateCapExceeded { .. }) => {
             return Ok(probe_exhausted(InterruptReason::CapExceeded))
         }
         Err(ReachError::Interrupted { reason, .. }) => return Ok(probe_exhausted(reason)),
         Err(e) => return Err(e),
     };
-    explore_product(stg, circuit, code0, reach)
-}
-
-/// The product-automaton exploration proper, from explicit initial wire
-/// values `code0`, on the explorer selected by `reach.shards`.
-fn explore_product(
-    stg: &Stg,
-    circuit: &Circuit,
-    code0: Bits,
-    reach: si_petri::ReachOptions,
-) -> Result<ConformanceReport, ReachError> {
-    let space = ProductSpace::new(stg, circuit, code0);
+    let space = ProductSpace::new(engine.stg(), circuit, code0);
     let opts = ExploreOptions::from(reach)
         .max_violations(ENOUGH_EVIDENCE)
         .witness();

@@ -11,10 +11,12 @@
 //! * [`check_conformance`]: exhaustive product-automaton exploration under
 //!   the unbounded gate delay model, detecting unexpected outputs, disabled
 //!   (hazardous) outputs and starved outputs;
-//! * [`EngineVerify`]: both checks as methods on the `si_core::Engine`
-//!   session, sharing its cached reachability graph.
+//! * [`random_walks`]: long random schedules of the composed system,
+//!   from the initial code of the consistent encoding;
+//! * [`EngineVerify`]: all three as methods on the `si_core::Engine`
+//!   session, sharing its cached reachability graph and encoding.
 //!
-//! Both checks are implemented as [`si_petri::space::StateSpace`]s driven
+//! The two exhaustive checks are [`si_petri::space::StateSpace`]s driven
 //! by the workspace's generic explorers: passing `shards > 1` (via
 //! [`si_petri::ReachOptions`] or `Engine::shards`) runs the violation
 //! search and the conformance product on the sharded multi-threaded
@@ -50,10 +52,7 @@ mod conform;
 mod engine_ext;
 mod sim;
 
-pub use check::{
-    verify_circuit, verify_circuit_on, verify_circuit_on_opts, verify_circuit_on_with,
-    verify_circuit_with, VerificationReport, Violation,
-};
+pub use check::{verify_circuit, verify_circuit_with, VerificationReport, Violation};
 pub use conform::{
     check_conformance, check_conformance_with, ConformanceFailure, ConformanceReport,
 };

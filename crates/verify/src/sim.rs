@@ -5,12 +5,19 @@
 //! adversarial scheduling — cheap on specifications whose product is too
 //! large to exhaust, and a natural fault-injection harness: a sabotaged
 //! circuit is expected to fail within a few thousand steps.
+//!
+//! A walk needs only the initial wire values, so it builds nothing: it
+//! starts from the initial code of the session's cached encoding
+//! ([`crate::EngineVerify::random_walks`]), and the free functions here are
+//! one-shot wrappers over a fresh [`Engine`].
 
+use crate::engine_ext::initial_code;
+use crate::EngineVerify;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use si_boolean::Bits;
-use si_core::Circuit;
+use si_core::{Circuit, Engine};
 use si_stg::{SignalId, SignalKind, Stg};
 
 /// Outcome of one random walk.
@@ -52,6 +59,15 @@ impl WalkOutcome {
 
 /// Runs `walks` random schedules of `steps` steps each; returns the first
 /// non-clean outcome, or the clean summary of the longest walk.
+///
+/// This is a one-shot wrapper over [`Engine`]; pipelines that also verify
+/// should hold an `Engine` and call [`crate::EngineVerify::random_walks`]
+/// so the walks reuse the session's encoding.
+///
+/// # Panics
+///
+/// Panics if the STG is not safe/consistent or its state space exceeds
+/// [`Engine::DEFAULT_CAP`].
 pub fn random_walks(
     stg: &Stg,
     circuit: &Circuit,
@@ -59,58 +75,64 @@ pub fn random_walks(
     steps: usize,
     seed: u64,
 ) -> WalkOutcome {
+    match Engine::new(stg).random_walks(circuit, walks, steps, seed) {
+        Ok(outcome) => outcome,
+        Err(e) => panic!("random walks impossible: {e}"),
+    }
+}
+
+/// [`random_walks`] from explicit initial wire values `code0`.
+pub(crate) fn walks_from(
+    stg: &Stg,
+    circuit: &Circuit,
+    code0: Bits,
+    walks: usize,
+    steps: usize,
+    seed: u64,
+) -> WalkOutcome {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut best = WalkOutcome::Clean { steps: 0 };
-    for w in 0..walks {
-        let outcome = walk(stg, circuit, steps, &mut rng);
-        match outcome {
-            WalkOutcome::Clean { steps: s } => {
-                if let WalkOutcome::Clean { steps: b } = best {
-                    if s > b {
-                        best = WalkOutcome::Clean { steps: s };
-                    }
-                }
-            }
-            other => {
-                let _ = w;
-                return other;
-            }
+    let mut longest = 0;
+    for _ in 0..walks {
+        match walk(stg, circuit, code0.clone(), steps, &mut rng, None) {
+            WalkOutcome::Clean { steps } => longest = longest.max(steps),
+            failure => return failure,
         }
     }
-    best
+    WalkOutcome::Clean { steps: longest }
 }
 
 /// Runs one recorded random walk: returns the outcome plus the fired
 /// transition trace (for waveform rendering / debugging).
+///
+/// # Panics
+///
+/// As [`random_walks`].
 pub fn record_walk(
     stg: &Stg,
     circuit: &Circuit,
     steps: usize,
     seed: u64,
 ) -> (WalkOutcome, Vec<si_petri::TransId>) {
+    let code0 = match initial_code(&Engine::new(stg)) {
+        Ok(code) => code,
+        Err(e) => panic!("random walks impossible: {e}"),
+    };
     let mut rng = StdRng::seed_from_u64(seed);
     let mut trace = Vec::new();
-    let outcome = walk_inner(stg, circuit, steps, &mut rng, Some(&mut trace));
+    let outcome = walk(stg, circuit, code0, steps, &mut rng, Some(&mut trace));
     (outcome, trace)
 }
 
-fn walk(stg: &Stg, circuit: &Circuit, steps: usize, rng: &mut StdRng) -> WalkOutcome {
-    walk_inner(stg, circuit, steps, rng, None)
-}
-
-fn walk_inner(
+/// One walk from the wire values `code`.
+fn walk(
     stg: &Stg,
     circuit: &Circuit,
+    mut code: Bits,
     steps: usize,
     rng: &mut StdRng,
     mut trace: Option<&mut Vec<si_petri::TransId>>,
 ) -> WalkOutcome {
     let net = stg.net();
-    // Initial wire values from the consistent encoding.
-    let rg = si_petri::ReachabilityGraph::build(net, 4_000_000).expect("safe");
-    let enc = si_stg::StateEncoding::compute(stg, &rg).expect("consistent");
-    let s0 = rg.state_of(&net.initial_marking()).expect("initial");
-    let mut code: Bits = enc.code(s0).clone();
     let mut marking = net.initial_marking();
 
     let excited = |code: &Bits| -> Vec<SignalId> {
