@@ -152,7 +152,7 @@ impl StgAnalysis {
             let relaxed = reachable_same_signal(stg, &scr, t, false);
             let mut found = sound.clone();
             for &cand in &relaxed {
-                if !found.contains(&cand) && confirm_adjacency(stg, &cr, t, cand) {
+                if !found.contains(&cand) && realizable_path_search(stg, &cr, t, cand, None) {
                     found.push(cand);
                 }
             }
@@ -246,149 +246,159 @@ fn reachable_same_signal(
     found
 }
 
-/// Property 5 confirmation: does a simple path `t → … → cand` (through no
-/// other same-signal transition) exist that survives the forward reduction
-/// by the signal's transitions concurrent to the path's places?
-fn confirm_adjacency(stg: &Stg, cr: &ConcurrencyRelation, t: TransId, cand: TransId) -> bool {
-    realizable_path_exists(stg, cr, t, cand, None)
-}
+/// Expansion budget of one Property 5 path search. Simple paths can be
+/// exponentially many, so past this many expansions the search extends
+/// no path further; it still tests the paths its open frames complete.
+const PATH_SEARCH_BUDGET: usize = 20_000;
 
-/// Searches for a realizable simple path `start → … → target` avoiding
-/// other transitions of `start`'s signal, optionally forced through the
-/// place `via`. Shared by adjacency confirmation and the interleave
-/// relation (Property 5 / Def. 8).
-pub(crate) fn realizable_path_exists(
+/// The Property 5 path search from `start` to `target`: a DFS over simple
+/// paths `start → … → target` through no other transition of `start`'s
+/// signal, bounded by [`PATH_SEARCH_BUDGET`] expansions, that tests each
+/// completed path for realizability. Shared by adjacency confirmation and
+/// the completing pass of the interleave relation (Def. 8).
+///
+/// With `open == None` the search stops at its first realizable path
+/// (adjacency confirmation). With `Some(open)` it tests only the paths
+/// through a place still in `open`, removes the places of each realizable
+/// one from `open`, and stops once `open` is empty. Which paths it visits,
+/// and in which order, does not depend on `open`, so a place leaves `open`
+/// exactly when a search for that place alone would have confirmed it.
+///
+/// Returns whether the search stopped early: it found a realizable path
+/// (`None`), or confirmed every open place (`Some`).
+pub(crate) fn realizable_path_search(
     stg: &Stg,
     cr: &ConcurrencyRelation,
     start: TransId,
     target: TransId,
-    via: Option<PlaceId>,
+    open: Option<&mut Bits>,
 ) -> bool {
-    let sig = stg.signal_of(start);
+    if open.as_ref().is_some_and(|o| o.is_zero()) {
+        return true;
+    }
     let net = stg.net();
-    let budget = &mut 20_000usize;
-    // DFS over simple paths; nodes on current path tracked in two bitmaps.
-    let mut on_path_p = Bits::zeros(net.place_count());
     let mut on_path_t = Bits::zeros(net.transition_count());
     on_path_t.set(start.index(), true);
-    let mut path_places: Vec<PlaceId> = Vec::new();
-    let mut path_trans: Vec<TransId> = Vec::new();
-    dfs_paths(
+    PathSearch {
         stg,
         cr,
-        sig,
-        start,
+        sig: stg.signal_of(start),
         start,
         target,
-        via,
-        &mut on_path_p,
-        &mut on_path_t,
-        &mut path_places,
-        &mut path_trans,
-        budget,
-    )
+        open,
+        on_path_p: Bits::zeros(net.place_count()),
+        on_path_t,
+        path_places: Vec::new(),
+        path_trans: Vec::new(),
+        budget: PATH_SEARCH_BUDGET,
+    }
+    .extend(start)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dfs_paths(
-    stg: &Stg,
-    cr: &ConcurrencyRelation,
+/// The state of one [`realizable_path_search`]: the current path (its
+/// nodes in order and as bitmaps) and what is left to confirm.
+struct PathSearch<'a> {
+    stg: &'a Stg,
+    cr: &'a ConcurrencyRelation,
     sig: SignalId,
     start: TransId,
-    cur: TransId,
     target: TransId,
-    via: Option<PlaceId>,
-    on_path_p: &mut Bits,
-    on_path_t: &mut Bits,
-    path_places: &mut Vec<PlaceId>,
-    path_trans: &mut Vec<TransId>,
-    budget: &mut usize,
-) -> bool {
-    if *budget == 0 {
-        return false;
-    }
-    *budget -= 1;
-    let net = stg.net();
-    for &p in net.post_t(cur) {
-        if on_path_p.get(p.index()) {
-            continue;
+    open: Option<&'a mut Bits>,
+    on_path_p: Bits,
+    on_path_t: Bits,
+    path_places: Vec<PlaceId>,
+    path_trans: Vec<TransId>,
+    budget: usize,
+}
+
+impl PathSearch<'_> {
+    /// Extends the current path, which ends at `cur`, by every place of
+    /// `cur`'s postset. Returns `true` once the search is done.
+    fn extend(&mut self, cur: TransId) -> bool {
+        if self.budget == 0 {
+            return false;
         }
-        on_path_p.set(p.index(), true);
-        path_places.push(p);
-        for &v in net.post_p(p) {
-            if v == target {
-                // Candidate path complete: via + realizability checks.
-                let via_ok = via.is_none_or(|x| on_path_p.get(x.index()));
-                if via_ok && path_realizable(stg, cr, sig, start, target, path_places, path_trans) {
-                    path_places.pop();
-                    on_path_p.set(p.index(), false);
-                    return true;
+        self.budget -= 1;
+        let stg = self.stg;
+        let net = stg.net();
+        for &p in net.post_t(cur) {
+            if self.on_path_p.get(p.index()) {
+                continue;
+            }
+            self.on_path_p.set(p.index(), true);
+            self.path_places.push(p);
+            let mut done = false;
+            for &v in net.post_p(p) {
+                if v == self.target {
+                    done = self.complete();
+                } else if !self.on_path_t.get(v.index()) && stg.signal_of(v) != self.sig {
+                    self.on_path_t.set(v.index(), true);
+                    self.path_trans.push(v);
+                    done = self.extend(v);
+                    self.path_trans.pop();
+                    self.on_path_t.set(v.index(), false);
                 }
-                continue;
+                if done {
+                    break;
+                }
             }
-            if on_path_t.get(v.index()) || stg.signal_of(v) == sig {
-                continue;
-            }
-            on_path_t.set(v.index(), true);
-            path_trans.push(v);
-            let hit = dfs_paths(
-                stg,
-                cr,
-                sig,
-                start,
-                v,
-                target,
-                via,
-                on_path_p,
-                on_path_t,
-                path_places,
-                path_trans,
-                budget,
-            );
-            path_trans.pop();
-            on_path_t.set(v.index(), false);
-            if hit {
-                path_places.pop();
-                on_path_p.set(p.index(), false);
+            self.path_places.pop();
+            self.on_path_p.set(p.index(), false);
+            if done {
                 return true;
             }
         }
-        path_places.pop();
-        on_path_p.set(p.index(), false);
+        false
     }
-    false
-}
 
-/// The Property 5 condition on one concrete path.
-fn path_realizable(
-    stg: &Stg,
-    cr: &ConcurrencyRelation,
-    sig: SignalId,
-    start: TransId,
-    target: TransId,
-    path_places: &[PlaceId],
-    path_trans: &[TransId],
-) -> bool {
-    // Transitions of the signal concurrent to some place of the path (other
-    // than the endpoints) must be removable without starving the path. The
-    // start transition has already fired, so it must never be removed.
-    let offenders: Vec<TransId> = stg
-        .transitions_of(sig)
-        .iter()
-        .copied()
-        .filter(|&u| u != target && u != start)
-        .filter(|&u| path_places.iter().any(|&p| cr.place_transition(p, u)))
-        .collect();
-    if offenders.is_empty() {
-        return true;
+    /// Tests the current path, which has just reached the target. Returns
+    /// `true` once the search is done.
+    fn complete(&mut self) -> bool {
+        let wanted = match &self.open {
+            None => true,
+            Some(open) => open.intersects(&self.on_path_p),
+        };
+        if !wanted || !self.realizable() {
+            return false;
+        }
+        match self.open.as_deref_mut() {
+            None => true,
+            Some(open) => {
+                open.subtract(&self.on_path_p);
+                open.is_zero()
+            }
+        }
     }
-    // Every node of the path — places AND intermediate transitions — must
-    // survive the reduction, otherwise realizing the path needs a firing of
-    // a removed transition upstream (Property 5).
-    let red = ForwardReduction::compute(stg.net(), &offenders);
-    path_places.iter().all(|&p| red.place_alive(p))
-        && path_trans.iter().all(|&t| red.transition_alive(t))
-        && red.transition_alive(target)
+
+    /// The Property 5 condition on the current path.
+    fn realizable(&self) -> bool {
+        // Transitions of the signal concurrent to some place of the path
+        // (other than the endpoints) must be removable without starving the
+        // path. The start transition has already fired, so it must never be
+        // removed.
+        let offenders: Vec<TransId> = self
+            .stg
+            .transitions_of(self.sig)
+            .iter()
+            .copied()
+            .filter(|&u| u != self.target && u != self.start)
+            .filter(|&u| {
+                self.path_places
+                    .iter()
+                    .any(|&p| self.cr.place_transition(p, u))
+            })
+            .collect();
+        if offenders.is_empty() {
+            return true;
+        }
+        // Every node of the path — places AND intermediate transitions —
+        // must survive the reduction, otherwise realizing the path needs a
+        // firing of a removed transition upstream (Property 5).
+        let red = ForwardReduction::compute(self.stg.net(), &offenders);
+        self.path_places.iter().all(|&p| red.place_alive(p))
+            && self.path_trans.iter().all(|&t| red.transition_alive(t))
+            && red.transition_alive(self.target)
+    }
 }
 
 /// Behavioural adjacency oracle: `u ∈ next(t)` iff some firing of `t` is

@@ -8,16 +8,28 @@
 //!   non-concurrent with `a`, interleaved between `a+` and `a-`, has `a = 1`
 //!   throughout its marked region;
 //! * the **quiescent place sets** QPS (§VI-A, Fig. 10): the domain of the
-//!   QR approximations.
+//!   QR approximations;
+//! * the subgraph the monotonicity check of a cover walks (Property 16).
 //!
 //! Like adjacency, the computation is two-tier: a sound filtered traversal
-//! (Property 4 conditions), then a completing pass that confirms extra
-//! candidates with the forward-reduction realizability check (Property 5).
+//! (Property 4 conditions), then a completing pass that confirms the extra
+//! candidate places of a relaxed traversal with the realizability check of
+//! Property 5. The completing pass runs **one** path search per pair, the
+//! search that also confirms adjacency (`StgAnalysis::analyze`): every
+//! realizable path it completes confirms each still-open candidate on it,
+//! and it stops once none is open. The search visits the same paths in the same order, under the
+//! same expansion budget, whichever candidates are open, so a candidate is
+//! confirmed exactly when a search for that candidate alone would confirm
+//! it.
+//!
+//! `si-core` computes the relation once per structural context, one
+//! [`InterleavedNodes`] per adjacent pair (`PlaceCubes::pairs`), and every
+//! consumer reads it there.
 
-use crate::consistency::{realizable_path_exists, StgAnalysis};
+use crate::consistency::{realizable_path_search, StgAnalysis};
 use crate::stg::Stg;
 use si_boolean::Bits;
-use si_petri::{PlaceId, TransId};
+use si_petri::TransId;
 
 /// The nodes interleaved with one adjacent transition pair.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,25 +48,11 @@ pub fn interleaved_nodes(
     from: TransId,
     to: TransId,
 ) -> InterleavedNodes {
-    let (fwd_p, fwd_t) = directed_reach(stg, analysis, from, to, true, true);
-    let (bwd_p, bwd_t) = directed_reach(stg, analysis, to, from, false, true);
-    let mut places = fwd_p.clone();
-    places.intersect_with(&bwd_p);
-    let mut transitions = fwd_t.clone();
-    transitions.intersect_with(&bwd_t);
+    let (mut places, mut transitions) = strict_nodes(stg, analysis, from, to);
 
-    // Completing pass: nodes on relaxed paths that the strict filter missed.
-    let (rfwd_p, _) = directed_reach(stg, analysis, from, to, true, false);
-    let (rbwd_p, _) = directed_reach(stg, analysis, to, from, false, false);
-    let mut relaxed_places = rfwd_p;
-    relaxed_places.intersect_with(&rbwd_p);
-    relaxed_places.subtract(&places);
-    for i in relaxed_places.iter_ones() {
-        let p = PlaceId(i as u32);
-        if realizable_path_exists(stg, &analysis.cr, from, to, Some(p)) {
-            places.set(i, true);
-        }
-    }
+    // Completing pass: places on relaxed paths that the strict filter missed.
+    let candidates = completing_candidates(stg, analysis, from, to, &places);
+    places.union_with(&confirmed(stg, analysis, from, to, &candidates));
 
     transitions.set(from.index(), true);
     transitions.set(to.index(), true);
@@ -62,6 +60,45 @@ pub fn interleaved_nodes(
         places,
         transitions,
     }
+}
+
+/// The nodes on paths `from → … → to` that pass the Property 4 filter.
+fn strict_nodes(stg: &Stg, analysis: &StgAnalysis, from: TransId, to: TransId) -> (Bits, Bits) {
+    let (mut places, mut transitions) = directed_reach(stg, analysis, from, to, true, true);
+    let (bwd_p, bwd_t) = directed_reach(stg, analysis, to, from, false, true);
+    places.intersect_with(&bwd_p);
+    transitions.intersect_with(&bwd_t);
+    (places, transitions)
+}
+
+/// The completing pass's candidates: places on relaxed paths from `from`
+/// to `to` (only same-signal transitions block them) outside `strict`.
+fn completing_candidates(
+    stg: &Stg,
+    analysis: &StgAnalysis,
+    from: TransId,
+    to: TransId,
+    strict: &Bits,
+) -> Bits {
+    let (mut places, _) = directed_reach(stg, analysis, from, to, true, false);
+    let (bwd_p, _) = directed_reach(stg, analysis, to, from, false, false);
+    places.intersect_with(&bwd_p);
+    places.subtract(strict);
+    places
+}
+
+/// The `candidates` that lie on a realizable path `from → … → to`, found
+/// by one shared path search.
+fn confirmed(
+    stg: &Stg,
+    analysis: &StgAnalysis,
+    from: TransId,
+    to: TransId,
+    candidates: &Bits,
+) -> Bits {
+    let mut open = candidates.clone();
+    realizable_path_search(stg, &analysis.cr, from, to, Some(&mut open));
+    candidates.difference(&open)
 }
 
 /// One-directional filtered reachability from `start` toward `stop`,
@@ -167,6 +204,118 @@ mod tests {
         let qps = quiescent_place_set(&stg, &a, yp);
         // Between y+ and y-: places <y+,x-> and <x-,y->.
         assert_eq!(qps.count_ones(), 2);
+    }
+
+    /// Four dining philosophers, as `generators::philosophers(4)`, except
+    /// that philosopher 2 is served (and cleaned up) by `done2` or by
+    /// `alt2`, a free choice. The completing pass of `(eat0-, eat0+)`
+    /// confirms the places of the two routes on two different paths; in
+    /// the generator families one path confirms every candidate of a pair
+    /// that gets confirmed.
+    fn two_route_philosophers() -> Stg {
+        let n = 4;
+        let mut b = Stg::builder("phil_two_routes");
+        let eat: Vec<_> = (0..n)
+            .map(|i| b.add_signal(format!("eat{i}"), SignalKind::Input))
+            .collect();
+        let done: Vec<_> = (0..n)
+            .map(|i| b.add_signal(format!("done{i}"), SignalKind::Output))
+            .collect();
+        let alt = b.add_signal("alt2", SignalKind::Output);
+        let forks: Vec<_> = (0..n)
+            .map(|i| b.add_place(format!("fork{i}"), true))
+            .collect();
+        for i in 0..n {
+            let thinking = b.add_place(format!("thinking{i}"), true);
+            let eating = b.add_place(format!("eating{i}"), false);
+            let take = b.add_transition(eat[i], Rise);
+            b.arc_pt(thinking, take)
+                .arc_pt(forks[i], take)
+                .arc_pt(forks[(i + 1) % n], take)
+                .arc_tp(take, eating);
+            let servers = if i == 2 {
+                vec![done[i], alt]
+            } else {
+                vec![done[i]]
+            };
+            for server in servers {
+                let serve = b.add_transition(server, Rise);
+                let release = b.add_transition(eat[i], Fall);
+                let clean = b.add_transition(server, Fall);
+                b.arc_pt(eating, serve);
+                b.arc(serve, release);
+                b.arc(release, clean);
+                b.arc_tp(release, forks[i])
+                    .arc_tp(release, forks[(i + 1) % n])
+                    .arc_tp(clean, thinking);
+            }
+        }
+        b.build()
+    }
+
+    /// The synthesizable suite, the other named benchmarks, each
+    /// generator family at small sizes, and [`two_route_philosophers`].
+    fn pinned_stgs() -> Vec<Stg> {
+        use crate::{benchmarks, generators};
+        let mut stgs = benchmarks::synthesizable_suite();
+        stgs.push(benchmarks::vme_read_raw());
+        stgs.push(two_route_philosophers());
+        for n in 1..=12 {
+            stgs.push(generators::clatch(n));
+            stgs.push(generators::muller_pipeline(n));
+            stgs.push(generators::sequencer(n));
+            stgs.push(generators::burst(n));
+        }
+        for n in 2..=8 {
+            stgs.push(generators::selector(n));
+            stgs.push(generators::philosophers(n));
+        }
+        for n in 1..=8 {
+            stgs.push(generators::vme_chain(n));
+            stgs.push(generators::vme_burst(n));
+        }
+        stgs
+    }
+
+    #[test]
+    fn completing_pass_matches_one_search_per_candidate() {
+        let (mut pairs, mut candidates, mut confirmations) = (0, 0, 0);
+        for stg in pinned_stgs() {
+            let a = StgAnalysis::analyze(&stg).expect("consistent");
+            let np = stg.net().place_count();
+            for t in stg.net().transitions() {
+                for &u in a.next_of(t) {
+                    pairs += 1;
+                    let (strict, _) = strict_nodes(&stg, &a, t, u);
+                    let cands = completing_candidates(&stg, &a, t, u, &strict);
+                    let shared = confirmed(&stg, &a, t, u, &cands);
+                    for p in cands.iter_ones() {
+                        candidates += 1;
+                        let alone = confirmed(&stg, &a, t, u, &Bits::from_ones(np, [p]));
+                        assert_eq!(
+                            shared.get(p),
+                            alone.get(p),
+                            "{}: place {} between {} and {}",
+                            stg.name(),
+                            stg.net().place_name(si_petri::PlaceId(p as u32)),
+                            stg.transition_display(t),
+                            stg.transition_display(u)
+                        );
+                    }
+                    confirmations += shared.count_ones();
+                    assert_eq!(
+                        interleaved_nodes(&stg, &a, t, u).places,
+                        strict.union(&shared),
+                        "{}: {} -> {}",
+                        stg.name(),
+                        stg.transition_display(t),
+                        stg.transition_display(u)
+                    );
+                }
+            }
+        }
+        eprintln!("{pairs} pairs, {candidates} candidates, {confirmations} confirmed");
+        assert!(candidates > 0 && confirmations > 0);
     }
 
     #[test]
