@@ -9,7 +9,7 @@
 //! that leaves a signal's covers untouched (e.g. a change in a concurrent
 //! component) keys to the same artifact. The fingerprint is an *address*,
 //! not a proof: `synthesize_signal` also reads broader context internals
-//! (interleave cache, place covers, quiescent place sets), so consumers
+//! (interleave relation, place covers, quiescent place sets), so consumers
 //! must pass a cache hit through
 //! [`revalidate_clusters`](crate::synthesis::revalidate_clusters) before
 //! trusting it — soundness never rests on hash quality.

@@ -15,7 +15,6 @@
 use crate::context::{SignalCovers, StructuralContext};
 use si_boolean::{Bits, Cover};
 use si_petri::{PlaceId, TransId};
-use si_stg::interleaved_nodes;
 
 /// Which half of the excitation function a cover implements.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -142,7 +141,11 @@ pub fn monotonicity_violation(
     let mut il_places = Bits::zeros(net.place_count());
     let mut il_trans = Bits::zeros(net.transition_count());
     for &succ in nexts {
-        let il = interleaved_nodes(ctx.stg, &ctx.analysis, t, succ);
+        let il = ctx
+            .cubes
+            .pairs
+            .get(&(t, succ))
+            .expect("the context holds every adjacent pair's interleaved nodes");
         il_places.union_with(&il.places);
         il_trans.union_with(&il.transitions);
     }

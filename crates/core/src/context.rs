@@ -164,7 +164,7 @@ pub struct StructuralContext<'a> {
     pub stg: &'a Stg,
     /// Consistency + concurrency analysis.
     pub analysis: StgAnalysis,
-    /// The initial (Lemma 10) cover cubes and interleave cache.
+    /// The initial (Lemma 10) cover cubes and the interleave relation.
     pub cubes: PlaceCubes,
     /// Current (possibly refined) cover function per place.
     pub place_cover: Vec<Cover>,
@@ -238,13 +238,13 @@ impl<'a> StructuralContext<'a> {
             .map(|c| Cover::from_cubes(nsig, [c.clone()]))
             .collect();
 
-        // QPS per transition from the interleave cache.
+        // QPS per transition from the interleave relation.
         let nt = stg.net().transition_count();
         let mut qps = vec![Bits::zeros(stg.net().place_count()); nt];
         for t in stg.net().transitions() {
             for &succ in analysis.next_of(t) {
-                if let Some(places) = cubes.pair_places.get(&(t, succ)) {
-                    qps[t.index()].union_with(places);
+                if let Some(il) = cubes.pairs.get(&(t, succ)) {
+                    qps[t.index()].union_with(&il.places);
                 }
             }
         }

@@ -16,17 +16,22 @@
 
 use si_boolean::{Bits, Cube};
 use si_petri::TransId;
-use si_stg::{interleaved_nodes, Stg, StgAnalysis};
+use si_stg::{interleaved_nodes, InterleavedNodes, Stg, StgAnalysis};
 use std::collections::HashMap;
 
-/// The cover cubes of all places plus the interleave cache used to build
-/// them (reused for the QPS domains).
+/// The cover cubes of all places plus the interleave relation they were
+/// read off.
 #[derive(Clone, Debug)]
 pub struct PlaceCubes {
     /// `cube[p]` — cover cube of `MR(p)` over the signal space.
     pub cubes: Vec<Cube>,
-    /// Interleaved places per adjacent transition pair `(t, t')`.
-    pub pair_places: HashMap<(TransId, TransId), Bits>,
+    /// The interleave relation (Def. 8): the interleaved places and
+    /// transitions of every adjacent transition pair `(t, t')`, computed
+    /// once per structural context with one completing path search per
+    /// pair. Besides the cubes, its readers are the QPS domains
+    /// (`StructuralContext::qps`), the backward don't-cares of the
+    /// synthesis stage M4, and the monotonicity check (Property 16).
+    pub pairs: HashMap<(TransId, TransId), InterleavedNodes>,
     /// `(place, signal)` pairs whose literal could not be determined
     /// (left as don't-care). Empty on all well-formed benchmarks.
     pub undetermined: Vec<(usize, usize)>,
@@ -39,7 +44,7 @@ impl PlaceCubes {
         let nsig = stg.signal_count();
         let mut votes: Vec<Vec<Option<bool>>> = vec![vec![None; nsig]; np];
         let mut conflicted: Vec<Bits> = vec![Bits::zeros(nsig); np];
-        let mut pair_places = HashMap::new();
+        let mut pairs = HashMap::new();
 
         for sig in stg.signals() {
             for &t in stg.transitions_of(sig) {
@@ -59,7 +64,7 @@ impl PlaceCubes {
                             Some(_) => conflicted[pi].set(sig.index(), true),
                         }
                     }
-                    pair_places.insert((t, succ), il.places);
+                    pairs.insert((t, succ), il);
                 }
             }
         }
@@ -91,7 +96,7 @@ impl PlaceCubes {
 
         PlaceCubes {
             cubes,
-            pair_places,
+            pairs,
             undetermined,
         }
     }

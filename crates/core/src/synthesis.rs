@@ -865,8 +865,8 @@ fn backward_dc(
     let mut dc = Cover::empty(w);
     for &t in own {
         for &u in ctx.analysis.prev_of(t) {
-            if let Some(places) = ctx.cubes.pair_places.get(&(u, t)) {
-                for pi in places.iter_ones() {
+            if let Some(il) = ctx.cubes.pairs.get(&(u, t)) {
+                for pi in il.places.iter_ones() {
                     let f = ctx.place_cover[pi].sharp(opposite_ger);
                     dc = dc.or(&f);
                 }
