@@ -226,28 +226,38 @@ impl<'a> StructuralContext<'a> {
         INCREMENTAL_COUNT.load(Ordering::Relaxed)
     }
 
-    /// The pre-refinement context: consistency, cubes, SM-cover, QPS.
+    /// The pre-refinement context: consistency, cubes and QPS, SM-cover.
     fn unrefined(stg: &'a Stg) -> Result<Self, SynthesisError> {
-        let analysis = StgAnalysis::analyze(stg).map_err(SynthesisError::Inconsistent)?;
-        let cubes = PlaceCubes::compute(stg, &analysis);
-        let sms = sm_cover(stg.net()).map_err(SynthesisError::NotSmCoverable)?;
-        let nsig = stg.signal_count();
-        let place_cover: Vec<Cover> = cubes
-            .cubes
-            .iter()
-            .map(|c| Cover::from_cubes(nsig, [c.clone()]))
-            .collect();
+        let analysis = {
+            let _span = si_obs::span("context.consistency");
+            StgAnalysis::analyze(stg).map_err(SynthesisError::Inconsistent)?
+        };
+        let (cubes, place_cover, qps) = {
+            let _span = si_obs::span("context.cubes");
+            let cubes = PlaceCubes::compute(stg, &analysis);
+            let nsig = stg.signal_count();
+            let place_cover: Vec<Cover> = cubes
+                .cubes
+                .iter()
+                .map(|c| Cover::from_cubes(nsig, [c.clone()]))
+                .collect();
 
-        // QPS per transition from the interleave relation.
-        let nt = stg.net().transition_count();
-        let mut qps = vec![Bits::zeros(stg.net().place_count()); nt];
-        for t in stg.net().transitions() {
-            for &succ in analysis.next_of(t) {
-                if let Some(il) = cubes.pairs.get(&(t, succ)) {
-                    qps[t.index()].union_with(&il.places);
+            // QPS per transition from the interleave relation.
+            let nt = stg.net().transition_count();
+            let mut qps = vec![Bits::zeros(stg.net().place_count()); nt];
+            for t in stg.net().transitions() {
+                for &succ in analysis.next_of(t) {
+                    if let Some(il) = cubes.pairs.get(&(t, succ)) {
+                        qps[t.index()].union_with(&il.places);
+                    }
                 }
             }
-        }
+            (cubes, place_cover, qps)
+        };
+        let sms = {
+            let _span = si_obs::span("context.sm_cover");
+            sm_cover(stg.net()).map_err(SynthesisError::NotSmCoverable)?
+        };
 
         Ok(StructuralContext {
             stg,
@@ -307,6 +317,7 @@ impl<'a> StructuralContext<'a> {
         trace: &RefinementTrace,
         map: &InsertionMap,
     ) {
+        let _span = si_obs::span("context.refine");
         let np = self.stg.net().place_count();
         let nsig = self.stg.signal_count();
         let cr = |p: usize, q: usize| {
@@ -598,6 +609,7 @@ impl<'a> StructuralContext<'a> {
         max_rounds: usize,
         mut trace: Option<&mut RefinementTrace>,
     ) {
+        let _span = si_obs::span("context.refine");
         let liberal = self.stg.net().place_count() <= UNCONDITIONAL_PLACE_LIMIT;
         for round in 0..max_rounds {
             let conflicted = self.has_conflict();

@@ -267,6 +267,7 @@ pub fn synthesize_signals(
     signals: &[SignalId],
     options: &SynthesisOptions,
 ) -> Result<Vec<SignalResult>, SynthesisError> {
+    let _span = si_obs::span("synth.signals");
     #[cfg(feature = "parallel")]
     {
         let workers = std::thread::available_parallelism()
