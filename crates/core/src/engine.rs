@@ -200,7 +200,7 @@ impl<'a> Engine<'a> {
     /// surface as [`ReachError::Interrupted`] (graph builds) or partial
     /// verdicts (verification/conformance via `si-verify`).
     pub fn deadline(mut self, at: std::time::Instant) -> Self {
-        self.reach.budget.deadline = Some(at);
+        self.reach = self.reach.deadline(at);
         self
     }
 

@@ -20,7 +20,7 @@
 
 use crate::cores::{conflict_cores, targeted_candidate_tiers};
 use si_core::{no_conflict_resolution, CscVerdict, Engine, RefinementTrace, StructuralContext};
-use si_petri::{Interrupt, PlaceId, ReachOptions, TransId};
+use si_petri::{Budget, Interrupt, PlaceId, ReachOptions, TransId};
 use si_stg::{
     apply_insertion, apply_insertion_mapped, semimodularity_violations, CodingAnalysis,
     InsertionMap, InsertionPlan, StateEncoding, Stg,
@@ -197,13 +197,14 @@ impl ResolveStats {
         }
     }
 
-    /// Records a deadline/cancellation interruption (first one wins).
-    fn interrupt(&mut self, reason: si_petri::InterruptReason, elapsed: std::time::Duration) {
+    /// Records a deadline/cancellation interruption (first one wins) of a
+    /// search that began at `started`.
+    fn interrupt(&mut self, reason: si_petri::InterruptReason, budget: &Budget, started: Instant) {
         if self.interrupted.is_none() {
             self.interrupted = Some(Interrupt {
                 reason,
                 states_explored: self.evaluated,
-                elapsed,
+                elapsed: budget.elapsed_since(started, Some(reason)),
             });
         }
     }
@@ -284,7 +285,7 @@ pub fn resolve(stg: &Stg, options: &CscOptions) -> ResolveOutcome {
             let batch = (workers * 8).max(32);
             'outer: for chunk in tiers.iter().flat_map(|tier| tier.chunks(batch)) {
                 if let Some(reason) = options.reach.budget.check_soft(0) {
-                    stats.interrupt(reason, t0.elapsed());
+                    stats.interrupt(reason, &options.reach.budget, t0);
                     break 'outer;
                 }
                 let results = evaluate_batch(stg, &parent, &trace, &name, chunk, workers);
@@ -328,7 +329,7 @@ pub fn resolve(stg: &Stg, options: &CscOptions) -> ResolveOutcome {
                     if let Some(reason) = options.reach.budget.check_soft(0) {
                         // Graceful degradation: rank whatever survived the
                         // batches scored so far instead of discarding them.
-                        stats.interrupt(reason, t0.elapsed());
+                        stats.interrupt(reason, &options.reach.budget, t0);
                         break 'scoring;
                     }
                     let results = evaluate_batch(stg, &parent, &trace, &name, chunk, workers);
@@ -351,7 +352,7 @@ pub fn resolve(stg: &Stg, options: &CscOptions) -> ResolveOutcome {
             survivors.sort_by_key(|&(cost, index, _, _)| (cost, index));
             for (cost, _, candidate, plan) in survivors.into_iter().take(options.beam_width) {
                 if let Some(reason) = options.reach.budget.check_soft(0) {
-                    stats.interrupt(reason, t0.elapsed());
+                    stats.interrupt(reason, &options.reach.budget, t0);
                     break;
                 }
                 stats.oracle_calls += 1;

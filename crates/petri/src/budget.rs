@@ -113,7 +113,9 @@ pub struct Interrupt {
     /// States explored before the interruption (the partial result covers
     /// exactly these).
     pub states_explored: usize,
-    /// Wall time the computation ran before the interruption.
+    /// Wall time the computation ran before the interruption; a deadline
+    /// interrupt counts from the moment the deadline was armed
+    /// ([`Budget::elapsed_since`]).
     pub elapsed: Duration,
 }
 
@@ -152,6 +154,9 @@ pub struct Budget {
     pub max_bytes: Option<usize>,
     /// Wall-clock instant after which the computation winds down.
     pub deadline: Option<Instant>,
+    /// When [`Budget::timeout`] armed [`Self::deadline`] (`None` for a
+    /// deadline set by [`Budget::deadline`]); see [`Budget::elapsed_since`].
+    armed_at: Option<Instant>,
     /// Cooperative cancellation handle.
     pub cancel: Option<CancelToken>,
 }
@@ -162,6 +167,7 @@ impl Default for Budget {
             cap: usize::MAX,
             max_bytes: None,
             deadline: None,
+            armed_at: None,
             cancel: None,
         }
     }
@@ -196,13 +202,16 @@ impl Budget {
     /// Sets an absolute wall-clock deadline.
     pub fn deadline(mut self, at: Instant) -> Self {
         self.deadline = Some(at);
+        self.armed_at = None;
         self
     }
 
     /// Sets the deadline `d` from now. A `d` too large for an [`Instant`]
     /// means no deadline at all.
     pub fn timeout(mut self, d: Duration) -> Self {
-        self.deadline = Instant::now().checked_add(d);
+        let now = Instant::now();
+        self.deadline = now.checked_add(d);
+        self.armed_at = self.deadline.map(|_| now);
         self
     }
 
@@ -217,6 +226,22 @@ impl Budget {
     /// this is `false` — the cap alone is enforced per interned state.
     pub fn has_soft_limits(&self) -> bool {
         self.max_bytes.is_some() || self.deadline.is_some() || self.cancel.is_some()
+    }
+
+    /// The wall time that a computation which began at `started` reports
+    /// when it ends, `interrupted` or not. A deadline interrupt counts from
+    /// the moment [`Budget::timeout`] armed the deadline, so it never reads
+    /// below the timeout, even when the deadline passed before the
+    /// computation began. Everything else counts from `started`.
+    pub fn elapsed_since(
+        &self,
+        started: Instant,
+        interrupted: Option<InterruptReason>,
+    ) -> Duration {
+        match (interrupted, self.armed_at) {
+            (Some(InterruptReason::DeadlineExpired), Some(armed)) => armed.elapsed(),
+            _ => started.elapsed(),
+        }
     }
 
     /// The amortized governance check: cancellation, then deadline, then
@@ -277,5 +302,61 @@ mod tests {
         // Cancellation outranks the (already expired) deadline.
         token.cancel();
         assert_eq!(b.check_soft(0), Some(InterruptReason::Cancelled));
+    }
+
+    /// `n` independent two-place cycles: `2^n` reachable markings.
+    fn toggles(n: usize) -> crate::PetriNet {
+        let mut b = crate::PetriNet::builder();
+        for i in 0..n {
+            let lo = b.add_place(format!("lo{i}"), true);
+            let hi = b.add_place(format!("hi{i}"), false);
+            let up = b.add_transition(format!("up{i}"));
+            let down = b.add_transition(format!("down{i}"));
+            b.arc_pt(lo, up);
+            b.arc_tp(up, hi);
+            b.arc_pt(hi, down);
+            b.arc_tp(down, lo);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn deadline_expired_before_the_start_reads_at_least_the_timeout() {
+        use crate::space::{explore_with, ExploreOptions, MarkingSpace};
+        let net = toggles(12);
+        let space = MarkingSpace::new(&net);
+        let timeout = Duration::from_millis(3);
+        for shards in [1, 2] {
+            let budget = Budget::unbounded().timeout(timeout);
+            std::thread::sleep(timeout + Duration::from_millis(1));
+            let opts = ExploreOptions::with_cap(usize::MAX)
+                .budget(budget)
+                .shards(shards);
+            let i = explore_with(&space, opts)
+                .expect("no fatal violation")
+                .interrupt()
+                .expect("the deadline interrupts the exploration");
+            assert_eq!(
+                i.reason,
+                InterruptReason::DeadlineExpired,
+                "{shards} shards"
+            );
+            assert!(i.elapsed >= timeout, "{shards} shards: {:?}", i.elapsed);
+        }
+        let budget = Budget::unbounded().timeout(timeout);
+        std::thread::sleep(timeout + Duration::from_millis(1));
+        let sym = crate::SymbolicReach::build_with(&net, &budget).expect("safe net");
+        let i = sym
+            .interrupt()
+            .expect("the deadline interrupts the fixpoint");
+        assert_eq!(i.reason, InterruptReason::DeadlineExpired);
+        assert!(i.elapsed >= timeout, "symbolic: {:?}", i.elapsed);
+
+        // An absolute deadline has no arming moment: the computation's own
+        // time is all it reports.
+        let budget = Budget::unbounded()
+            .timeout(timeout)
+            .deadline(Instant::now());
+        assert_eq!(budget.armed_at, None);
     }
 }

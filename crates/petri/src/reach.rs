@@ -80,7 +80,7 @@ impl ReachOptions {
 
     /// Sets an absolute wall-clock deadline on the exploration.
     pub fn deadline(mut self, at: Instant) -> Self {
-        self.budget.deadline = Some(at);
+        self.budget = self.budget.deadline(at);
         self
     }
 

@@ -609,7 +609,7 @@ pub fn explore_sharded<S: StateSpace>(
         return Err(ExploreError::Fatal(v));
     }
     let mut expl = merge(workers, &shared, owner, &opts);
-    expl.elapsed = t0.elapsed();
+    expl.elapsed = opts.budget.elapsed_since(t0, expl.interrupted);
     Ok(expl)
 }
 

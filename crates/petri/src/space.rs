@@ -306,7 +306,8 @@ pub struct Exploration<V> {
     pub states: usize,
     /// Wall time the exploration ran (set whether or not it completed,
     /// so partial verdicts can report elapsed time alongside
-    /// [`Self::states`]).
+    /// [`Self::states`]); a deadline interrupt counts from the moment the
+    /// deadline was armed ([`Budget::elapsed_since`]).
     pub elapsed: Duration,
 }
 
@@ -533,7 +534,7 @@ pub fn explore<S: StateSpace>(
         violations: sink.violations,
         interrupted: sink.interrupted,
         states,
-        elapsed: t0.elapsed(),
+        elapsed: opts.budget.elapsed_since(t0, sink.interrupted),
     })
 }
 

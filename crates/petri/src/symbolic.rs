@@ -332,7 +332,7 @@ impl SymbolicReach {
         loop {
             if soft {
                 if let Some(reason) = budget.check_soft(self.bdd.node_count() * BYTES_PER_NODE) {
-                    self.interrupted = Some(self.interrupt_now(reason));
+                    self.interrupted = Some(self.interrupt_now(budget, reason));
                     return Ok(());
                 }
             }
@@ -341,7 +341,7 @@ impl SymbolicReach {
             // `failpoints` feature) — the csc::evaluate-style injection
             // site of the symbolic path.
             if fail_trigger!("symbolic::iterate", self.iterations as u64) {
-                self.interrupted = Some(self.interrupt_now(InterruptReason::Cancelled));
+                self.interrupted = Some(self.interrupt_now(budget, InterruptReason::Cancelled));
                 return Ok(());
             }
             // Safeness sweep over the frontier: a state enabling t with a
@@ -382,11 +382,11 @@ impl SymbolicReach {
     }
 
     /// The tagged partial verdict at the current point of the fixpoint.
-    fn interrupt_now(&self, reason: InterruptReason) -> Interrupt {
+    fn interrupt_now(&self, budget: &Budget, reason: InterruptReason) -> Interrupt {
         Interrupt {
             reason,
             states_explored: self.state_count().min(usize::MAX as u128) as usize,
-            elapsed: self.started.elapsed(),
+            elapsed: budget.elapsed_since(self.started, Some(reason)),
         }
     }
 
@@ -418,7 +418,7 @@ impl SymbolicReach {
         loop {
             if soft {
                 if let Some(reason) = budget.check_soft(self.bdd.node_count() * BYTES_PER_NODE) {
-                    return Err(self.interrupt_now(reason));
+                    return Err(self.interrupt_now(budget, reason));
                 }
             }
             let mut new = BDD_FALSE;
