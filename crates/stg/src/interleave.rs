@@ -17,10 +17,10 @@
 //! Property 5. The completing pass runs **one** path search per pair, the
 //! search that also confirms adjacency (`StgAnalysis::analyze`): every
 //! realizable path it completes confirms each still-open candidate on it,
-//! and it stops once none is open. The search visits the same paths in the same order, under the
-//! same expansion budget, whichever candidates are open, so a candidate is
-//! confirmed exactly when a search for that candidate alone would confirm
-//! it.
+//! and it stops once none is open. The search visits the same paths in the
+//! same order, under the same expansion budget, whichever candidates are
+//! open, so a candidate is confirmed exactly when a search for that
+//! candidate alone would confirm it.
 //!
 //! `si-core` computes the relation once per structural context, one
 //! [`InterleavedNodes`] per adjacent pair (`PlaceCubes::pairs`), and every
@@ -279,13 +279,12 @@ mod tests {
 
     #[test]
     fn completing_pass_matches_one_search_per_candidate() {
-        let (mut pairs, mut candidates, mut confirmations) = (0, 0, 0);
+        let (mut candidates, mut confirmations) = (0, 0);
         for stg in pinned_stgs() {
             let a = StgAnalysis::analyze(&stg).expect("consistent");
             let np = stg.net().place_count();
             for t in stg.net().transitions() {
                 for &u in a.next_of(t) {
-                    pairs += 1;
                     let (strict, _) = strict_nodes(&stg, &a, t, u);
                     let cands = completing_candidates(&stg, &a, t, u, &strict);
                     let shared = confirmed(&stg, &a, t, u, &cands);
@@ -314,7 +313,6 @@ mod tests {
                 }
             }
         }
-        eprintln!("{pairs} pairs, {candidates} candidates, {confirmations} confirmed");
         assert!(candidates > 0 && confirmations > 0);
     }
 
