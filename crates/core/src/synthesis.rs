@@ -250,15 +250,15 @@ pub fn synthesize_with_context(
     })
 }
 
-/// Synthesizes a batch of signals, in parallel across worker threads when
-/// the `parallel` feature is on (the default). Signals are independent given
-/// the shared immutable context, so the result — including which error is
-/// reported when several signals fail — is identical to the sequential
-/// loop: results come back in input order and the failure of the
-/// earliest-listed failing signal wins.
+/// Synthesizes a batch of signals on the workspace pool
+/// ([`si_fault::par_map`], one worker per hardware thread). Signals are
+/// independent given the shared immutable context, so the result —
+/// including which error is reported when several signals fail — is
+/// identical to a sequential loop: results come back in input order and
+/// the failure of the earliest-listed failing signal wins.
 ///
-/// Workers are panic-isolated: a panic while synthesizing one signal is
-/// caught at the worker boundary and recorded as that signal's
+/// Every signal is panic-isolated, at any worker count: a panic while
+/// synthesizing one signal is caught and recorded as that signal's
 /// [`SynthesisError::WorkerPanicked`] — it competes for the
 /// earliest-listed-failure slot like any other per-signal error, and the
 /// process stays alive.
@@ -268,51 +268,18 @@ pub fn synthesize_signals(
     options: &SynthesisOptions,
 ) -> Result<Vec<SignalResult>, SynthesisError> {
     let _span = si_obs::span("synth.signals");
-    #[cfg(feature = "parallel")]
-    {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(signals.len());
-        if workers > 1 {
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let slots: Vec<std::sync::Mutex<Option<Result<SignalResult, SynthesisError>>>> =
-                signals
-                    .iter()
-                    .map(|_| std::sync::Mutex::new(None))
-                    .collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(&signal) = signals.get(i) else { break };
-                        let r = si_fault::run_isolated(|| {
-                            // Injection site: a worker that panics on the
-                            // i-th signal of the batch.
-                            si_fault::fail_point!("synthesis::signal", i);
-                            synthesize_signal(ctx, signal, options)
-                        })
-                        .unwrap_or_else(|detail| {
-                            Err(SynthesisError::WorkerPanicked { signal, detail })
-                        });
-                        *si_fault::relock(&slots[i]) = Some(r);
-                    });
-                }
-            });
-            return slots
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .expect("worker filled every slot")
-                })
-                .collect();
-        }
-    }
-    signals
-        .iter()
-        .map(|&signal| synthesize_signal(ctx, signal, options))
-        .collect()
+    si_fault::par_map(signals.len(), si_fault::hardware_threads(), |i| {
+        // Injection site: a worker that panics on the i-th signal of the
+        // batch.
+        si_fault::fail_point!("synthesis::signal", i);
+        synthesize_signal(ctx, signals[i], options)
+    })
+    .into_iter()
+    .zip(signals)
+    .map(|(r, &signal)| {
+        r.unwrap_or_else(|detail| Err(SynthesisError::WorkerPanicked { signal, detail }))
+    })
+    .collect()
 }
 
 /// Synthesizes one signal under the chosen architecture.

@@ -21,8 +21,8 @@
 //!    — bit-identical to a full rebuild (prop-tested) without paying for
 //!    one per candidate (pinned by [`StructuralContext::build_count`]).
 //! 3. **Parallel candidate evaluation** ([`resolve`]): surviving
-//!    candidates are scored concurrently (std threads behind the
-//!    `parallel` feature), ranked by a cost model (estimated literal delta
+//!    candidates are scored concurrently (on the workspace pool,
+//!    `si_fault::par_map`), ranked by a cost model (estimated literal delta
 //!    plus a concurrency-reduction penalty), and accepted through the
 //!    behavioural oracle under a [`Strategy`] — greedy first-fit in core
 //!    proximity order, or beam search over the best-ranked survivors.

@@ -14,9 +14,9 @@
 //! 5. behavioural oracle — liveness, safeness, consistency, CSC and output
 //!    semimodularity on the candidate's own [`Engine`] session.
 //!
-//! Steps 1–4 are scored concurrently across a std-thread worker pool
-//! (`parallel` feature); the oracle runs in deterministic rank order, so
-//! the outcome is identical at any worker count.
+//! Steps 1–4 are scored concurrently on the workspace pool
+//! ([`si_fault::par_map`]); the oracle runs in deterministic rank order,
+//! so the outcome is identical at any worker count.
 
 use crate::cores::{conflict_cores, targeted_candidate_tiers};
 use si_core::{no_conflict_resolution, CscVerdict, Engine, RefinementTrace, StructuralContext};
@@ -82,7 +82,7 @@ pub struct CscOptions {
     /// Reachability options of the behavioural acceptance oracle.
     pub reach: ReachOptions,
     /// Worker threads for the structural scoring phase; `0` picks the
-    /// hardware thread count. Ignored without the `parallel` feature.
+    /// hardware thread count.
     pub workers: usize,
     /// Name of the inserted signal.
     pub signal_name: String,
@@ -133,14 +133,10 @@ impl CscOptions {
     }
 
     fn effective_workers(&self) -> usize {
-        if cfg!(feature = "parallel") {
-            if self.workers == 0 {
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            } else {
-                self.workers
-            }
+        if self.workers == 0 {
+            si_fault::hardware_threads()
         } else {
-            1
+            self.workers
         }
     }
 }
@@ -242,8 +238,6 @@ pub struct ResolveOutcome {
 pub fn resolve(stg: &Stg, options: &CscOptions) -> ResolveOutcome {
     let _span = si_obs::span("csc.resolve");
     let t0 = Instant::now();
-    let ctx_full0 = StructuralContext::build_count();
-    let ctx_incr0 = StructuralContext::incremental_count();
     let mut stats = ResolveStats::new(options.strategy);
     let Ok((parent, trace)) = StructuralContext::build_traced(stg) else {
         // The input fails the structural preconditions; fall back to the
@@ -268,6 +262,9 @@ pub fn resolve(stg: &Stg, options: &CscOptions) -> ResolveOutcome {
             stats,
         };
     }
+    // Counted at the build site (and each reanalysis in `evaluate_one`),
+    // so concurrent searches count only their own builds.
+    si_obs::counter_inc("csc.context_rebuilds");
 
     let cores = conflict_cores(&parent);
     stats.cores = cores.len();
@@ -377,17 +374,6 @@ pub fn resolve(stg: &Stg, options: &CscOptions) -> ResolveOutcome {
         si_obs::counter_add("csc.rejected", stats.rejected as u64);
         si_obs::counter_add("csc.oracle_calls", stats.oracle_calls as u64);
         si_obs::counter_add("csc.oracle_rejected", stats.oracle_rejected as u64);
-        // Reanalysis-vs-rebuild split of the candidate scoring, from the
-        // process-wide StructuralContext hooks: incremental replays are
-        // the design invariant (never a full rebuild per candidate).
-        si_obs::counter_add(
-            "csc.context_reanalyses",
-            (StructuralContext::incremental_count() - ctx_incr0) as u64,
-        );
-        si_obs::counter_add(
-            "csc.context_rebuilds",
-            (StructuralContext::build_count() - ctx_full0) as u64,
-        );
     }
     ResolveOutcome { resolution, stats }
 }
@@ -411,16 +397,14 @@ fn fresh_signal_name(stg: &Stg, base: &str) -> String {
 /// captured by the isolation boundary.
 type EvalOutcome = Result<Option<(Stg, i64)>, String>;
 
-/// Scores one batch of candidates, preserving input order. With the
-/// `parallel` feature and `workers > 1` the batch is distributed over a
-/// scoped std-thread pool; the per-slot results make the outcome
-/// independent of scheduling.
+/// Scores one batch of candidates on the workspace pool
+/// ([`si_fault::par_map`]), preserving input order.
 ///
-/// Each candidate is scored inside a panic-isolation boundary
-/// (`si_fault::run_isolated`): a panicking candidate yields `Err(message)`
-/// in its slot — and, under the `failpoints` feature, hosts the
-/// `csc::evaluate` injection site (value = in-batch candidate index) —
-/// while the pool and every other candidate proceed normally.
+/// Each candidate is scored inside a panic-isolation boundary: a
+/// panicking candidate yields `Err(message)` in its slot — and, under the
+/// `failpoints` feature, hosts the `csc::evaluate` injection site (value =
+/// in-batch candidate index) — while every other candidate proceeds
+/// normally.
 fn evaluate_batch(
     base: &Stg,
     parent: &StructuralContext<'_>,
@@ -429,41 +413,10 @@ fn evaluate_batch(
     plans: &[InsertionPlan],
     workers: usize,
 ) -> Vec<EvalOutcome> {
-    let eval_isolated = |i: usize| {
-        si_fault::run_isolated(|| {
-            si_fault::fail_point!("csc::evaluate", i);
-            evaluate_one(base, parent, trace, name, &plans[i])
-        })
-    };
-    #[cfg(feature = "parallel")]
-    if workers > 1 && plans.len() > 1 {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<EvalOutcome>>> =
-            plans.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(plans.len()) {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= plans.len() {
-                        break;
-                    }
-                    *si_fault::relock(&slots[i]) = Some(eval_isolated(i));
-                });
-            }
-        });
-        return slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .expect("worker filled every slot")
-            })
-            .collect();
-    }
-    let _ = workers;
-    (0..plans.len()).map(eval_isolated).collect()
+    si_fault::par_map(plans.len(), workers, |i| {
+        si_fault::fail_point!("csc::evaluate", i);
+        evaluate_one(base, parent, trace, name, &plans[i])
+    })
 }
 
 /// Structural evaluation of one candidate: surgery, incremental
@@ -476,6 +429,7 @@ fn evaluate_one(
     plan: &InsertionPlan,
 ) -> Option<(Stg, i64)> {
     let (candidate, map) = apply_insertion_mapped(base, name, plan);
+    si_obs::counter_inc("csc.context_reanalyses");
     let cost = {
         let ctx = StructuralContext::build_incremental(parent, trace, &candidate, &map).ok()?;
         if !ctx.csc_holds() {

@@ -1,16 +1,19 @@
-//! Deterministic fault injection and panic-tolerance utilities.
+//! Deterministic fault injection, panic tolerance and the workspace's
+//! worker pool.
 //!
 //! The worker pools of this workspace (the sharded state-space explorer,
-//! parallel per-signal synthesis, CSC candidate scoring) promise to
-//! survive a panicking worker: the panic is caught, converted into a
-//! structured `WorkerPanicked` error through the pool's first-error-wins
-//! slot, and the process stays alive. This crate provides both halves of
-//! that promise:
+//! per-signal synthesis, CSC candidate scoring) promise to survive a
+//! panicking worker: the panic is caught, converted into a structured
+//! error, and the process stays alive. This crate provides that promise:
 //!
 //! * **Panic tolerance** — [`run_isolated`] (a `catch_unwind` wrapper
 //!   that extracts the panic message) and [`relock`] (poison-tolerant
 //!   mutex acquisition: a panicked worker must not turn every later
 //!   `lock().unwrap()` into a second panic).
+//! * **The pool** — [`par_map`] maps independent jobs over scoped
+//!   threads, each job isolated, results in index order, at any worker
+//!   count including one. Per-signal synthesis and CSC candidate scoring
+//!   both run on it; [`hardware_threads`] is their default worker count.
 //! * **Fault injection** — named *failpoints* compiled into the pools
 //!   only under the `failpoints` feature (off by default; release builds
 //!   carry no injection code). Tests [`arm`] a site with a
@@ -30,6 +33,9 @@
 //! assert_eq!(r, Ok(4));
 //! let r = si_fault::run_isolated(|| -> u32 { panic!("boom") });
 //! assert_eq!(r, Err("boom".to_string()));
+//!
+//! let squares = si_fault::par_map(4, 2, |i| i * i);
+//! assert_eq!(squares, vec![Ok(0), Ok(1), Ok(4), Ok(9)]);
 //! ```
 
 #![warn(missing_docs)]
@@ -162,6 +168,52 @@ pub fn run_isolated<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(panic_message)
 }
 
+/// The machine's hardware thread count, `1` when it cannot be queried —
+/// the default worker count of the workspace's pools.
+pub fn hardware_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Runs `f(i)` for every `i` in `0..n` on `min(workers, n)` scoped
+/// threads that pull indices from a shared cursor, and returns the results
+/// in index order — independent of scheduling.
+///
+/// Each call runs under [`run_isolated`]: a panic in `f(i)` becomes
+/// `Err(message)` at index `i` while every other index still runs. With
+/// one worker (or `workers == 0`) the calls run inline on the calling
+/// thread, in index order, isolated all the same.
+pub fn par_map<T: Send>(
+    n: usize,
+    workers: usize,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<Result<T, String>> {
+    let workers = workers.min(n);
+    if workers <= 1 {
+        return (0..n).map(|i| run_isolated(|| f(i))).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<Result<T, String>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                *relock(&slots[i]) = Some(run_isolated(|| f(i)));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .expect("a worker filled every slot")
+        })
+        .collect()
+}
+
 /// Reports a hit at a named failpoint, performing the armed action if
 /// any. Without the `failpoints` feature (of the *calling* crate) this
 /// expands to nothing.
@@ -236,6 +288,39 @@ mod tests {
         assert!(msg.contains("t::panic"), "got: {msg}");
         assert_eq!(armed_count(), 0);
         reset();
+    }
+
+    #[test]
+    fn par_map_returns_results_in_index_order() {
+        for workers in [1, 3] {
+            for n in [0, 1, 7] {
+                let expected: Vec<Result<usize, String>> = (0..n).map(|i| Ok(10 * i)).collect();
+                assert_eq!(
+                    par_map(n, workers, |i| 10 * i),
+                    expected,
+                    "n={n} workers={workers}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn par_map_isolates_a_panic_to_its_index() {
+        for workers in [1, 3] {
+            let results = par_map(7, workers, |i| {
+                if i == 4 {
+                    panic!("job {i} failed");
+                }
+                i
+            });
+            for (i, r) in results.into_iter().enumerate() {
+                if i == 4 {
+                    assert_eq!(r, Err("job 4 failed".to_string()), "workers={workers}");
+                } else {
+                    assert_eq!(r, Ok(i), "workers={workers}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The deterministic fault-injection suite: drives the real worker pools
-//! of the workspace — the sharded state-space explorer, parallel
-//! per-signal synthesis, CSC candidate scoring, the serve job queue and
+//! of the workspace — the sharded state-space explorer, per-signal
+//! synthesis, CSC candidate scoring, the serve job queue and
 //! artifact store — with faults armed at
 //! their named failpoints, and asserts the robustness contract: every
 //! injected panic surfaces as a structured `WorkerPanicked` (process
@@ -164,10 +164,6 @@ fn protocol_step_panic_surfaces_without_poisoning_the_pool() {
 #[test]
 fn synthesis_worker_panic_names_the_signal_and_the_pool_survives() {
     let _guard = serial();
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if workers < 2 {
-        return; // the parallel pool (and its failpoint) never engages
-    }
     reset();
     let stg = si_stg::generators::muller_pipeline(4);
     assert!(
@@ -189,6 +185,27 @@ fn synthesis_worker_panic_names_the_signal_and_the_pool_survives() {
     // reusable: the same synthesis succeeds on the next call.
     let syn = si_core::synthesize(&stg, &si_core::SynthesisOptions::default()).unwrap();
     assert!(syn.literal_area > 0);
+    reset();
+}
+
+#[test]
+fn one_signal_synthesis_panic_is_isolated_too() {
+    let _guard = serial();
+    reset();
+    // A one-signal batch runs inline on the calling thread, and must be
+    // isolated all the same: a panic is a structured error, not exit 101.
+    let stg = si_stg::generators::clatch(2);
+    assert_eq!(stg.synthesized_signals().len(), 1);
+    arm("synthesis::signal", Some(0), FaultAction::Panic);
+    let err = si_core::synthesize(&stg, &si_core::SynthesisOptions::default()).unwrap_err();
+    match err {
+        si_core::SynthesisError::WorkerPanicked { signal, detail } => {
+            assert_eq!(signal, stg.synthesized_signals()[0]);
+            assert!(detail.contains("injected fault"), "got: {detail}");
+        }
+        other => panic!("expected WorkerPanicked, got {other}"),
+    }
+    assert_eq!(armed_count(), 0, "the armed fault must have fired");
     reset();
 }
 

@@ -112,9 +112,7 @@ impl ReachOptions {
     /// already normalized, so it equals the worker count the sharded
     /// engine will actually run.
     pub fn auto(cap: usize) -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let n = si_fault::hardware_threads();
         let down = if n.is_power_of_two() {
             n
         } else {
