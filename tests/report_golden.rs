@@ -49,10 +49,18 @@ fn specs() -> Vec<(String, String)> {
         let stg = parse_g(&text).expect("example spec parses");
         specs.push((name.to_string(), stg));
     }
-    use sisyn::stg::generators::{clatch, muller_pipeline, vme_chain};
+    use sisyn::stg::generators::{
+        burst, clatch, muller_pipeline, philosophers, selector, sequencer, vme_chain,
+    };
     specs.push(("clatch3".to_string(), clatch(3)));
     specs.push(("muller3".to_string(), muller_pipeline(3)));
     specs.push(("vme_chain1".to_string(), vme_chain(1)));
+    // Long quiescent regions: their covers go through many expansion and
+    // monotonicity checks, and the serve synth body carries the Verilog.
+    specs.push(("sequencer8".to_string(), sequencer(8)));
+    specs.push(("selector8".to_string(), selector(8)));
+    specs.push(("burst4".to_string(), burst(4)));
+    specs.push(("philosophers4".to_string(), philosophers(4)));
     specs
         .into_iter()
         .map(|(name, stg)| (name, canonical_g(&stg)))
@@ -220,6 +228,13 @@ const VARIANTS: &[(&str, &str, &[&str], &str)] = &[
         "synth",
         &["--arch", "complex", "--stages", "2", "--minimizer", "exact"],
         r#""arch": "complex", "stages": 2, "minimizer": "exact""#,
+    ),
+    // Stage M1 (cluster merging) runs only in the per-region architecture.
+    (
+        "burst4",
+        "synth",
+        &["--arch", "per-region"],
+        r#""arch": "per-region""#,
     ),
 ];
 
