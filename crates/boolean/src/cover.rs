@@ -145,14 +145,36 @@ impl Cover {
         r
     }
 
-    /// Union (concatenation) of two covers.
+    /// Union of two covers: [`Cover::union`] of the pair.
     pub fn or(&self, other: &Cover) -> Cover {
-        let mut cubes = self.cubes.clone();
-        cubes.extend_from_slice(&other.cubes);
-        let mut r = Cover {
-            width: self.width,
-            cubes,
-        };
+        Cover::union(self.width, [self, other])
+    }
+
+    /// Union of any number of covers over `width` variables: their cubes
+    /// concatenated in order, cleaned once by
+    /// [`Cover::remove_single_cube_contained`].
+    ///
+    /// The result equals folding [`Cover::or`] from `Cover::empty(width)`,
+    /// cube for cube and in order. The clean-up is a stable sort by
+    /// literal count that drops every cube an earlier cube contains, and a
+    /// cube an earlier clean-up dropped is contained in one it kept, so
+    /// cleaning after every step drops exactly the cubes that cleaning
+    /// once drops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cover has a different width.
+    pub fn union<C: std::borrow::Borrow<Cover>>(
+        width: usize,
+        covers: impl IntoIterator<Item = C>,
+    ) -> Cover {
+        let mut cubes = Vec::new();
+        for cover in covers {
+            let cover = cover.borrow();
+            assert_eq!(cover.width, width, "cover width mismatch");
+            cubes.extend_from_slice(&cover.cubes);
+        }
+        let mut r = Cover { width, cubes };
         r.remove_single_cube_contained();
         r
     }
@@ -161,7 +183,7 @@ impl Cover {
     pub fn remove_single_cube_contained(&mut self) {
         let mut keep: Vec<Cube> = Vec::with_capacity(self.cubes.len());
         // Larger cubes first so they absorb smaller ones.
-        let mut sorted = self.cubes.clone();
+        let mut sorted = std::mem::take(&mut self.cubes);
         sorted.sort_by_key(Cube::literal_count);
         'next: for c in sorted {
             for k in &keep {
@@ -267,8 +289,8 @@ impl Cover {
 
     /// The supercube of all cubes (smallest single cube containing the cover).
     ///
-    /// Returns the full cube for an empty cover? No — returns `None` so the
-    /// caller can distinguish “empty function”.
+    /// Returns `None` for an empty cover, so the caller can tell the empty
+    /// function from one whose supercube is the full cube.
     pub fn supercube(&self) -> Option<Cube> {
         let mut it = self.cubes.iter();
         let first = it.next()?.clone();

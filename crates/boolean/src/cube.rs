@@ -184,39 +184,44 @@ impl Cube {
     ///
     /// Panics if the widths differ.
     pub fn contains_vertex(&self, v: &Bits) -> bool {
+        assert_width(self.width(), v.len());
         // v agrees with val on all care positions: (v ^ val) & care == 0
-        let mut d = v.clone();
-        d.xor_with(&self.val);
-        d.intersect_with(&self.care);
-        d.is_zero()
+        self.care
+            .as_words()
+            .iter()
+            .zip(self.val.as_words())
+            .zip(v.as_words())
+            .all(|((&care, &val), &x)| (x ^ val) & care == 0)
     }
 
     /// Cube containment: `true` iff every vertex of `other` is in `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths differ.
     pub fn contains_cube(&self, other: &Cube) -> bool {
-        if !self.care.is_subset(&other.care) {
-            return false;
-        }
-        let mut d = self.val.clone();
-        d.xor_with(&other.val);
-        d.intersect_with(&self.care);
-        d.is_zero()
+        // Every literal of `self` is a literal of `other`, of equal polarity.
+        self.word_pairs(other)
+            .all(|[ac, av, bc, bv]| ac & (!bc | (av ^ bv)) == 0)
     }
 
     /// Number of variables where the cubes take opposite literal values.
     ///
     /// Distance 0 means the cubes intersect; distance 1 means they are
     /// mergeable by the consensus/distance-1 rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths differ.
     pub fn distance(&self, other: &Cube) -> usize {
-        let mut d = self.val.clone();
-        d.xor_with(&other.val);
-        d.intersect_with(&self.care);
-        d.intersect_with(&other.care);
-        d.count_ones()
+        self.word_pairs(other)
+            .map(|[ac, av, bc, bv]| ((av ^ bv) & ac & bc).count_ones() as usize)
+            .sum()
     }
 
     /// Cube intersection; `None` if the cubes are disjoint.
     pub fn and(&self, other: &Cube) -> Option<Cube> {
-        if self.distance(other) > 0 {
+        if !self.intersects(other) {
             return None;
         }
         Some(Cube {
@@ -225,9 +230,27 @@ impl Cube {
         })
     }
 
-    /// Returns `true` iff the cubes share at least one vertex.
+    /// Returns `true` iff the cubes share at least one vertex (distance 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths differ.
     pub fn intersects(&self, other: &Cube) -> bool {
-        self.distance(other) == 0
+        self.word_pairs(other)
+            .all(|[ac, av, bc, bv]| (av ^ bv) & ac & bc == 0)
+    }
+
+    /// The words of both cubes side by side, `[care, val, other.care,
+    /// other.val]` per word: the allocation-free form of the pairwise
+    /// tests above.
+    fn word_pairs<'a>(&'a self, other: &'a Cube) -> impl Iterator<Item = [u64; 4]> + 'a {
+        assert_width(self.width(), other.width());
+        self.care
+            .as_words()
+            .iter()
+            .zip(self.val.as_words())
+            .zip(other.care.as_words().iter().zip(other.val.as_words()))
+            .map(|((&ac, &av), (&bc, &bv))| [ac, av, bc, bv])
     }
 
     /// Smallest cube containing both cubes.
@@ -248,7 +271,7 @@ impl Cube {
     /// Returns `None` when the cubes are disjoint. Otherwise the result has
     /// the literals of `wrt` removed.
     pub fn cofactor(&self, wrt: &Cube) -> Option<Cube> {
-        if self.distance(wrt) > 0 {
+        if !self.intersects(wrt) {
             return None;
         }
         let mut care = self.care.clone();
@@ -260,7 +283,7 @@ impl Cube {
 
     /// `self \ other` as a list of pairwise-disjoint cubes (sharp operation).
     pub fn sharp(&self, other: &Cube) -> Vec<Cube> {
-        if self.distance(other) > 0 {
+        if !self.intersects(other) {
             return vec![self.clone()]; // disjoint: nothing removed
         }
         // Positions where `other` has a literal but `self` does not.
@@ -328,6 +351,12 @@ impl Cube {
             val: grow(&self.val),
         }
     }
+}
+
+/// The width check of the word-level tests, with the message of
+/// [`Bits`]' own.
+fn assert_width(a: usize, b: usize) {
+    assert_eq!(a, b, "width mismatch: {a} vs {b}");
 }
 
 /// Iterator over the vertices of a [`Cube`]; created by [`Cube::vertices`].

@@ -118,97 +118,140 @@ pub fn check_cluster(
     }
     // Monotonicity per owned transition.
     for &t in own {
-        if let Some(u) = monotonicity_violation(ctx, sc, t, cover) {
+        if let Some(u) = MonotonicityFrame::new(ctx, sc, t).violation(cover) {
             return CheckResult::NonMonotonic(u);
         }
     }
     CheckResult::Ok
 }
 
-/// Property 16: searches for a first-disabling transition after which the
-/// cover intersects a later place cover inside the QPS region of `t`.
-/// Returns the offending transition if found.
-pub fn monotonicity_violation(
-    ctx: &StructuralContext<'_>,
-    sc: &SignalCovers,
-    t: TransId,
-    cover: &Cover,
-) -> Option<TransId> {
-    let net = ctx.stg.net();
-    let nexts = ctx.analysis.next_of(t);
+/// The cover-independent half of the Property 16 check for one
+/// transition `t`, built once and then asked about any number of covers.
+///
+/// The check walks the interleaved (QPS) subgraph between `t` and its
+/// successors. A first-disabling (FD) candidate `u` is an interleaved
+/// transition with an interleaved post-place whose boundary-adjusted cover
+/// the cover does not contain; the cover is non-monotonic after `u` if it
+/// meets the adjusted cover of any interleaved place reachable from `u`'s
+/// postset. Only the two containment tests depend on the cover: the
+/// adjusted covers, the candidates and their reached places do not, so the
+/// frame computes them once.
+#[derive(Clone, Debug)]
+pub struct MonotonicityFrame {
+    /// Boundary-adjusted covers of the interleaved places, one per slot.
+    adjusted: Vec<Cover>,
+    /// The FD candidates, in transition order.
+    candidates: Vec<FdCandidate>,
+}
 
-    // Interleaved nodes between t and its successors.
-    let mut il_places = Bits::zeros(net.place_count());
-    let mut il_trans = Bits::zeros(net.transition_count());
-    for &succ in nexts {
-        let il = ctx
-            .cubes
-            .pairs
-            .get(&(t, succ))
-            .expect("the context holds every adjacent pair's interleaved nodes");
-        il_places.union_with(&il.places);
-        il_trans.union_with(&il.transitions);
-    }
-    il_trans.set(t.index(), false);
-    for &succ in nexts {
-        il_trans.set(succ.index(), false);
-    }
+#[derive(Clone, Debug)]
+struct FdCandidate {
+    transition: TransId,
+    /// Slots of the interleaved post-places with a non-empty cover.
+    turnoff: Vec<usize>,
+    /// Slots of every interleaved place reachable from the postset.
+    reached: Vec<usize>,
+}
 
-    // Boundary-adjusted cover function of an interleaved place.
-    let adjusted = |p: PlaceId| -> Cover {
-        let mut f = ctx.place_cover[p.index()].clone();
+impl MonotonicityFrame {
+    /// Builds the frame of `t`, a transition of the signal `sc` covers.
+    pub fn new(ctx: &StructuralContext<'_>, sc: &SignalCovers, t: TransId) -> Self {
+        let net = ctx.stg.net();
+        let nexts = ctx.analysis.next_of(t);
+
+        // Interleaved nodes between t and its successors.
+        let mut il_places = Bits::zeros(net.place_count());
+        let mut il_trans = Bits::zeros(net.transition_count());
         for &succ in nexts {
-            if net.pre_t(succ).contains(&p) {
-                f = f.sharp(&sc.er[&succ]);
-            }
+            let il = ctx
+                .cubes
+                .pairs
+                .get(&(t, succ))
+                .expect("the context holds every adjacent pair's interleaved nodes");
+            il_places.union_with(&il.places);
+            il_trans.union_with(&il.transitions);
         }
-        f
-    };
+        il_trans.set(t.index(), false);
+        for &succ in nexts {
+            il_trans.set(succ.index(), false);
+        }
 
-    // FD candidates: interleaved transitions with a postset place whose
-    // adjusted cover is not fully covered.
-    for ui in il_trans.iter_ones() {
-        let u = TransId(ui as u32);
-        let turnoff = net.post_t(u).iter().any(|&p| {
-            if !il_places.get(p.index()) {
-                return false;
+        // Boundary-adjusted cover function of each interleaved place:
+        // places feeding a successor lose that successor's ER.
+        let places: Vec<PlaceId> = il_places.iter_ones().map(|pi| PlaceId(pi as u32)).collect();
+        let mut slot = vec![usize::MAX; net.place_count()];
+        let mut adjusted = Vec::with_capacity(places.len());
+        for (s, &p) in places.iter().enumerate() {
+            let mut f = ctx.place_cover[p.index()].clone();
+            for &succ in nexts {
+                if net.pre_t(succ).contains(&p) {
+                    f = f.sharp(&sc.er[&succ]);
+                }
             }
-            let f = adjusted(p);
-            !f.is_empty() && !cover.covers(&f)
-        });
-        if !turnoff {
-            continue;
+            slot[p.index()] = s;
+            adjusted.push(f);
         }
-        // All interleaved places reachable from u (its postset onward) must
-        // not intersect the cover any more.
-        let mut frontier: Vec<PlaceId> = net
-            .post_t(u)
-            .iter()
-            .copied()
-            .filter(|p| il_places.get(p.index()))
-            .collect();
-        let mut seen = Bits::zeros(net.place_count());
-        while let Some(p) = frontier.pop() {
-            if seen.get(p.index()) {
+        let interleaved_post = |u: TransId| {
+            net.post_t(u)
+                .iter()
+                .filter(|p| il_places.get(p.index()))
+                .map(|p| slot[p.index()])
+        };
+
+        let mut candidates = Vec::new();
+        for ui in il_trans.iter_ones() {
+            let u = TransId(ui as u32);
+            // Every cover contains an empty adjusted cover: not a turn-off.
+            let turnoff: Vec<usize> = interleaved_post(u)
+                .filter(|&s| !adjusted[s].is_empty())
+                .collect();
+            if turnoff.is_empty() {
                 continue;
             }
-            seen.set(p.index(), true);
-            let f = adjusted(p);
-            if cover.intersects(&f) {
-                return Some(u);
-            }
-            for &v in net.post_p(p) {
-                if il_trans.get(v.index()) {
-                    for &q in net.post_t(v) {
-                        if il_places.get(q.index()) && !seen.get(q.index()) {
-                            frontier.push(q);
-                        }
+            let mut reached = Vec::new();
+            let mut seen = vec![false; adjusted.len()];
+            let mut frontier: Vec<usize> = interleaved_post(u).collect();
+            while let Some(s) = frontier.pop() {
+                if std::mem::replace(&mut seen[s], true) {
+                    continue;
+                }
+                reached.push(s);
+                for &v in net.post_p(places[s]) {
+                    if il_trans.get(v.index()) {
+                        frontier.extend(interleaved_post(v).filter(|&q| !seen[q]));
                     }
                 }
             }
+            candidates.push(FdCandidate {
+                transition: u,
+                turnoff,
+                reached,
+            });
+        }
+        MonotonicityFrame {
+            adjusted,
+            candidates,
         }
     }
-    None
+
+    /// The first FD candidate after which `cover` turns on again inside
+    /// the QPS region, or `None` if `cover` is monotonic for `t`.
+    ///
+    /// The candidates are tried in transition order, as the walk tries
+    /// them; a candidate fails as soon as any reached place meets the
+    /// cover, so the order in which its places are visited cannot change
+    /// the verdict.
+    pub fn violation(&self, cover: &Cover) -> Option<TransId> {
+        self.candidates
+            .iter()
+            .find(|c| {
+                c.turnoff.iter().any(|&s| !cover.covers(&self.adjusted[s]))
+                    && c.reached
+                        .iter()
+                        .any(|&s| cover.intersects(&self.adjusted[s]))
+            })
+            .map(|c| c.transition)
+    }
 }
 
 #[cfg(test)]

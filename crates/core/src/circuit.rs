@@ -136,12 +136,7 @@ impl SignalImplementation {
     pub fn excitation_covers(&self) -> Option<(Cover, Cover)> {
         match &self.kind {
             ImplKind::CLatch { set, reset } => {
-                let join = |cs: &[Cover]| {
-                    cs.iter().fold(
-                        Cover::empty(cs.first().map_or(0, Cover::width)),
-                        |acc, c| acc.or(c),
-                    )
-                };
+                let join = |cs: &[Cover]| Cover::union(cs.first().map_or(0, Cover::width), cs);
                 Some((join(set), join(reset)))
             }
             ImplKind::GcLatch { set, reset } => Some((set.clone(), reset.clone())),

@@ -531,12 +531,13 @@ impl<'a> StructuralContext<'a> {
             if sm.contains_place(p) {
                 continue;
             }
-            let mut union = Cover::empty(self.stg.signal_count());
-            for &q in sm.places() {
-                if self.analysis.cr.places(p, q) {
-                    union = union.or(&snapshot[q.index()]);
-                }
-            }
+            let union = Cover::union(
+                self.stg.signal_count(),
+                sm.places()
+                    .iter()
+                    .filter(|&&q| self.analysis.cr.places(p, q))
+                    .map(|q| &snapshot[q.index()]),
+            );
             if union.is_empty() {
                 // No concurrent place: p can never be marked together
                 // with this component — impossible for live nets, so
@@ -763,9 +764,7 @@ impl<'a> StructuralContext<'a> {
     }
 
     fn qr_cover_over(&self, qps: Bits, t: TransId) -> Cover {
-        let nsig = self.stg.signal_count();
-        let mut cover = Cover::empty(nsig);
-        for pi in qps.iter_ones() {
+        let adjusted = qps.iter_ones().map(|pi| {
             let p = PlaceId(pi as u32);
             let mut f = self.place_cover[pi].clone();
             for &succ in self.analysis.next_of(t) {
@@ -773,45 +772,39 @@ impl<'a> StructuralContext<'a> {
                     f = f.sharp(&self.er_cover(succ));
                 }
             }
-            cover = cover.or(&f);
-        }
-        cover
+            f
+        });
+        Cover::union(self.stg.signal_count(), adjusted)
     }
 
     /// All region approximations of one signal.
     pub fn signal_covers(&self, signal: SignalId) -> SignalCovers {
         let nsig = self.stg.signal_count();
-        let mut sc = SignalCovers {
-            signal,
-            rising: self.stg.transitions_of_dir(signal, Direction::Rise),
-            falling: self.stg.transitions_of_dir(signal, Direction::Fall),
-            er: HashMap::new(),
-            qr: HashMap::new(),
-            qr_restricted: HashMap::new(),
-            ger_rise: Cover::empty(nsig),
-            ger_fall: Cover::empty(nsig),
-            gqr_one: Cover::empty(nsig),
-            gqr_zero: Cover::empty(nsig),
-        };
-        for &t in sc.rising.iter().chain(&sc.falling) {
-            let er = self.er_cover(t);
-            let qr = self.qr_cover(t);
-            let qrr = self.qr_restricted_cover(t);
-            match self.stg.direction_of(t) {
-                Direction::Rise => {
-                    sc.ger_rise = sc.ger_rise.or(&er);
-                    sc.gqr_one = sc.gqr_one.or(&qr);
-                }
-                Direction::Fall => {
-                    sc.ger_fall = sc.ger_fall.or(&er);
-                    sc.gqr_zero = sc.gqr_zero.or(&qr);
-                }
-            }
-            sc.er.insert(t, er);
-            sc.qr.insert(t, qr);
-            sc.qr_restricted.insert(t, qrr);
+        let rising = self.stg.transitions_of_dir(signal, Direction::Rise);
+        let falling = self.stg.transitions_of_dir(signal, Direction::Fall);
+        let mut er = HashMap::new();
+        let mut qr = HashMap::new();
+        let mut qr_restricted = HashMap::new();
+        for &t in rising.iter().chain(&falling) {
+            er.insert(t, self.er_cover(t));
+            qr.insert(t, self.qr_cover(t));
+            qr_restricted.insert(t, self.qr_restricted_cover(t));
         }
-        sc
+        let union = |map: &HashMap<TransId, Cover>, ts: &[TransId]| {
+            Cover::union(nsig, ts.iter().map(|t| &map[t]))
+        };
+        SignalCovers {
+            signal,
+            ger_rise: union(&er, &rising),
+            ger_fall: union(&er, &falling),
+            gqr_one: union(&qr, &rising),
+            gqr_zero: union(&qr, &falling),
+            rising,
+            falling,
+            er,
+            qr,
+            qr_restricted,
+        }
     }
 
     /// Total number of cubes across all current place covers — the `#cubes`

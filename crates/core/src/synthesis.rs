@@ -13,7 +13,7 @@
 //! | M3 | collapsing of memory elements (gC / gated latch) | App. D |
 //! | M4 | backward region expansions | App. E |
 
-use crate::checks::{check_cluster, monotonicity_violation, off_set_cover, CoverRole};
+use crate::checks::{check_cluster, off_set_cover, CoverRole, MonotonicityFrame};
 use crate::circuit::{Circuit, ImplKind, SignalImplementation};
 use crate::context::{CscVerdict, SignalCovers, StructuralContext, SynthesisError};
 use si_boolean::{Cover, Cube, MinimizeResult, Minimizer};
@@ -377,11 +377,8 @@ pub fn revalidate_clusters(
         }
         Architecture::ExcitationFunction | Architecture::PerRegion => {
             let per_region = options.architecture == Architecture::PerRegion;
-            let union = |cs: &[(Vec<TransId>, Cover)]| {
-                cs.iter().fold(Cover::empty(w), |acc, (_, c)| acc.or(c))
-            };
-            let set_union = union(&clusters.set);
-            let reset_union = union(&clusters.reset);
+            let set_union = cluster_union(w, &clusters.set);
+            let reset_union = cluster_union(w, &clusters.reset);
             for (side, role, opposite) in [
                 (&clusters.set, CoverRole::Set, &reset_union),
                 (&clusters.reset, CoverRole::Reset, &set_union),
@@ -510,9 +507,7 @@ fn excitation_clusters(
         } else {
             vec![(
                 transitions.to_vec(),
-                transitions
-                    .iter()
-                    .fold(Cover::empty(w), |acc, t| acc.or(&sc.er[t])),
+                Cover::union(w, transitions.iter().map(|t| &sc.er[t])),
             )]
         }
     };
@@ -561,10 +556,8 @@ fn excitation_clusters(
 
     // M4: backward expansion (needs the opposite union cover).
     if stages.backward {
-        let union =
-            |cs: &[(Vec<TransId>, Cover)]| cs.iter().fold(Cover::empty(w), |acc, (_, c)| acc.or(c));
-        let reset_union = union(&reset_clusters);
-        let set_union = union(&set_clusters);
+        let reset_union = cluster_union(w, &reset_clusters);
+        let set_union = cluster_union(w, &set_clusters);
         for (clusters, role, opposite) in [
             (&mut set_clusters, CoverRole::Set, &reset_union),
             (&mut reset_clusters, CoverRole::Reset, &set_union),
@@ -601,12 +594,8 @@ fn realize_excitation(
     let reset_clusters = &clusters.reset;
 
     // M2: complete covers → combinational implementation.
-    let set_union = set_clusters
-        .iter()
-        .fold(Cover::empty(w), |acc, (_, c)| acc.or(c));
-    let reset_union = reset_clusters
-        .iter()
-        .fold(Cover::empty(w), |acc, (_, c)| acc.or(c));
+    let set_union = cluster_union(w, set_clusters);
+    let reset_union = cluster_union(w, reset_clusters);
     let set_complete = stages.complete && set_union.covers(&sc.gqr_one);
     let reset_complete = stages.complete && reset_union.covers(&sc.gqr_zero);
     let kind = if set_complete
@@ -674,26 +663,25 @@ fn cluster_off(
     own: &[TransId],
     per_region: bool,
 ) -> Cover {
-    let mut off = off_set_cover(sc, role);
-    if per_region {
-        let own_dir = role.own_transitions(sc);
-        for &u in own_dir {
-            if !own.contains(&u) {
-                off = off.or(&sc.er[&u]);
-            }
-        }
-        // Quiescent codes of the own direction that lie outside the
-        // cluster's restricted QRs (shared QR markings must stay uncovered).
-        let mut own_qr = Cover::empty(off.width());
-        for &u in own_dir {
-            own_qr = own_qr.or(&sc.qr[&u]);
-        }
-        for &t in own {
-            own_qr = own_qr.sharp(&ctx.qr_restricted_for(t, own));
-        }
-        off = off.or(&own_qr);
+    let off = off_set_cover(sc, role);
+    if !per_region {
+        return off;
     }
-    off
+    let own_dir = role.own_transitions(sc);
+    // Quiescent codes of the own direction that lie outside the cluster's
+    // restricted QRs (shared QR markings must stay uncovered).
+    let mut own_qr = Cover::union(off.width(), own_dir.iter().map(|u| &sc.qr[u]));
+    for &t in own {
+        own_qr = own_qr.sharp(&ctx.qr_restricted_for(t, own));
+    }
+    let other_ers = own_dir
+        .iter()
+        .filter(|u| !own.contains(u))
+        .map(|u| &sc.er[u]);
+    Cover::union(
+        off.width(),
+        std::iter::once(&off).chain(other_ers).chain([&own_qr]),
+    )
 }
 
 /// Greedy literal expansion plus irredundancy under the structural checks.
@@ -711,10 +699,11 @@ fn expand_cluster_cover(
     } else {
         off.sharp(backward_dc)
     };
-    let monotonic = |cover: &Cover| -> bool {
-        own.iter()
-            .all(|&t| monotonicity_violation(ctx, sc, t, cover).is_none())
-    };
+    let frames: Vec<MonotonicityFrame> = own
+        .iter()
+        .map(|&t| MonotonicityFrame::new(ctx, sc, t))
+        .collect();
+    let monotonic = |cover: &Cover| -> bool { frames.iter().all(|f| f.violation(cover).is_none()) };
 
     let mut cover = cover0.clone();
     loop {
@@ -806,6 +795,11 @@ fn merge_clusters(
     }
 }
 
+/// The union of a side's cluster covers.
+fn cluster_union(w: usize, clusters: &[(Vec<TransId>, Cover)]) -> Cover {
+    Cover::union(w, clusters.iter().map(|(_, c)| c))
+}
+
 fn cluster_area(c: &Cover) -> usize {
     c.literal_count()
         + if c.cube_count() > 1 {
@@ -830,17 +824,17 @@ fn backward_dc(
         CoverRole::Set => &sc.ger_fall,
         CoverRole::Reset => &sc.ger_rise,
     };
-    let mut dc = Cover::empty(w);
-    for &t in own {
-        for &u in ctx.analysis.prev_of(t) {
-            if let Some(il) = ctx.cubes.pairs.get(&(u, t)) {
-                for pi in il.places.iter_ones() {
-                    let f = ctx.place_cover[pi].sharp(opposite_ger);
-                    dc = dc.or(&f);
-                }
-            }
-        }
-    }
+    let backward_places = own.iter().flat_map(|&t| {
+        ctx.analysis
+            .prev_of(t)
+            .iter()
+            .filter_map(move |&u| ctx.cubes.pairs.get(&(u, t)))
+            .flat_map(|il| il.places.iter_ones())
+    });
+    let dc = Cover::union(
+        w,
+        backward_places.map(|pi| ctx.place_cover[pi].sharp(opposite_ger)),
+    );
     dc.and(opposite_cover)
 }
 
