@@ -17,7 +17,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (Some(f), Some(n), Some(o)) => (f, n.parse::<usize>()?, o),
         _ => {
             eprintln!(
-                "usage: gen_specs <clatch|muller|sequencer|ring|pipeline|fork_join|dining> N OUT"
+                "usage: gen_specs <clatch|muller|sequencer|selector|burst|philosophers|\
+                 vme_chain|vme_burst|ring|pipeline|fork_join|dining> N OUT"
             );
             std::process::exit(2);
         }
@@ -44,9 +45,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "clatch" => sisyn::stg::generators::clatch(n),
         "muller" => sisyn::stg::generators::muller_pipeline(n),
         "sequencer" => sisyn::stg::generators::sequencer(n),
+        "selector" => sisyn::stg::generators::selector(n),
+        "burst" => sisyn::stg::generators::burst(n),
+        "philosophers" => sisyn::stg::generators::philosophers(n),
+        "vme_chain" => sisyn::stg::generators::vme_chain(n),
+        "vme_burst" => sisyn::stg::generators::vme_burst(n),
         other => {
             eprintln!(
                 "unknown family {other:?} (expected clatch, muller, sequencer, \
+                 selector, burst, philosophers, vme_chain, vme_burst, \
                  ring, pipeline, fork_join or dining)"
             );
             std::process::exit(2);
