@@ -353,6 +353,158 @@ y- x+
         ));
     }
 
+    /// The Property 16 walk the frame replaced, kept as its reference: it
+    /// re-derives every adjusted cover and re-walks the interleaved
+    /// subgraph on each call.
+    fn walk_violation(
+        ctx: &StructuralContext<'_>,
+        sc: &SignalCovers,
+        t: TransId,
+        cover: &Cover,
+    ) -> Option<TransId> {
+        let net = ctx.stg.net();
+        let nexts = ctx.analysis.next_of(t);
+        let mut il_places = Bits::zeros(net.place_count());
+        let mut il_trans = Bits::zeros(net.transition_count());
+        for &succ in nexts {
+            let il = &ctx.cubes.pairs[&(t, succ)];
+            il_places.union_with(&il.places);
+            il_trans.union_with(&il.transitions);
+        }
+        il_trans.set(t.index(), false);
+        for &succ in nexts {
+            il_trans.set(succ.index(), false);
+        }
+        let adjusted = |p: PlaceId| -> Cover {
+            let mut f = ctx.place_cover[p.index()].clone();
+            for &succ in nexts {
+                if net.pre_t(succ).contains(&p) {
+                    f = f.sharp(&sc.er[&succ]);
+                }
+            }
+            f
+        };
+        for ui in il_trans.iter_ones() {
+            let u = TransId(ui as u32);
+            let turnoff = net.post_t(u).iter().any(|&p| {
+                if !il_places.get(p.index()) {
+                    return false;
+                }
+                let f = adjusted(p);
+                !f.is_empty() && !cover.covers(&f)
+            });
+            if !turnoff {
+                continue;
+            }
+            let mut frontier: Vec<PlaceId> = net
+                .post_t(u)
+                .iter()
+                .copied()
+                .filter(|p| il_places.get(p.index()))
+                .collect();
+            let mut seen = Bits::zeros(net.place_count());
+            while let Some(p) = frontier.pop() {
+                if seen.get(p.index()) {
+                    continue;
+                }
+                seen.set(p.index(), true);
+                if cover.intersects(&adjusted(p)) {
+                    return Some(u);
+                }
+                for &v in net.post_p(p) {
+                    if il_trans.get(v.index()) {
+                        for &q in net.post_t(v) {
+                            if il_places.get(q.index()) && !seen.get(q.index()) {
+                                frontier.push(q);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn frame_agrees_with_the_walk() {
+        use si_stg::generators::{
+            burst, clatch, muller_pipeline, philosophers, selector, sequencer,
+        };
+        let mut stgs = benchmarks::synthesizable_suite();
+        for n in 2..=4 {
+            stgs.extend([
+                sequencer(n),
+                selector(n),
+                burst(n),
+                philosophers(n),
+                clatch(n),
+                muller_pipeline(n),
+            ]);
+        }
+        let (mut monotonic, mut violations) = (0, 0);
+        for stg in &stgs {
+            let ctx = StructuralContext::build(stg).unwrap();
+            for signal in stg.synthesized_signals() {
+                let sc = ctx.signal_covers(signal);
+                for &t in sc.rising.iter().chain(&sc.falling) {
+                    let er = &sc.er[&t];
+                    // The ER cover, the ER joined with the QR, and every
+                    // one-literal drop of an ER cube (stage M0's candidates).
+                    let mut covers = vec![er.clone(), er.or(&sc.qr[&t])];
+                    for (i, cube) in er.iter().enumerate() {
+                        for var in cube.care().iter_ones() {
+                            let mut cubes = er.cubes().to_vec();
+                            cubes[i].set(var, None);
+                            covers.push(Cover::from_cubes(er.width(), cubes));
+                        }
+                    }
+                    for cover in &covers {
+                        if frame_and_walk_agree(&ctx, &sc, t, cover) {
+                            violations += 1;
+                        } else {
+                            monotonic += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            monotonic > 0 && violations > 0,
+            "{monotonic} / {violations}"
+        );
+        // The known violation of `non_monotonic_cover_rejected`.
+        let stg = benchmarks::running_example();
+        let ctx = StructuralContext::build(&stg).unwrap();
+        let sc = ctx.signal_covers(stg.signal_by_name("d").unwrap());
+        let set = sc.er[&sc.rising[0]].or(&sc.er[&sc.rising[1]]);
+        let set_bad = set.or(&Cover::from_cube("1001".parse().unwrap()));
+        assert!(
+            sc.rising
+                .iter()
+                .any(|&t| frame_and_walk_agree(&ctx, &sc, t, &set_bad)),
+            "set_bad must violate Property 16"
+        );
+    }
+
+    /// Asserts that the frame of `t` and the walk give `cover` the same
+    /// verdict; returns whether it is a violation.
+    fn frame_and_walk_agree(
+        ctx: &StructuralContext<'_>,
+        sc: &SignalCovers,
+        t: TransId,
+        cover: &Cover,
+    ) -> bool {
+        let got = MonotonicityFrame::new(ctx, sc, t).violation(cover);
+        assert_eq!(
+            got,
+            walk_violation(ctx, sc, t, cover),
+            "{}: {} against {cover}",
+            ctx.stg.name(),
+            ctx.stg.transition_display(t)
+        );
+        got.is_some()
+    }
+
     #[test]
     fn off_set_cover_orientation() {
         let (stg, _, _) = toggle_setup();
