@@ -136,7 +136,7 @@ pub fn check_cluster(
 /// postset. Only the two containment tests depend on the cover: the
 /// adjusted covers, the candidates and their reached places do not, so the
 /// frame computes them once.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct MonotonicityFrame {
     /// Boundary-adjusted covers of the interleaved places, one per slot.
     adjusted: Vec<Cover>,
@@ -144,7 +144,7 @@ pub struct MonotonicityFrame {
     candidates: Vec<FdCandidate>,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct FdCandidate {
     transition: TransId,
     /// Slots of the interleaved post-places with a non-empty cover.
