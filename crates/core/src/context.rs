@@ -764,7 +764,8 @@ impl<'a> StructuralContext<'a> {
     }
 
     fn qr_cover_over(&self, qps: Bits, t: TransId) -> Cover {
-        let adjusted = qps.iter_ones().map(|pi| {
+        let mut adjusted = Vec::new();
+        for pi in qps.iter_ones() {
             let p = PlaceId(pi as u32);
             let mut f = self.place_cover[pi].clone();
             for &succ in self.analysis.next_of(t) {
@@ -772,9 +773,9 @@ impl<'a> StructuralContext<'a> {
                     f = f.sharp(&self.er_cover(succ));
                 }
             }
-            f
-        });
-        Cover::union(self.stg.signal_count(), adjusted)
+            adjusted.push(f);
+        }
+        Cover::union(self.stg.signal_count(), &adjusted)
     }
 
     /// All region approximations of one signal.

@@ -824,18 +824,17 @@ fn backward_dc(
         CoverRole::Set => &sc.ger_fall,
         CoverRole::Reset => &sc.ger_rise,
     };
-    let backward_places = own.iter().flat_map(|&t| {
-        ctx.analysis
-            .prev_of(t)
-            .iter()
-            .filter_map(move |&u| ctx.cubes.pairs.get(&(u, t)))
-            .flat_map(|il| il.places.iter_ones())
-    });
-    let dc = Cover::union(
-        w,
-        backward_places.map(|pi| ctx.place_cover[pi].sharp(opposite_ger)),
-    );
-    dc.and(opposite_cover)
+    let mut dc = Vec::new();
+    for &t in own {
+        for &u in ctx.analysis.prev_of(t) {
+            if let Some(il) = ctx.cubes.pairs.get(&(u, t)) {
+                for pi in il.places.iter_ones() {
+                    dc.push(ctx.place_cover[pi].sharp(opposite_ger));
+                }
+            }
+        }
+    }
+    Cover::union(w, &dc).and(opposite_cover)
 }
 
 #[cfg(test)]
