@@ -39,8 +39,9 @@ fn golden_dir() -> PathBuf {
 }
 
 /// The `.g` specs under test, in canonical form: the checked-in
-/// examples, then small generator specs (a conflicted VME chain gives
-/// resolve a second real plan).
+/// examples, then small generator specs (conflicted VME chains and a
+/// VME burst give resolve real candidate searches at the benchmark's
+/// sizes).
 fn specs() -> Vec<(String, String)> {
     let mut specs = Vec::new();
     for name in ["pipeline_pair", "pipeline_pair_edit", "vme_read_raw"] {
@@ -50,11 +51,13 @@ fn specs() -> Vec<(String, String)> {
         specs.push((name.to_string(), stg));
     }
     use sisyn::stg::generators::{
-        burst, clatch, muller_pipeline, philosophers, selector, sequencer, vme_chain,
+        burst, clatch, muller_pipeline, philosophers, selector, sequencer, vme_burst, vme_chain,
     };
     specs.push(("clatch3".to_string(), clatch(3)));
     specs.push(("muller3".to_string(), muller_pipeline(3)));
     specs.push(("vme_chain1".to_string(), vme_chain(1)));
+    specs.push(("vme_chain4".to_string(), vme_chain(4)));
+    specs.push(("vme_burst2".to_string(), vme_burst(2)));
     // Long quiescent regions: their covers go through many expansion and
     // monotonicity checks, and the serve synth body carries the Verilog.
     specs.push(("sequencer8".to_string(), sequencer(8)));
@@ -219,6 +222,14 @@ const VARIANTS: &[(&str, &str, &[&str], &str)] = &[
     ),
     (
         "vme_read_raw",
+        "resolve",
+        &["--strategy", "beam"],
+        r#""strategy": "beam""#,
+    ),
+    // Beam ranks the survivors of its nearest productive tier by the
+    // cost model, which reads each candidate's structural context.
+    (
+        "vme_chain4",
         "resolve",
         &["--strategy", "beam"],
         r#""strategy": "beam""#,
