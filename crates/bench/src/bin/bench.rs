@@ -23,9 +23,9 @@
 //! * `csc_resolution` — the CSC resolve subsystem on the conflicted
 //!   `vme_read_raw` / `vme_chain(n)` / `vme_burst(n)` workloads at one
 //!   worker thread: end-to-end wall time of the pre-subsystem blind
-//!   search (full context rebuild per candidate) vs the conflict-core
-//!   greedy search (incremental re-analysis), plus the per-candidate
-//!   structural-evaluation rate on both paths;
+//!   search vs the conflict-core greedy and beam searches, plus the
+//!   per-candidate structural-evaluation rate (one context build per
+//!   candidate);
 //! * `symbolic_reachability` — the symbolic BDD backend
 //!   (`si_petri::SymbolicReach`) against the explicit enumerating engine
 //!   on the `clatch(n)` and `vme_burst(n)` sweeps: wall time of both,
@@ -368,17 +368,16 @@ struct CscEntry {
     transitions: usize,
     /// End-to-end blind search (full rebuild per candidate).
     blind: Duration,
-    /// End-to-end conflict-core greedy search (incremental re-analysis).
+    /// End-to-end conflict-core greedy search.
     greedy: Duration,
     /// End-to-end beam search.
     beam: Duration,
     /// Candidates the greedy search structurally evaluated.
     greedy_evaluated: usize,
-    /// Per-candidate structural evaluation over a fixed plan sample:
-    /// full rebuild vs incremental re-analysis (total over the sample).
+    /// Per-candidate structural evaluation over a fixed plan sample: one
+    /// context build per candidate (total over the sample).
     sample: usize,
     rebuild: Duration,
-    reanalyze: Duration,
 }
 
 /// Times the resolve subsystem against the pre-subsystem blind baseline
@@ -416,29 +415,19 @@ fn measure_csc_resolution(cfg: &Config) -> (usize, usize, Vec<CscEntry>) {
             resolve(&stg, &opts.clone().strategy(Strategy::Beam))
         });
         // Per-candidate structural evaluation on a fixed plan sample.
-        let (parent, trace) = si_core::StructuralContext::build_traced(&stg).unwrap();
+        let parent = si_core::StructuralContext::build(&stg).unwrap();
         let cores = conflict_cores(&parent);
         let plans = targeted_candidates(&parent, &cores, 100);
         let rebuild = best_of(iters, || {
             for plan in &plans {
-                let (cand, _) = si_stg::apply_insertion_mapped(&stg, "cscx", plan);
+                let cand = si_stg::apply_insertion(&stg, "cscx", plan);
                 if let Ok(ctx) = si_core::StructuralContext::build(&cand) {
                     std::hint::black_box(ctx.csc_holds());
                 }
             }
         });
-        let reanalyze = best_of(iters, || {
-            for plan in &plans {
-                let (cand, map) = si_stg::apply_insertion_mapped(&stg, "cscx", plan);
-                if let Ok(ctx) =
-                    si_core::StructuralContext::build_incremental(&parent, &trace, &cand, &map)
-                {
-                    std::hint::black_box(ctx.csc_holds());
-                }
-            }
-        });
         eprintln!(
-            "csc/{}: blind {} greedy {} ({} cand) beam {} | sample x{}: rebuild {} reanalyze {}",
+            "csc/{}: blind {} greedy {} ({} cand) beam {} | sample x{}: rebuild {}",
             stg.name(),
             fmt_duration(blind),
             fmt_duration(greedy),
@@ -446,7 +435,6 @@ fn measure_csc_resolution(cfg: &Config) -> (usize, usize, Vec<CscEntry>) {
             fmt_duration(beam),
             plans.len(),
             fmt_duration(rebuild),
-            fmt_duration(reanalyze),
         );
         entries.push(CscEntry {
             name: stg.name().to_string(),
@@ -458,7 +446,6 @@ fn measure_csc_resolution(cfg: &Config) -> (usize, usize, Vec<CscEntry>) {
             greedy_evaluated: evaluated,
             sample: plans.len(),
             rebuild,
-            reanalyze,
         });
     }
     (oracle_cap, budget, entries)
@@ -1070,18 +1057,8 @@ fn main() {
         };
         let _ = writeln!(
             json,
-            "        \"rebuild_candidates_per_s\": {},",
+            "        \"rebuild_candidates_per_s\": {}",
             rate(e.rebuild)
-        );
-        let _ = writeln!(
-            json,
-            "        \"reanalyze_candidates_per_s\": {},",
-            rate(e.reanalyze)
-        );
-        let _ = writeln!(
-            json,
-            "        \"reanalyze_speedup\": {}",
-            json_speedup(Some(e.rebuild), Some(e.reanalyze))
         );
         let _ = writeln!(
             json,

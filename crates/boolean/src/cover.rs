@@ -273,20 +273,6 @@ impl Cover {
         seen.into_iter().collect()
     }
 
-    /// The same cover over a wider variable set (appended don't-cares);
-    /// see [`Cube::widened`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width < self.width()`.
-    pub fn widened(&self, width: usize) -> Cover {
-        assert!(width >= self.width, "widened cannot shrink a cover");
-        Cover {
-            width,
-            cubes: self.cubes.iter().map(|c| c.widened(width)).collect(),
-        }
-    }
-
     /// The supercube of all cubes (smallest single cube containing the cover).
     ///
     /// Returns `None` for an empty cover, so the caller can tell the empty

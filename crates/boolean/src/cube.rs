@@ -334,23 +334,6 @@ impl Cube {
     pub fn to_positional(&self) -> String {
         (0..self.width()).map(|i| self.get(i).to_string()).collect()
     }
-
-    /// The same cube over a wider variable set: the appended variables are
-    /// don't-cares. Appending columns leaves every existing variable index
-    /// unchanged, so all cube/cover operations commute with widening — the
-    /// property the incremental CSC re-analysis relies on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width < self.width()`.
-    pub fn widened(&self, width: usize) -> Cube {
-        assert!(width >= self.width(), "widened cannot shrink a cube");
-        let grow = |b: &Bits| Bits::from_ones(width, b.iter_ones());
-        Cube {
-            care: grow(&self.care),
-            val: grow(&self.val),
-        }
-    }
 }
 
 /// The width check of the word-level tests, with the message of

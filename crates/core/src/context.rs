@@ -10,45 +10,17 @@
 use crate::cubes::PlaceCubes;
 use si_boolean::{Bits, Cover};
 use si_petri::{sm_cover, PlaceId, SmComponent, SmCoverError, SmFinder, TransId};
-use si_stg::{ConsistencyError, Direction, InsertionMap, SignalId, Stg, StgAnalysis};
+use si_stg::{ConsistencyError, Direction, SignalId, Stg, StgAnalysis};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Process-wide construction counter feeding
-/// [`StructuralContext::build_count`] (the full-analysis path; the
-/// incremental path counts into [`StructuralContext::incremental_count`]).
-static BUILD_COUNT: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide counter of incremental re-analyses
-/// ([`StructuralContext::build_incremental`]).
-static INCREMENTAL_COUNT: AtomicUsize = AtomicUsize::new(0);
-
-/// Refinement cap shared by the full build and the incremental replay.
+/// Refinement cap of the structural context build.
 const MAX_REFINE_ROUNDS: usize = 4;
 
-/// Cube cap of one refined place cover (see [`StructuralContext::refine_round`]).
+/// Cube cap of one refined place cover (see `refined_from_snapshot`).
 const REFINED_CUBE_CAP: usize = 24;
 
 /// Net size up to which the first refinement round runs unconditionally.
 const UNCONDITIONAL_PLACE_LIMIT: usize = 128;
-
-/// The recorded refinement history of one [`StructuralContext::build_traced`]
-/// run: the per-round cover snapshots and change sets that
-/// [`StructuralContext::build_incremental`] replays.
-#[derive(Clone, Debug, Default)]
-pub struct RefinementTrace {
-    /// Post-round cover snapshot and the places whose cover changed, one
-    /// entry per executed round.
-    rounds: Vec<RoundTrace>,
-}
-
-#[derive(Clone, Debug)]
-struct RoundTrace {
-    /// `place_cover` after the round.
-    covers: Vec<Cover>,
-    /// Places whose stored cover was replaced this round.
-    changed: Bits,
-}
 
 /// A structural coding conflict (Def. 11): two places of one SM-component
 /// whose cover functions intersect.
@@ -187,47 +159,6 @@ impl<'a> StructuralContext<'a> {
     /// on precondition failures; the CSC verdict is *not* an error here —
     /// callers decide (synthesis rejects `Unknown`, analysis tools may not).
     pub fn build(stg: &'a Stg) -> Result<Self, SynthesisError> {
-        BUILD_COUNT.fetch_add(1, Ordering::Relaxed);
-        let mut ctx = Self::unrefined(stg)?;
-        ctx.refine_until_stable(MAX_REFINE_ROUNDS);
-        Ok(ctx)
-    }
-
-    /// Like [`StructuralContext::build`], additionally recording the
-    /// refinement history so later insertions of a state signal can be
-    /// re-analysed incrementally ([`StructuralContext::build_incremental`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`StructuralContext::build`].
-    pub fn build_traced(stg: &'a Stg) -> Result<(Self, RefinementTrace), SynthesisError> {
-        BUILD_COUNT.fetch_add(1, Ordering::Relaxed);
-        let mut ctx = Self::unrefined(stg)?;
-        let mut trace = RefinementTrace::default();
-        ctx.refine_until_stable_traced(MAX_REFINE_ROUNDS, Some(&mut trace));
-        Ok((ctx, trace))
-    }
-
-    /// How many times this process ran the **full** structural analysis
-    /// ([`StructuralContext::build`] / [`StructuralContext::build_traced`]).
-    ///
-    /// The build-count hook of the CSC resolve loop (same pattern as
-    /// `ReachabilityGraph::build_count`): tests snapshot it, resolve a
-    /// conflicted STG, and assert the candidate loop re-analysed
-    /// incrementally instead of rebuilding per candidate. Monotonic, never
-    /// reset; callers compare deltas, not absolute values.
-    pub fn build_count() -> usize {
-        BUILD_COUNT.load(Ordering::Relaxed)
-    }
-
-    /// How many times this process ran the incremental re-analysis
-    /// ([`StructuralContext::build_incremental`]).
-    pub fn incremental_count() -> usize {
-        INCREMENTAL_COUNT.load(Ordering::Relaxed)
-    }
-
-    /// The pre-refinement context: consistency, cubes and QPS, SM-cover.
-    fn unrefined(stg: &'a Stg) -> Result<Self, SynthesisError> {
         let analysis = {
             let _span = si_obs::span("context.consistency");
             StgAnalysis::analyze(stg).map_err(SynthesisError::Inconsistent)?
@@ -259,7 +190,7 @@ impl<'a> StructuralContext<'a> {
             sm_cover(stg.net()).map_err(SynthesisError::NotSmCoverable)?
         };
 
-        Ok(StructuralContext {
+        let mut ctx = StructuralContext {
             stg,
             analysis,
             cubes,
@@ -267,235 +198,9 @@ impl<'a> StructuralContext<'a> {
             sm_cover: sms,
             qps,
             refinement_rounds: 0,
-        })
-    }
-
-    /// Incremental re-analysis after a state-signal insertion — the
-    /// `resolve` loop's per-candidate path.
-    ///
-    /// Produces a context **bit-identical** to [`StructuralContext::build`]
-    /// on `stg`, but instead of refining every place cover from scratch it
-    /// replays the parent's recorded refinement rounds: only the covers
-    /// touched by the insertion — the new signal's ER/QR neighbourhood
-    /// (places whose cover cube gained a literal of the new signal), the
-    /// split halves and wait places, any SM-component or concurrency edge
-    /// the surgery disturbed, plus whatever that dirt spreads to round by
-    /// round — are recomputed; every other cover is copied from the trace
-    /// with the new signal appended as a don't-care column (appending a
-    /// column commutes with every cover operation (see
-    /// [`si_boolean::Cube::widened`]), so the copies are exact).
-    ///
-    /// `parent` and `trace` must come from
-    /// [`StructuralContext::build_traced`] on the STG the plan was applied
-    /// to, and `stg`/`map` must be the `si_stg::apply_insertion_mapped`
-    /// result. Dirtiness tracking is conservative: over-approximating only
-    /// costs time, never bit-identity (prop-tested against full rebuilds
-    /// across the benchmark and generator suites).
-    ///
-    /// # Errors
-    ///
-    /// As [`StructuralContext::build`] (the candidate may be inconsistent
-    /// or not SM-coverable — such candidates are simply rejected by the
-    /// resolve loop).
-    pub fn build_incremental<'b>(
-        parent: &StructuralContext<'_>,
-        trace: &RefinementTrace,
-        stg: &'b Stg,
-        map: &InsertionMap,
-    ) -> Result<StructuralContext<'b>, SynthesisError> {
-        INCREMENTAL_COUNT.fetch_add(1, Ordering::Relaxed);
-        let mut ctx = StructuralContext::unrefined(stg)?;
-        ctx.refine_incremental(parent, trace, map);
+        };
+        ctx.refine_until_stable();
         Ok(ctx)
-    }
-
-    /// The replayed refinement loop behind
-    /// [`StructuralContext::build_incremental`].
-    fn refine_incremental(
-        &mut self,
-        parent: &StructuralContext<'_>,
-        trace: &RefinementTrace,
-        map: &InsertionMap,
-    ) {
-        let _span = si_obs::span("context.refine");
-        let np = self.stg.net().place_count();
-        let nsig = self.stg.signal_count();
-        let cr = |p: usize, q: usize| {
-            self.analysis
-                .cr
-                .places(PlaceId(p as u32), PlaceId(q as u32))
-        };
-
-        // ---- structural dirtiness -------------------------------------
-        // A place is *clean* for a replayed round when its whole
-        // refinement computation provably matches the parent's (modulo the
-        // appended don't-care column). Everything else recomputes honestly.
-
-        // 1. Value dirt at round 0: unmapped places (split halves, wait
-        //    places) and places whose initial cube differs — i.e. gained a
-        //    literal of the new signal or shifted on the old ones.
-        let mut value_dirty = Bits::zeros(np);
-        for p in 0..np {
-            let clean = map.place_to_old[p].is_some_and(|q| {
-                self.cubes.cubes[p] == parent.cubes.cubes[q.index()].widened(nsig)
-            });
-            if !clean {
-                value_dirty.set(p, true);
-            }
-        }
-
-        // 2. Function dirt around the surgery itself: anything concurrent
-        //    with a new place (split halves, wait places) or — in the
-        //    parent — with one of the split places reads a changed union.
-        let np_old = parent.stg.net().place_count();
-        let old_cr = |p: PlaceId, q: PlaceId| parent.analysis.cr.places(p, q);
-        let splits_old: Vec<PlaceId> = (0..np_old)
-            .filter(|&q| map.place_to_new[q].is_none())
-            .map(|q| PlaceId(q as u32))
-            .collect();
-        let unmapped_new: Vec<usize> = (0..np).filter(|&p| map.place_to_old[p].is_none()).collect();
-        let mut func_dirty = Bits::zeros(np);
-        for p in 0..np {
-            let Some(q) = map.place_to_old[p] else {
-                continue; // already value-dirty
-            };
-            if unmapped_new.iter().any(|&m| cr(p, m)) || splits_old.iter().any(|&s| old_cr(q, s)) {
-                func_dirty.set(p, true);
-            }
-        }
-
-        // 3. SM-components that do not correspond to their positional
-        //    parent counterpart *modulo the surgery* (mapped members equal
-        //    to the parent members minus the split places; extra members
-        //    only from the new places) change the union sequence of their
-        //    members and concurrent neighbours wholesale.
-        let common = self.sm_cover.len().min(parent.sm_cover.len());
-        let coarse = |snew: Option<&SmComponent>,
-                      sold: Option<&SmComponent>,
-                      func_dirty: &mut Bits| {
-            if let Some(snew) = snew {
-                for p in 0..np {
-                    if snew.contains_place(PlaceId(p as u32))
-                        || snew.places().iter().any(|&m| cr(p, m.index()))
-                    {
-                        func_dirty.set(p, true);
-                    }
-                }
-            }
-            if let Some(sold) = sold {
-                for p in 0..np {
-                    if let Some(q) = map.place_to_old[p] {
-                        if sold.contains_place(q) || sold.places().iter().any(|&r| old_cr(q, r)) {
-                            func_dirty.set(p, true);
-                        }
-                    }
-                }
-            }
-        };
-        for (snew, sold) in self.sm_cover.iter().zip(&parent.sm_cover) {
-            // Mapped members of the candidate component vs the parent
-            // component minus the split places; extra members must be new.
-            let mut mapped = Bits::zeros(np_old);
-            for &p in snew.places() {
-                // Unmapped members (halves, waits) are allowed surgery
-                // deltas — global rule 2 dirties everything they touch.
-                if let Some(q) = map.place_to_old[p.index()] {
-                    mapped.set(q.index(), true);
-                }
-            }
-            let mut expected = sold.place_set().clone();
-            for &s in &splits_old {
-                expected.set(s.index(), false);
-            }
-            if mapped != expected {
-                coarse(Some(snew), Some(sold), &mut func_dirty);
-            }
-        }
-        for snew in &self.sm_cover[common..] {
-            coarse(Some(snew), None, &mut func_dirty);
-        }
-        for sold in &parent.sm_cover[common..] {
-            coarse(None, Some(sold), &mut func_dirty);
-        }
-
-        // 4. Concurrency drift on mapped pairs: the union domains of p
-        //    differ even though the components correspond.
-        for p in 0..np {
-            if func_dirty.get(p) {
-                continue;
-            }
-            let Some(q) = map.place_to_old[p] else {
-                continue; // already value-dirty
-            };
-            for r in 0..np {
-                if let Some(s) = map.place_to_old[r] {
-                    if cr(p, r) != old_cr(q, s) {
-                        func_dirty.set(p, true);
-                        break;
-                    }
-                }
-            }
-        }
-
-        // Dirt for a round: function dirt, value dirt, and one concurrency
-        // step around the value dirt (the unions read neighbouring covers
-        // of the previous round).
-        let neighbours = |seed: &Bits| -> Bits {
-            let mut out = seed.clone();
-            for p in 0..np {
-                if !out.get(p) && seed.iter_ones().any(|q| cr(p, q)) {
-                    out.set(p, true);
-                }
-            }
-            out
-        };
-        let mut dirty = func_dirty.clone();
-        dirty.union_with(&neighbours(&value_dirty));
-
-        // ---- replayed refinement loop ---------------------------------
-        let liberal = np <= UNCONDITIONAL_PLACE_LIMIT;
-        for round in 0..MAX_REFINE_ROUNDS {
-            let liberal_first_round = liberal && round == 0;
-            if !self.has_conflict() && !liberal_first_round {
-                break;
-            }
-            let have_trace = round < trace.rounds.len();
-            if !have_trace {
-                // Refining past the parent's recorded history: no data to
-                // replay, recompute everything from here on.
-                dirty = Bits::ones(np);
-            }
-            let snapshot = self.place_cover.clone();
-            let mut changed = false;
-            for p in 0..np {
-                if have_trace && !dirty.get(p) {
-                    // Clean: the fresh computation would reproduce the
-                    // parent's post-round cover, widened.
-                    let q = map.place_to_old[p]
-                        .expect("clean places are mapped")
-                        .index();
-                    let rt = &trace.rounds[round];
-                    if rt.changed.get(q) {
-                        changed = true;
-                        self.place_cover[p] = rt.covers[q].widened(nsig);
-                    }
-                    continue;
-                }
-                let refined = self.refined_from_snapshot(&snapshot, PlaceId(p as u32));
-                if !refined.equivalent(&snapshot[p]) {
-                    changed = true;
-                    self.place_cover[p] = refined;
-                }
-            }
-            if !changed {
-                break;
-            }
-            self.refinement_rounds += 1;
-            // Dirt spreads one concurrency step per round: a clean place
-            // goes dirty once any cover its unions read was recomputed.
-            dirty = neighbours(&dirty);
-            dirty.union_with(&func_dirty);
-        }
     }
 
     /// Detects all structural coding conflicts (Def. 11) under the current
@@ -523,8 +228,7 @@ impl<'a> StructuralContext<'a> {
     /// cover is intersected with the union of the covers of its concurrent
     /// places in every SM-component that does not contain it. Sound by
     /// Property 7 — every reachable marking of `MR(p)` marks exactly one
-    /// concurrent place of each such component. Shared by the full rounds
-    /// and the incremental replay so both compute the same function.
+    /// concurrent place of each such component.
     fn refined_from_snapshot(&self, snapshot: &[Cover], p: PlaceId) -> Cover {
         let mut refined = snapshot[p.index()].clone();
         for sm in &self.sm_cover {
@@ -570,11 +274,7 @@ impl<'a> StructuralContext<'a> {
 
     /// One refinement round (Fig. 11) over all places. Returns `true` if
     /// any cover changed.
-    pub fn refine_round(&mut self) -> bool {
-        self.refine_round_traced(None)
-    }
-
-    fn refine_round_traced(&mut self, mut changed_places: Option<&mut Bits>) -> bool {
+    fn refine_round(&mut self) -> bool {
         let mut changed = false;
         let snapshot = self.place_cover.clone();
         for p in self.stg.net().places() {
@@ -584,16 +284,14 @@ impl<'a> StructuralContext<'a> {
             // slow every downstream cover operation for no precision gain.
             if !refined.equivalent(&self.place_cover[p.index()]) {
                 changed = true;
-                if let Some(bits) = changed_places.as_deref_mut() {
-                    bits.set(p.index(), true);
-                }
                 self.place_cover[p.index()] = refined;
             }
         }
         changed
     }
 
-    /// Runs refinement rounds (Fig. 12 discipline), up to `max_rounds`.
+    /// Runs refinement rounds (Fig. 12 discipline), up to
+    /// `MAX_REFINE_ROUNDS`.
     ///
     /// The paper observes that refining *all* places — not only the
     /// conflicting ones — "leads to much better minimization solutions", so
@@ -601,32 +299,17 @@ impl<'a> StructuralContext<'a> {
     /// while structural conflicts persist and covers still change. On very
     /// large nets (where cover blow-up would dominate) refinement stays
     /// conflict-driven.
-    pub fn refine_until_stable(&mut self, max_rounds: usize) {
-        self.refine_until_stable_traced(max_rounds, None);
-    }
-
-    fn refine_until_stable_traced(
-        &mut self,
-        max_rounds: usize,
-        mut trace: Option<&mut RefinementTrace>,
-    ) {
+    fn refine_until_stable(&mut self) {
         let _span = si_obs::span("context.refine");
         let liberal = self.stg.net().place_count() <= UNCONDITIONAL_PLACE_LIMIT;
-        for round in 0..max_rounds {
+        for round in 0..MAX_REFINE_ROUNDS {
             let conflicted = self.has_conflict();
             let liberal_first_round = liberal && round == 0;
             if !conflicted && !liberal_first_round {
                 break;
             }
-            let mut changed_places = Bits::zeros(self.stg.net().place_count());
-            if !self.refine_round_traced(Some(&mut changed_places)) {
+            if !self.refine_round() {
                 break;
-            }
-            if let Some(t) = trace.as_deref_mut() {
-                t.rounds.push(RoundTrace {
-                    covers: self.place_cover.clone(),
-                    changed: changed_places,
-                });
             }
             self.refinement_rounds += 1;
         }

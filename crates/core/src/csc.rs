@@ -1,8 +1,8 @@
 //! CSC resolution surface of the core crate.
 //!
 //! The actual resolution subsystem lives in the dedicated `si-csc` crate
-//! (conflict-core extraction, incremental re-analysis, parallel candidate
-//! search); this module keeps the core-side surface thin:
+//! (conflict-core extraction and parallel candidate search); this module
+//! keeps the core-side surface thin:
 //!
 //! * the STG surgery ([`InsertionPlan`], [`apply_insertion`]) is re-exported
 //!   from `si_stg::edit`, where it moved so both `si-core` and `si-csc` can

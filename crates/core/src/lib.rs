@@ -54,9 +54,7 @@ pub mod techmap;
 
 pub use artifact::{clusters_from_wire, clusters_to_wire, signal_fingerprint};
 pub use circuit::{Circuit, ImplKind, SignalImplementation};
-pub use context::{
-    CodingConflict, CscVerdict, RefinementTrace, SignalCovers, StructuralContext, SynthesisError,
-};
+pub use context::{CodingConflict, CscVerdict, SignalCovers, StructuralContext, SynthesisError};
 pub use csc::{apply_insertion, no_conflict_resolution, sentinel_plan, InsertionPlan};
 pub use cubes::PlaceCubes;
 pub use engine::{Analysis, Backend, Engine};

@@ -5,7 +5,7 @@
 //! (§VI of the paper: "by adding state signals, the covers can always be
 //! reduced to nonintersecting" — the procedure itself is deferred to the
 //! companion paper \[27\]), synthesis rejects the STG. This crate
-//! implements the missing piece as a scalable search, built on three
+//! implements the missing piece as a scalable search, built on two
 //! pillars:
 //!
 //! 1. **Conflict cores** ([`conflict_cores`]): the structural obstructions
@@ -14,18 +14,15 @@
 //!    — extracted from the [`StructuralContext`] of the input. Insertion
 //!    candidates are generated *around* the cores, nearest first, instead
 //!    of enumerating all transition pairs blindly ([`targeted_candidates`]).
-//! 2. **Incremental re-analysis**
-//!    ([`StructuralContext::build_incremental`], in `si-core`): each
-//!    candidate's structural context is replayed from the input's recorded
-//!    refinement trace, recomputing only the covers the insertion touched
-//!    — bit-identical to a full rebuild (prop-tested) without paying for
-//!    one per candidate (pinned by [`StructuralContext::build_count`]).
-//! 3. **Parallel candidate evaluation** ([`resolve`]): surviving
-//!    candidates are scored concurrently (on the workspace pool,
-//!    `si_fault::par_map`), ranked by a cost model (estimated literal delta
-//!    plus a concurrency-reduction penalty), and accepted through the
-//!    behavioural oracle under a [`Strategy`] — greedy first-fit in core
-//!    proximity order, or beam search over the best-ranked survivors.
+//! 2. **Parallel candidate evaluation** ([`resolve`]): each candidate is
+//!    judged by the CSC verdict of its own structural context, built by
+//!    the same [`StructuralContext::build`] that synthesis uses.
+//!    Candidates are scored concurrently (on the workspace pool,
+//!    `si_fault::par_map`), the survivors ranked by a cost model
+//!    (estimated literal delta plus a concurrency-reduction penalty) and
+//!    accepted through the behavioural oracle under a [`Strategy`] —
+//!    greedy first-fit in core proximity order, or beam search over the
+//!    best-ranked survivors.
 //!
 //! The pre-subsystem blind search is kept verbatim as
 //! [`resolve_csc_blind`], the equivalence oracle and bench baseline (the

@@ -4,8 +4,8 @@
 //! The search pipeline per candidate:
 //!
 //! 1. `apply_insertion_mapped` — the STG surgery (`si_stg::edit`);
-//! 2. [`StructuralContext::build_incremental`] — incremental re-analysis
-//!    replaying the input's refinement trace (no full context rebuild);
+//! 2. [`StructuralContext::build`] — the candidate's own structural
+//!    context, built like any other;
 //! 3. structural pruning — candidates whose CSC verdict stays `Unknown`
 //!    are rejected without ever touching a state graph;
 //! 4. cost model — estimated literal delta (place-cover cube growth plus
@@ -19,7 +19,7 @@
 //! so the outcome is identical at any worker count.
 
 use crate::cores::{conflict_cores, targeted_candidate_tiers};
-use si_core::{no_conflict_resolution, CscVerdict, Engine, RefinementTrace, StructuralContext};
+use si_core::{no_conflict_resolution, CscVerdict, Engine, StructuralContext};
 use si_petri::{Budget, Interrupt, PlaceId, ReachOptions, TransId};
 use si_stg::{
     apply_insertion, apply_insertion_mapped, semimodularity_violations, CodingAnalysis,
@@ -143,10 +143,6 @@ impl CscOptions {
 
 /// Counters of one [`resolve`] run — the `--json` search statistics of
 /// `sisyn resolve`.
-///
-/// When the input fails the structural preconditions (inconsistent / not
-/// SM-coverable) the resolver falls back to [`resolve_csc_blind`], which
-/// has no counters: only `wall_ms` and `strategy` are meaningful then.
 #[derive(Clone, Debug)]
 pub struct ResolveStats {
     /// The strategy that ran.
@@ -155,7 +151,7 @@ pub struct ResolveStats {
     pub cores: usize,
     /// Insertion candidates generated (deduplicated, budget-capped).
     pub generated: usize,
-    /// Candidates structurally evaluated (incremental re-analyses).
+    /// Candidates structurally evaluated (one context build each).
     pub evaluated: usize,
     /// Candidates the structural pruning rejected.
     pub rejected: usize,
@@ -190,6 +186,19 @@ impl ResolveStats {
             panicked: 0,
             interrupted: None,
             wall_ms: 0.0,
+        }
+    }
+
+    /// Adds the search counters to the `si_obs` registry.
+    fn record(&self, tiers: usize) {
+        if si_obs::enabled() {
+            si_obs::counter_add("csc.cores", self.cores as u64);
+            si_obs::counter_add("csc.tiers", tiers as u64);
+            si_obs::counter_add("csc.candidates", self.generated as u64);
+            si_obs::counter_add("csc.evaluated", self.evaluated as u64);
+            si_obs::counter_add("csc.rejected", self.rejected as u64);
+            si_obs::counter_add("csc.oracle_calls", self.oracle_calls as u64);
+            si_obs::counter_add("csc.oracle_rejected", self.oracle_rejected as u64);
         }
     }
 
@@ -239,16 +248,16 @@ pub fn resolve(stg: &Stg, options: &CscOptions) -> ResolveOutcome {
     let _span = si_obs::span("csc.resolve");
     let t0 = Instant::now();
     let mut stats = ResolveStats::new(options.strategy);
-    let Ok((parent, trace)) = StructuralContext::build_traced(stg) else {
+    let name = fresh_signal_name(stg, &options.signal_name);
+    let Ok(parent) = StructuralContext::build(stg) else {
         // The input fails the structural preconditions; fall back to the
         // blind search for exact behavioural parity (its candidates are
         // built from scratch and may still pass — rare, but the old
-        // semantics). The blind search has no counters, so only `wall_ms`
-        // and the requested strategy label are meaningful in the returned
-        // stats on this path.
-        let resolution = resolve_csc_blind(stg, options.budget, options.reach.clone())
+        // semantics).
+        let resolution = blind_search(stg, &name, options.budget, &options.reach, &mut stats, t0)
             .map(|(stg, plan)| Resolution { stg, plan, cost: 0 });
         stats.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        stats.record(0);
         return ResolveOutcome { resolution, stats };
     };
     if let Some((same, plan)) = no_conflict_resolution(stg, &parent) {
@@ -262,8 +271,8 @@ pub fn resolve(stg: &Stg, options: &CscOptions) -> ResolveOutcome {
             stats,
         };
     }
-    // Counted at the build site (and each reanalysis in `evaluate_one`),
-    // so concurrent searches count only their own builds.
+    // Counted at the build site (and each candidate's build in
+    // `evaluate_one`), so concurrent searches count only their own builds.
     si_obs::counter_inc("csc.context_rebuilds");
 
     let cores = conflict_cores(&parent);
@@ -271,7 +280,6 @@ pub fn resolve(stg: &Stg, options: &CscOptions) -> ResolveOutcome {
     let tiers = targeted_candidate_tiers(&parent, &cores, options.budget);
     stats.generated = tiers.iter().map(Vec::len).sum();
     let workers = options.effective_workers();
-    let name = fresh_signal_name(stg, &options.signal_name);
 
     let mut resolution = None;
     match options.strategy {
@@ -285,7 +293,7 @@ pub fn resolve(stg: &Stg, options: &CscOptions) -> ResolveOutcome {
                     stats.interrupt(reason, &options.reach.budget, t0);
                     break 'outer;
                 }
-                let results = evaluate_batch(stg, &parent, &trace, &name, chunk, workers);
+                let results = evaluate_batch(stg, &parent, &name, chunk, workers);
                 stats.evaluated += chunk.len();
                 for (i, result) in results.into_iter().enumerate() {
                     let result = match result {
@@ -329,7 +337,7 @@ pub fn resolve(stg: &Stg, options: &CscOptions) -> ResolveOutcome {
                         stats.interrupt(reason, &options.reach.budget, t0);
                         break 'scoring;
                     }
-                    let results = evaluate_batch(stg, &parent, &trace, &name, chunk, workers);
+                    let results = evaluate_batch(stg, &parent, &name, chunk, workers);
                     stats.evaluated += chunk.len();
                     for (i, result) in results.into_iter().enumerate() {
                         match result {
@@ -366,15 +374,7 @@ pub fn resolve(stg: &Stg, options: &CscOptions) -> ResolveOutcome {
         }
     }
     stats.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    if si_obs::enabled() {
-        si_obs::counter_add("csc.cores", stats.cores as u64);
-        si_obs::counter_add("csc.tiers", tiers.len() as u64);
-        si_obs::counter_add("csc.candidates", stats.generated as u64);
-        si_obs::counter_add("csc.evaluated", stats.evaluated as u64);
-        si_obs::counter_add("csc.rejected", stats.rejected as u64);
-        si_obs::counter_add("csc.oracle_calls", stats.oracle_calls as u64);
-        si_obs::counter_add("csc.oracle_rejected", stats.oracle_rejected as u64);
-    }
+    stats.record(tiers.len());
     ResolveOutcome { resolution, stats }
 }
 
@@ -408,30 +408,29 @@ type EvalOutcome = Result<Option<(Stg, i64)>, String>;
 fn evaluate_batch(
     base: &Stg,
     parent: &StructuralContext<'_>,
-    trace: &RefinementTrace,
     name: &str,
     plans: &[InsertionPlan],
     workers: usize,
 ) -> Vec<EvalOutcome> {
     si_fault::par_map(plans.len(), workers, |i| {
         si_fault::fail_point!("csc::evaluate", i);
-        evaluate_one(base, parent, trace, name, &plans[i])
+        evaluate_one(base, parent, name, &plans[i])
     })
 }
 
-/// Structural evaluation of one candidate: surgery, incremental
-/// re-analysis, CSC pruning, cost. `None` when the candidate is rejected.
+/// Structural evaluation of one candidate: surgery, the candidate's own
+/// context build, CSC pruning, cost. `None` when the candidate is
+/// rejected.
 fn evaluate_one(
     base: &Stg,
     parent: &StructuralContext<'_>,
-    trace: &RefinementTrace,
     name: &str,
     plan: &InsertionPlan,
 ) -> Option<(Stg, i64)> {
     let (candidate, map) = apply_insertion_mapped(base, name, plan);
     si_obs::counter_inc("csc.context_reanalyses");
     let cost = {
-        let ctx = StructuralContext::build_incremental(parent, trace, &candidate, &map).ok()?;
+        let ctx = StructuralContext::build(&candidate).ok()?;
         if !ctx.csc_holds() {
             return None;
         }
@@ -513,11 +512,12 @@ pub fn resolve_csc_with(
         .map(|r| (r.stg, r.plan))
 }
 
-/// The pre-subsystem blind search, kept verbatim as the equivalence
-/// oracle and bench baseline: all ordered pairs of distinct simple places
-/// under a budget, first without wait arcs, then with one wait arc from
-/// every transition — each candidate paying a **full**
-/// [`StructuralContext::build`] before the behavioural oracle.
+/// The pre-subsystem blind search, kept as the equivalence oracle and
+/// bench baseline: all ordered pairs of distinct simple places under a
+/// budget, first without wait arcs, then with one wait arc from every
+/// transition — each candidate paying a full [`StructuralContext::build`]
+/// before the behavioural oracle. The new signal is named `csc0`,
+/// suffixed if the input already has a signal of that name.
 pub fn resolve_csc_blind(
     stg: &Stg,
     budget: usize,
@@ -528,6 +528,23 @@ pub fn resolve_csc_blind(
             return Some(done);
         }
     }
+    let name = fresh_signal_name(stg, "csc0");
+    let mut stats = ResolveStats::new(Strategy::Greedy);
+    blind_search(stg, &name, budget, &reach, &mut stats, Instant::now())
+}
+
+/// The candidate loop of [`resolve_csc_blind`], which [`resolve`] also
+/// runs when the input fails the structural preconditions. Counts into
+/// `stats`, and checks the deadline and cancellation token of
+/// `reach.budget` before each candidate.
+fn blind_search(
+    stg: &Stg,
+    name: &str,
+    budget: usize,
+    reach: &ReachOptions,
+    stats: &mut ResolveStats,
+    started: Instant,
+) -> Option<(Stg, InsertionPlan)> {
     let net = stg.net();
     let splittable: Vec<PlaceId> = net
         .places()
@@ -541,7 +558,6 @@ pub fn resolve_csc_blind(
         })
         .collect();
 
-    let mut tried = 0usize;
     // Pass 1: plain arc splits. Pass 2: with one wait arc.
     for with_waits in [false, true] {
         for &rise in &splittable {
@@ -564,27 +580,35 @@ pub fn resolve_csc_blind(
                     {
                         continue;
                     }
-                    tried += 1;
-                    if tried > budget {
+                    if stats.evaluated >= budget {
                         return None;
                     }
+                    if let Some(reason) = reach.budget.check_soft(0) {
+                        stats.interrupt(reason, &reach.budget, started);
+                        return None;
+                    }
+                    stats.generated += 1;
+                    stats.evaluated += 1;
                     let plan = InsertionPlan {
                         rise_split: rise,
                         fall_split: fall,
                         rise_waits,
                     };
-                    let candidate = apply_insertion(stg, "csc0", &plan);
+                    let candidate = apply_insertion(stg, name, &plan);
                     // Structural pruning — full rebuild per candidate.
-                    let Ok(ctx) = StructuralContext::build(&candidate) else {
-                        continue;
-                    };
-                    if matches!(ctx.csc_verdict(), CscVerdict::Unknown { .. }) {
+                    si_obs::counter_inc("csc.context_reanalyses");
+                    let survives = StructuralContext::build(&candidate)
+                        .is_ok_and(|ctx| !matches!(ctx.csc_verdict(), CscVerdict::Unknown { .. }));
+                    if !survives {
+                        stats.rejected += 1;
                         continue;
                     }
                     // Behavioural acceptance.
-                    if oracle_accepts(&candidate, &reach) {
+                    stats.oracle_calls += 1;
+                    if oracle_accepts(&candidate, reach) {
                         return Some((candidate, plan));
                     }
+                    stats.oracle_rejected += 1;
                 }
             }
         }
@@ -656,8 +680,7 @@ mod tests {
         assert!(outcome.stats.oracle_calls > 0);
         // Beam scores whole tiers (here every closer tier is barren, so
         // the full candidate space was scored before committing).
-        assert!(outcome.stats.evaluated > 0);
-        assert!(outcome.stats.evaluated <= outcome.stats.generated);
+        assert_eq!(outcome.stats.evaluated, outcome.stats.generated);
     }
 
     #[test]
@@ -677,6 +700,65 @@ mod tests {
                 assert!(oracle_accepts(&n, &reach));
             }
         }
+    }
+
+    /// An inconsistent STG (`csc0` rises twice) whose only output is named
+    /// `csc0`, the blind search's signal name.
+    const DUP_CSC0: &str = ".model dup\n.inputs a\n.outputs csc0\n.graph\na+ csc0+\n\
+        csc0+ a-\na- csc0+/2\ncsc0+/2 a+\n.marking { <csc0+/2,a+> }\n.end\n";
+
+    /// The cycle `a+ b1+ … bn+ a+/2 b1- … bn-`: inconsistent (`a` never
+    /// falls), with `2n` simple places in front of outputs to split.
+    fn inconsistent_cycle(n: usize) -> Stg {
+        let outputs: Vec<String> = (1..=n).map(|i| format!("b{i}")).collect();
+        let mut cycle = vec!["a+".to_string()];
+        cycle.extend(outputs.iter().map(|b| format!("{b}+")));
+        cycle.push("a+/2".to_string());
+        cycle.extend(outputs.iter().map(|b| format!("{b}-")));
+        let arcs: String = cycle
+            .iter()
+            .zip(cycle.iter().cycle().skip(1))
+            .map(|(t, u)| format!("{t} {u}\n"))
+            .collect();
+        let text = format!(
+            ".model cycle\n.inputs a\n.outputs {}\n.graph\n{arcs}.marking {{ <b{n}-,a+> }}\n.end\n",
+            outputs.join(" ")
+        );
+        si_stg::parse_g(&text).expect("cycle parses")
+    }
+
+    #[test]
+    fn blind_fallback_names_its_signal_afresh() {
+        let stg = si_stg::parse_g(DUP_CSC0).expect("parses");
+        assert!(
+            StructuralContext::build(&stg).is_err(),
+            "must take the fallback"
+        );
+        let outcome = resolve(&stg, &CscOptions::default());
+        assert!(outcome.resolution.is_none());
+        assert!(outcome.stats.evaluated > 0);
+        assert_eq!(outcome.stats.evaluated, outcome.stats.rejected);
+        assert!(resolve_csc_blind(&stg, 100_000, ReachOptions::with_cap(10_000)).is_none());
+    }
+
+    #[test]
+    fn blind_fallback_obeys_cancellation_and_budget() {
+        let stg = inconsistent_cycle(4);
+        let token = si_petri::CancelToken::new();
+        token.cancel();
+        let cancelled = CscOptions::default().reach(ReachOptions::with_cap(10_000).cancel(token));
+        let outcome = resolve(&stg, &cancelled);
+        assert!(outcome.resolution.is_none());
+        let interrupt = outcome.stats.interrupted.expect("interrupted");
+        assert_eq!(interrupt.reason, si_petri::InterruptReason::Cancelled);
+        assert_eq!(outcome.stats.evaluated, 0);
+
+        let outcome = resolve(&stg, &CscOptions::default().budget(50));
+        assert!(outcome.resolution.is_none());
+        assert!(outcome.stats.interrupted.is_none());
+        assert_eq!(outcome.stats.generated, 50);
+        assert_eq!(outcome.stats.evaluated, 50);
+        assert_eq!(outcome.stats.rejected, 50);
     }
 
     #[test]

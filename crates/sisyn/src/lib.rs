@@ -12,8 +12,8 @@
 //! * [`core`] — the structural synthesis flow (the paper's contribution)
 //!   plus the state-based baseline and technology mapping;
 //! * [`csc`] — the conflict-core CSC resolution subsystem (state-signal
-//!   insertion with incremental re-analysis and parallel candidate
-//!   search);
+//!   insertion by a parallel candidate search around the conflict
+//!   cores);
 //! * [`proto`] — the CFSM channel-protocol front end (`sisyn deadlock`):
 //!   parse or generate systems of communicating FSMs and detect global
 //!   deadlocks, dangling sends and channel overflows on the shared

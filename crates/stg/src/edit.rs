@@ -13,11 +13,10 @@
 //!
 //! [`apply_insertion`] performs the surgery; [`apply_insertion_mapped`]
 //! additionally returns the [`InsertionMap`] relating the node ids of the
-//! two STGs — the input of the incremental structural re-analysis in
-//! `si-core` (old transition ids are preserved; old place ids shift past
-//! the split positions).
+//! two STGs, which the CSC search's cost model reads (old transition ids
+//! are preserved; old place ids shift past the split positions).
 
-use crate::signal::{Direction, SignalId, SignalKind};
+use crate::signal::{Direction, SignalKind};
 use crate::stg::Stg;
 use si_petri::{PlaceId, TransId};
 
@@ -40,20 +39,10 @@ pub struct InsertionPlan {
 pub struct InsertionMap {
     /// `old place → new place` (`None` for the two split places).
     pub place_to_new: Vec<Option<PlaceId>>,
-    /// `new place → old place` (`None` for split halves and wait places).
-    pub place_to_old: Vec<Option<PlaceId>>,
-    /// The inserted signal (always the last signal of the result).
-    pub signal: SignalId,
     /// The rising transition `x+`.
     pub rise: TransId,
     /// The falling transition `x-`.
     pub fall: TransId,
-    /// `(producer-side, consumer-side)` halves of the rise split.
-    pub rise_halves: (PlaceId, PlaceId),
-    /// `(producer-side, consumer-side)` halves of the fall split.
-    pub fall_halves: (PlaceId, PlaceId),
-    /// The appended wait places, in `rise_waits` order.
-    pub wait_places: Vec<PlaceId>,
 }
 
 /// Applies an insertion plan, producing a new STG with one more internal
@@ -105,20 +94,13 @@ pub fn apply_insertion_mapped(stg: &Stg, name: &str, plan: &InsertionPlan) -> (S
     // Places and arcs; split places are re-routed through x+/x-.
     let mut place_to_new: Vec<Option<PlaceId>> = vec![None; net.place_count()];
     let mut next_place = 0u32;
-    let mut rise_halves = (PlaceId(0), PlaceId(0));
-    let mut fall_halves = (PlaceId(0), PlaceId(0));
     for p in net.places() {
         if p == plan.rise_split || p == plan.fall_split {
             let xt = if p == plan.rise_split { xp } else { xm };
             let producer = t_map[net.pre_p(p)[0].index()];
             let consumer = t_map[net.post_p(p)[0].index()];
-            let in_half = b.arc(producer, xt);
-            let out_half = b.arc(xt, consumer);
-            if p == plan.rise_split {
-                rise_halves = (in_half, out_half);
-            } else {
-                fall_halves = (in_half, out_half);
-            }
+            b.arc(producer, xt);
+            b.arc(xt, consumer);
             next_place += 2;
         } else {
             let np = b.add_place(net.place_name(p), net.initial_marking().get(p.index()));
@@ -133,31 +115,17 @@ pub fn apply_insertion_mapped(stg: &Stg, name: &str, plan: &InsertionPlan) -> (S
             }
         }
     }
-    let mut wait_places = Vec::with_capacity(plan.rise_waits.len());
     for &(producer, marked) in &plan.rise_waits {
         let wp = b.add_place(format!("<wait_{}>", producer.index()), marked);
         b.arc_tp(t_map[producer.index()], wp);
         b.arc_pt(wp, xp);
-        wait_places.push(wp);
-    }
-    let out = b.build();
-    let mut place_to_old: Vec<Option<PlaceId>> = vec![None; out.net().place_count()];
-    for (old, new) in place_to_new.iter().enumerate() {
-        if let Some(np) = new {
-            place_to_old[np.index()] = Some(PlaceId(old as u32));
-        }
     }
     let map = InsertionMap {
         place_to_new,
-        place_to_old,
-        signal: x,
         rise: xp,
         fall: xm,
-        rise_halves,
-        fall_halves,
-        wait_places,
     };
-    (out, map)
+    (b.build(), map)
 }
 
 #[cfg(test)]
@@ -188,25 +156,39 @@ mod tests {
         }
         assert_eq!(out.transition_display(map.rise), "x+");
         assert_eq!(out.transition_display(map.fall), "x-");
-        // The map is a bijection on unsplit places.
-        let mut mapped = 0;
+        // The map is injective on unsplit places and keeps their names.
+        let mut images: Vec<PlaceId> = Vec::new();
         for (old, new) in map.place_to_new.iter().enumerate() {
             if let Some(np) = new {
-                assert_eq!(map.place_to_old[np.index()], Some(PlaceId(old as u32)));
                 assert_eq!(
                     out.net().place_name(*np),
                     net.place_name(PlaceId(old as u32))
                 );
-                mapped += 1;
+                images.push(*np);
             }
         }
-        assert_eq!(mapped, net.place_count() - 2);
-        // Halves route through the new transitions.
-        assert_eq!(out.net().post_p(map.rise_halves.0), &[map.rise]);
-        assert_eq!(out.net().pre_p(map.rise_halves.1), &[map.rise]);
-        assert_eq!(out.net().post_p(map.fall_halves.0), &[map.fall]);
-        assert_eq!(out.net().pre_p(map.fall_halves.1), &[map.fall]);
-        assert_eq!(out.net().post_p(map.wait_places[0]), &[map.rise]);
+        assert_eq!(images.len(), net.place_count() - 2);
+        images.sort_unstable();
+        images.dedup();
+        assert_eq!(images.len(), net.place_count() - 2);
+        // The split places are unmapped; each is now two halves around
+        // its new transition, and the wait place is a second input of x+.
+        let onet = out.net();
+        let bm = stg.transition_by_display("b-").unwrap();
+        assert_eq!(map.place_to_new[plan.rise_split.index()], None);
+        assert_eq!(map.place_to_new[plan.fall_split.index()], None);
+        for (x, from, to) in [(map.rise, ap, bp), (map.fall, am, bm)] {
+            let out_half = onet.post_t(x);
+            assert_eq!(out_half.len(), 1);
+            assert_eq!(onet.post_p(out_half[0]), &[to]);
+            assert!(onet.pre_t(x).iter().any(|&h| onet.pre_p(h) == [from]));
+        }
+        assert_eq!(onet.pre_t(map.rise).len(), 2);
+        let wait = onet
+            .place_by_name(&format!("<wait_{}>", bp.index()))
+            .unwrap();
+        assert_eq!(onet.pre_p(wait), &[bp]);
+        assert_eq!(onet.post_p(wait), &[map.rise]);
     }
 
     #[test]

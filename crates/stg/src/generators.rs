@@ -268,9 +268,9 @@ pub fn vme_chain(n: usize) -> Stg {
 /// conflict, but the `n` internal stages run as a **parallel burst**
 /// (`ldtack+` forks `c0+ … c{n-1}+`, `d+` joins them; `dsr-` forks the
 /// falling burst, `d-` joins). The conflict core stays the same size
-/// while almost every place is concurrent with the inserted state signal
-/// — the regime where incremental re-analysis skips most of the
-/// refinement replay.
+/// while almost every place is concurrent with the inserted state signal,
+/// so each candidate's structural context refines a highly concurrent
+/// net.
 ///
 /// # Panics
 ///
