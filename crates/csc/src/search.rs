@@ -707,25 +707,11 @@ mod tests {
     const DUP_CSC0: &str = ".model dup\n.inputs a\n.outputs csc0\n.graph\na+ csc0+\n\
         csc0+ a-\na- csc0+/2\ncsc0+/2 a+\n.marking { <csc0+/2,a+> }\n.end\n";
 
-    /// The cycle `a+ b1+ … bn+ a+/2 b1- … bn-`: inconsistent (`a` never
-    /// falls), with `2n` simple places in front of outputs to split.
-    fn inconsistent_cycle(n: usize) -> Stg {
-        let outputs: Vec<String> = (1..=n).map(|i| format!("b{i}")).collect();
-        let mut cycle = vec!["a+".to_string()];
-        cycle.extend(outputs.iter().map(|b| format!("{b}+")));
-        cycle.push("a+/2".to_string());
-        cycle.extend(outputs.iter().map(|b| format!("{b}-")));
-        let arcs: String = cycle
-            .iter()
-            .zip(cycle.iter().cycle().skip(1))
-            .map(|(t, u)| format!("{t} {u}\n"))
-            .collect();
-        let text = format!(
-            ".model cycle\n.inputs a\n.outputs {}\n.graph\n{arcs}.marking {{ <b{n}-,a+> }}\n.end\n",
-            outputs.join(" ")
-        );
-        si_stg::parse_g(&text).expect("cycle parses")
-    }
+    /// The cycle `a+ b1+ … b4+ a+/2 b1- … b4-`: inconsistent (`a` never
+    /// falls), with 8 simple places in front of outputs to split.
+    const CYCLE4: &str = ".model cycle\n.inputs a\n.outputs b1 b2 b3 b4\n.graph\n\
+        a+ b1+\nb1+ b2+\nb2+ b3+\nb3+ b4+\nb4+ a+/2\n\
+        a+/2 b1-\nb1- b2-\nb2- b3-\nb3- b4-\nb4- a+\n.marking { <b4-,a+> }\n.end\n";
 
     #[test]
     fn blind_fallback_names_its_signal_afresh() {
@@ -743,7 +729,7 @@ mod tests {
 
     #[test]
     fn blind_fallback_obeys_cancellation_and_budget() {
-        let stg = inconsistent_cycle(4);
+        let stg = si_stg::parse_g(CYCLE4).expect("parses");
         let token = si_petri::CancelToken::new();
         token.cancel();
         let cancelled = CscOptions::default().reach(ReachOptions::with_cap(10_000).cancel(token));
