@@ -385,8 +385,10 @@ struct CscEntry {
 /// family sweep). Both paths run the same acceptance-oracle cap.
 fn measure_csc_resolution(cfg: &Config) -> (usize, usize, Vec<CscEntry>) {
     use si_csc::{
-        conflict_cores, resolve, resolve_csc_blind, targeted_candidates, CscOptions, Strategy,
+        conflict_cores, resolve_csc_blind, CandidateTiers, CscOptions, EngineResolve, Strategy,
     };
+    let resolve =
+        |stg: &Stg, opts: &CscOptions| si_core::Engine::new(stg).resolve_csc_outcome(opts);
     let oracle_cap = 1_000_000.min(cfg.cap);
     let budget = 2_000_000;
     let reach = si_petri::ReachOptions::with_cap(oracle_cap);
@@ -414,10 +416,14 @@ fn measure_csc_resolution(cfg: &Config) -> (usize, usize, Vec<CscEntry>) {
         let beam = best_of(iters, || {
             resolve(&stg, &opts.clone().strategy(Strategy::Beam))
         });
-        // Per-candidate structural evaluation on a fixed plan sample.
+        // Per-candidate structural evaluation on a fixed plan sample: the
+        // first 100 plans of the tiers.
         let parent = si_core::StructuralContext::build(&stg).unwrap();
         let cores = conflict_cores(&parent);
-        let plans = targeted_candidates(&parent, &cores, 100);
+        let plans: Vec<_> = CandidateTiers::new(&parent, &cores)
+            .plans()
+            .take(100)
+            .collect();
         let rebuild = best_of(iters, || {
             for plan in &plans {
                 let cand = si_stg::apply_insertion(&stg, "cscx", plan);

@@ -4,20 +4,21 @@
 //! The paper's flow is a pipeline — structural analysis feeding synthesis,
 //! CSC resolution and verification — but free functions like
 //! [`crate::synthesize`] and `si_verify::verify_circuit` each re-derive the
-//! expensive shared artifacts per call: the [`StructuralContext`], the
-//! explicit [`ReachabilityGraph`] and the [`ConcurrencyRelation`].
+//! expensive shared artifacts per call: the [`StructuralContext`] and the
+//! explicit [`ReachabilityGraph`] with its state encoding.
 //! [`Engine`] owns one specification and computes each artifact **at most
 //! once**, on first use, whatever order the pipeline methods are called in:
 //!
 //! ```text
 //!              Engine::new(&stg).cap(..).shards(..).minimizer(..)
 //!                                  │
-//!          ┌───────────────────────┼──────────────────────────┐
-//!          ▼ (lazy, cached)        ▼ (lazy, cached)           ▼ (lazy, cached)
-//!   StructuralContext       ReachabilityGraph + enc     ConcurrencyRelation
-//!          │                        │
-//!   analyze / synthesize     synthesize_state_based / verify / conformance
-//!          └── resolve_csc (si-csc's EngineResolve) uses both ──┘
+//!          ┌───────────────────────┼───────────────────────────┐
+//!          ▼ (lazy, cached)        ▼ (lazy, cached)            ▼ (lazy, cached)
+//!   StructuralContext       ReachabilityGraph + enc     symbolic reachable set
+//!          │                        │                          │
+//!   analyze / synthesize /   synthesize_state_based /   spec_state_count /
+//!   resolve_csc (si-csc's    verify / conformance       exact CSC verdict
+//!   EngineResolve)           (si-verify's EngineVerify)
 //! ```
 //!
 //! The legacy free functions remain as one-shot wrappers over a fresh
@@ -28,7 +29,9 @@
 //!
 //! Speed-independence verification is provided on the same object by the
 //! `EngineVerify` extension trait of `si_verify` (the verifier depends on
-//! this crate, not the other way around).
+//! this crate, not the other way around), and CSC resolution by the
+//! `EngineResolve` trait of `si_csc`, whose search reads the session's
+//! context of the input.
 
 use crate::context::{CscVerdict, StructuralContext, SynthesisError};
 use crate::statebased::{synthesize_state_based_on, BaselineError, BaselineFlavor};
@@ -37,8 +40,7 @@ use crate::synthesis::{
 };
 use si_boolean::MinimizerChoice;
 use si_petri::{
-    ConcurrencyRelation, Interrupt, ReachError, ReachOptions, ReachSummary, ReachabilityGraph,
-    SymbolicReach,
+    Interrupt, ReachError, ReachOptions, ReachSummary, ReachabilityGraph, SymbolicReach,
 };
 use si_stg::{EncodingError, StateEncoding, Stg, SymbolicAnalysis};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -138,10 +140,8 @@ pub struct Engine<'a> {
     enc: OnceLock<Result<StateEncoding, EncodingError>>,
     sym: OnceLock<Result<SymbolicAnalysis, ReachError>>,
     sym_net: OnceLock<Result<SymbolicReach, ReachError>>,
-    conc: OnceLock<ConcurrencyRelation>,
     rg_builds: AtomicUsize,
     summary: Option<ReachSummary>,
-    summary_hits: AtomicUsize,
 }
 
 impl<'a> Engine<'a> {
@@ -163,10 +163,8 @@ impl<'a> Engine<'a> {
             enc: OnceLock::new(),
             sym: OnceLock::new(),
             sym_net: OnceLock::new(),
-            conc: OnceLock::new(),
             rg_builds: AtomicUsize::new(0),
             summary: None,
-            summary_hits: AtomicUsize::new(0),
         }
     }
 
@@ -268,11 +266,6 @@ impl<'a> Engine<'a> {
     /// The configured reachability options.
     pub fn reach_options(&self) -> ReachOptions {
         self.reach.clone()
-    }
-
-    /// The configured synthesis options.
-    pub fn synthesis_options(&self) -> &SynthesisOptions {
-        &self.options
     }
 
     /// The cached structural context (built on first use).
@@ -393,7 +386,6 @@ impl<'a> Engine<'a> {
     /// consulting the symbolic backend.
     pub fn spec_state_count(&self) -> Result<u128, ReachError> {
         if let Some(summary) = &self.summary {
-            self.summary_hits.fetch_add(1, Ordering::Relaxed);
             si_obs::counter_inc("engine.summary_hits");
             return Ok(summary.states as u128);
         }
@@ -416,26 +408,12 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The cached structural concurrency relation (§V-A fixpoint).
-    pub fn concurrency(&self) -> &ConcurrencyRelation {
-        self.conc
-            .get_or_init(|| ConcurrencyRelation::compute(self.stg.net()))
-    }
-
     /// How many times **this session** actually constructed a reachability
     /// graph (0 until a reachability-backed method runs, then 1 forever —
     /// the artifact-cache guarantee; the process-wide analog is
     /// [`ReachabilityGraph::build_count`]).
     pub fn reach_build_count(&self) -> usize {
         self.rg_builds.load(Ordering::Relaxed)
-    }
-
-    /// How many queries this session answered from an imported
-    /// [`ReachSummary`] instead of a reachability build (0 unless
-    /// [`Engine::reach_summary`] was configured) — the cache-stat counter
-    /// the serving layer surfaces as `summary_hits`.
-    pub fn summary_hit_count(&self) -> usize {
-        self.summary_hits.load(Ordering::Relaxed)
     }
 
     /// Exports the summary of this session's exploration for reuse by a

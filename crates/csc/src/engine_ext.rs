@@ -1,4 +1,4 @@
-//! CSC resolution as an [`Engine`] method.
+//! CSC resolution as an [`Engine`] method — the one entry to the search.
 //!
 //! `si-csc` depends on `si-core` (resolution drives whole `Engine`
 //! sessions per candidate), so — like speed-independence verification in
@@ -6,9 +6,13 @@
 //! is re-exported from `sisyn::prelude`, so `engine.resolve_csc(..)`
 //! keeps reading exactly as before the subsystem split.
 
-use crate::search::{resolve, CscOptions, Resolution, ResolveOutcome, ResolveStats};
+use crate::search::{
+    blind_search, fresh_signal_name, targeted_search, CscOptions, Resolution, ResolveOutcome,
+    ResolveStats,
+};
 use si_core::{no_conflict_resolution, Engine};
 use si_stg::{InsertionPlan, Stg};
+use std::time::Instant;
 
 /// CSC resolution methods of the synthesis session.
 pub trait EngineResolve {
@@ -17,14 +21,22 @@ pub trait EngineResolve {
     /// greedy strategy.
     ///
     /// Returns the repaired STG and the insertion plan, or `None` when no
-    /// candidate within `budget` works; see [`crate::resolve_csc`] for
-    /// the plan semantics.
+    /// candidate within `budget` works. When the input already satisfies
+    /// CSC it is returned unchanged together with the no-op sentinel plan
+    /// (`si_core::sentinel_plan`: `rise_split == fall_split`, no waits —
+    /// impossible for a real insertion, whose split places always differ).
     fn resolve_csc(&self, budget: usize) -> Option<(Stg, InsertionPlan)>;
 
     /// The full-control form: explicit [`CscOptions`] (strategy, beam
     /// width, workers, oracle reach options), returning the search
-    /// statistics alongside the resolution. The session's cached
-    /// structural context serves the no-conflict fast path.
+    /// statistics alongside the resolution. See the crate docs for the
+    /// pipeline.
+    ///
+    /// The session's structural context of the input is built once and
+    /// serves the no-conflict fast path, the conflict cores and the cost
+    /// model. When that build fails (an inconsistent or not SM-coverable
+    /// input), the blind search of [`crate::resolve_csc_blind`] runs
+    /// instead: its candidates are built from scratch and may still pass.
     fn resolve_csc_outcome(&self, options: &CscOptions) -> ResolveOutcome;
 }
 
@@ -40,38 +52,37 @@ impl EngineResolve for Engine<'_> {
     }
 
     fn resolve_csc_outcome(&self, options: &CscOptions) -> ResolveOutcome {
-        // Reuse the session's cached context: a check-then-resolve
-        // pipeline analyzes the input once.
-        if let Ok(ctx) = self.context() {
-            if let Some((same, plan)) = no_conflict_resolution(self.stg(), ctx) {
-                return ResolveOutcome {
-                    resolution: Some(Resolution {
-                        stg: same,
-                        plan,
-                        cost: 0,
-                    }),
-                    stats: ResolveStats::new(options.strategy),
-                };
+        let _span = si_obs::span("csc.resolve");
+        let started = Instant::now();
+        let stg = self.stg();
+        let mut stats = ResolveStats::new(options.strategy);
+        let name = fresh_signal_name(stg, &options.signal_name);
+        let unscored = |(stg, plan)| Resolution { stg, plan, cost: 0 };
+        let (resolution, tiers) = match self.context() {
+            Ok(ctx) => match no_conflict_resolution(stg, ctx) {
+                // The fast path records no search counters.
+                Some(same) => {
+                    stats.wall_ms = started.elapsed().as_secs_f64() * 1e3;
+                    let resolution = Some(unscored(same));
+                    return ResolveOutcome { resolution, stats };
+                }
+                None => targeted_search(stg, ctx, &name, options, &mut stats, started),
+            },
+            Err(_) => {
+                let reach = &options.reach;
+                let found = blind_search(stg, &name, options.budget, reach, &mut stats, started);
+                (found.map(unscored), 0)
             }
-        }
-        resolve(self.stg(), options)
+        };
+        stats.wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        stats.record(tiers);
+        ResolveOutcome { resolution, stats }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engine_resolve_matches_free_function() {
-        let raw = si_stg::benchmarks::vme_read_raw();
-        let engine = Engine::new(&raw).cap(100_000);
-        let (fixed_engine, plan_engine) = engine.resolve_csc(50_000).expect("resolvable");
-        let (fixed_free, plan_free) =
-            crate::resolve_csc_with(&raw, 50_000, engine.reach_options()).expect("resolvable");
-        assert_eq!(plan_engine, plan_free);
-        assert_eq!(si_stg::write_g(&fixed_engine), si_stg::write_g(&fixed_free));
-    }
 
     #[test]
     fn fast_path_reports_zero_search() {

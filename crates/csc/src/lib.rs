@@ -13,16 +13,21 @@
 //!    refinement rounds cannot separate from a witness place (Theorem 14)
 //!    — extracted from the [`StructuralContext`] of the input. Insertion
 //!    candidates are generated *around* the cores, nearest first, instead
-//!    of enumerating all transition pairs blindly ([`targeted_candidates`]).
-//! 2. **Parallel candidate evaluation** ([`resolve`]): each candidate is
-//!    judged by the CSC verdict of its own structural context, built by
-//!    the same [`StructuralContext::build`] that synthesis uses.
-//!    Candidates are scored concurrently (on the workspace pool,
-//!    `si_fault::par_map`), the survivors ranked by a cost model
-//!    (estimated literal delta plus a concurrency-reduction penalty) and
-//!    accepted through the behavioural oracle under a [`Strategy`] —
+//!    of enumerating all transition pairs blindly ([`CandidateTiers`]);
+//!    each tier is generated only when the search reaches it.
+//! 2. **Parallel candidate evaluation**
+//!    ([`EngineResolve::resolve_csc_outcome`], the one search entry): each
+//!    candidate is judged by the CSC verdict of its own structural
+//!    context, built by the same [`StructuralContext::build`] that
+//!    synthesis uses. Candidates are scored concurrently in chunks (on the
+//!    workspace pool, `si_fault::par_map`), the survivors ranked by a cost
+//!    model (estimated literal delta plus a concurrency-reduction penalty)
+//!    and accepted through the behavioural oracle under a [`Strategy`] —
 //!    greedy first-fit in core proximity order, or beam search over the
-//!    best-ranked survivors.
+//!    best-ranked survivors of the nearest productive tier.
+//!
+//! The input's own context is the [`si_core::Engine`] session's, so a
+//! resolve op builds it once, however many steps read it.
 //!
 //! The pre-subsystem blind search is kept verbatim as
 //! [`resolve_csc_blind`], the equivalence oracle and bench baseline (the
@@ -46,11 +51,10 @@ mod cores;
 mod engine_ext;
 mod search;
 
-pub use cores::{conflict_cores, targeted_candidate_tiers, targeted_candidates, ConflictCore};
+pub use cores::{conflict_cores, CandidateTiers, ConflictCore};
 pub use engine_ext::EngineResolve;
 pub use search::{
-    resolve, resolve_csc, resolve_csc_blind, resolve_csc_with, CscOptions, Resolution,
-    ResolveOutcome, ResolveStats, Strategy,
+    resolve_csc_blind, CscOptions, Resolution, ResolveOutcome, ResolveStats, Strategy,
 };
 
 // The types the subsystem's API is phrased in.

@@ -15,10 +15,11 @@
 //!    semimodularity on the candidate's own [`Engine`] session.
 //!
 //! Steps 1–4 are scored concurrently on the workspace pool
-//! ([`si_fault::par_map`]); the oracle runs in deterministic rank order,
-//! so the outcome is identical at any worker count.
+//! ([`si_fault::par_map`]), one chunk of candidates at a time; the oracle
+//! runs in deterministic rank order, so the outcome is identical at any
+//! worker count.
 
-use crate::cores::{conflict_cores, targeted_candidate_tiers};
+use crate::cores::{conflict_cores, CandidateTiers};
 use si_core::{no_conflict_resolution, CscVerdict, Engine, StructuralContext};
 use si_petri::{Budget, Interrupt, PlaceId, ReachOptions, TransId};
 use si_stg::{
@@ -27,11 +28,12 @@ use si_stg::{
 };
 use std::time::Instant;
 
-/// Candidate-selection strategy of [`resolve`].
+/// Candidate-selection strategy of the CSC search
+/// ([`crate::EngineResolve::resolve_csc_outcome`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Strategy {
     /// First fit in core-proximity order: candidates are scored in
-    /// batches and the first structural survivor the oracle accepts wins.
+    /// chunks and the first structural survivor the oracle accepts wins.
     /// Cheapest wall time; the plan quality rides on the tier ordering.
     Greedy,
     /// Score candidates tier by tier (expanding core-proximity radius,
@@ -141,7 +143,7 @@ impl CscOptions {
     }
 }
 
-/// Counters of one [`resolve`] run — the `--json` search statistics of
+/// Counters of one CSC search — the `--json` search statistics of
 /// `sisyn resolve`.
 #[derive(Clone, Debug)]
 pub struct ResolveStats {
@@ -149,7 +151,9 @@ pub struct ResolveStats {
     pub strategy: Strategy,
     /// Conflict cores extracted from the input.
     pub cores: usize,
-    /// Insertion candidates generated (deduplicated, budget-capped).
+    /// Insertion candidates in the search space, capped by the budget
+    /// (the tiers themselves are generated only as far as the search
+    /// reaches).
     pub generated: usize,
     /// Candidates structurally evaluated (one context build each).
     pub evaluated: usize,
@@ -189,8 +193,9 @@ impl ResolveStats {
         }
     }
 
-    /// Adds the search counters to the `si_obs` registry.
-    fn record(&self, tiers: usize) {
+    /// Adds the search counters to the `si_obs` registry; `tiers` is how
+    /// many candidate tiers the search reached.
+    pub(crate) fn record(&self, tiers: usize) {
         if si_obs::enabled() {
             si_obs::counter_add("csc.cores", self.cores as u64);
             si_obs::counter_add("csc.tiers", tiers as u64);
@@ -228,7 +233,7 @@ pub struct Resolution {
     pub cost: i64,
 }
 
-/// The result of [`resolve`]: the resolution (if any) plus the search
+/// The result of a CSC search: the resolution (if any) plus the search
 /// statistics, which are reported even on failure.
 #[derive(Clone, Debug)]
 pub struct ResolveOutcome {
@@ -239,150 +244,107 @@ pub struct ResolveOutcome {
     pub stats: ResolveStats,
 }
 
-/// Searches for a single-signal insertion that resolves the CSC conflicts
-/// of `stg` under the given options. See the crate docs for the pipeline.
-///
-/// When the input already satisfies CSC it is returned unchanged together
-/// with the no-op sentinel plan (`si_core::sentinel_plan`).
-pub fn resolve(stg: &Stg, options: &CscOptions) -> ResolveOutcome {
-    let _span = si_obs::span("csc.resolve");
-    let t0 = Instant::now();
-    let mut stats = ResolveStats::new(options.strategy);
-    let name = fresh_signal_name(stg, &options.signal_name);
-    let Ok(parent) = StructuralContext::build(stg) else {
-        // The input fails the structural preconditions; fall back to the
-        // blind search for exact behavioural parity (its candidates are
-        // built from scratch and may still pass — rare, but the old
-        // semantics).
-        let resolution = blind_search(stg, &name, options.budget, &options.reach, &mut stats, t0)
-            .map(|(stg, plan)| Resolution { stg, plan, cost: 0 });
-        stats.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        stats.record(0);
-        return ResolveOutcome { resolution, stats };
-    };
-    if let Some((same, plan)) = no_conflict_resolution(stg, &parent) {
-        stats.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        return ResolveOutcome {
-            resolution: Some(Resolution {
-                stg: same,
-                plan,
-                cost: 0,
-            }),
-            stats,
-        };
-    }
-    // Counted at the build site (and each candidate's build in
-    // `evaluate_one`), so concurrent searches count only their own builds.
-    si_obs::counter_inc("csc.context_rebuilds");
-
-    let cores = conflict_cores(&parent);
+/// The conflict-core search of `stg` whose context `parent` leaves CSC
+/// unresolved: the candidate tiers around its cores, scored in chunks in
+/// one loop for both strategies. Greedy sends each chunk's survivors to
+/// the oracle in candidate order; beam collects the survivors of the
+/// first tier that has any, then oracles the best `beam_width` by cost.
+/// The deadline and cancellation token of `options.reach.budget` are
+/// checked before each chunk and each beam oracle call. Returns the
+/// resolution and how many tiers the search reached.
+pub(crate) fn targeted_search(
+    stg: &Stg,
+    parent: &StructuralContext<'_>,
+    name: &str,
+    options: &CscOptions,
+    stats: &mut ResolveStats,
+    started: Instant,
+) -> (Option<Resolution>, usize) {
+    let cores = conflict_cores(parent);
     stats.cores = cores.len();
-    let tiers = targeted_candidate_tiers(&parent, &cores, options.budget);
-    stats.generated = tiers.iter().map(Vec::len).sum();
+    let tiers = CandidateTiers::new(parent, &cores);
+    stats.generated = tiers.count().min(options.budget);
     let workers = options.effective_workers();
-
-    let mut resolution = None;
-    match options.strategy {
-        Strategy::Greedy => {
-            // Fixed-size batches keep the outcome deterministic at any
-            // worker count: survivors of a batch are oracled in candidate
-            // order before the next batch is scored.
-            let batch = (workers * 8).max(32);
-            'outer: for chunk in tiers.iter().flat_map(|tier| tier.chunks(batch)) {
-                if let Some(reason) = options.reach.budget.check_soft(0) {
-                    stats.interrupt(reason, &options.reach.budget, t0);
-                    break 'outer;
-                }
-                let results = evaluate_batch(stg, &parent, &name, chunk, workers);
-                stats.evaluated += chunk.len();
-                for (i, result) in results.into_iter().enumerate() {
-                    let result = match result {
-                        Ok(scored) => scored,
-                        Err(_panic) => {
-                            stats.panicked += 1;
-                            continue;
+    // Fixed-size chunks within a tier keep the outcome deterministic at
+    // any worker count: a chunk's survivors are handled in candidate
+    // order before the next chunk is scored.
+    let batch = (workers * 8).max(32);
+    let mut chunk = Vec::with_capacity(batch);
+    let mut survivors: Vec<(i64, Stg, InsertionPlan)> = Vec::new();
+    let mut reached = 0;
+    'tiers: for k in 0..CandidateTiers::TIERS {
+        let mut plans = tiers.tier(k);
+        loop {
+            let room = batch.min(stats.generated - stats.evaluated);
+            chunk.extend(plans.by_ref().take(room));
+            if chunk.is_empty() {
+                break;
+            }
+            reached = k + 1;
+            if let Some(reason) = options.reach.budget.check_soft(0) {
+                // Beam ranks whatever survived the chunks scored so far.
+                stats.interrupt(reason, &options.reach.budget, started);
+                break 'tiers;
+            }
+            let results = evaluate_batch(stg, parent, name, &chunk, workers);
+            stats.evaluated += chunk.len();
+            for (plan, result) in chunk.drain(..).zip(results) {
+                match result {
+                    Ok(Some((candidate, cost))) if options.strategy == Strategy::Greedy => {
+                        if let Some(found) = oracle(candidate, plan, cost, &options.reach, stats) {
+                            return (Some(found), reached);
                         }
-                    };
-                    let Some((candidate, cost)) = result else {
-                        stats.rejected += 1;
-                        continue;
-                    };
-                    stats.oracle_calls += 1;
-                    if oracle_accepts(&candidate, &options.reach) {
-                        resolution = Some(Resolution {
-                            stg: candidate,
-                            plan: chunk[i].clone(),
-                            cost,
-                        });
-                        break 'outer;
                     }
-                    stats.oracle_rejected += 1;
+                    Ok(Some((candidate, cost))) => survivors.push((cost, candidate, plan)),
+                    Ok(None) => stats.rejected += 1,
+                    Err(_panic) => stats.panicked += 1,
                 }
             }
         }
-        Strategy::Beam => {
-            // Score tier by tier; once a completed tier has structural
-            // survivors, rank them by cost and oracle the best. Ranking
-            // within completed tiers keeps beam cost comparable to greedy
-            // (the full candidate space is only scored when every closer
-            // tier is barren) while still optimizing the cost model.
-            let batch = (workers * 8).max(32);
-            let mut survivors: Vec<(i64, usize, Stg, InsertionPlan)> = Vec::new();
-            let mut order = 0usize;
-            'scoring: for tier in &tiers {
-                for chunk in tier.chunks(batch) {
-                    if let Some(reason) = options.reach.budget.check_soft(0) {
-                        // Graceful degradation: rank whatever survived the
-                        // batches scored so far instead of discarding them.
-                        stats.interrupt(reason, &options.reach.budget, t0);
-                        break 'scoring;
-                    }
-                    let results = evaluate_batch(stg, &parent, &name, chunk, workers);
-                    stats.evaluated += chunk.len();
-                    for (i, result) in results.into_iter().enumerate() {
-                        match result {
-                            Ok(Some((candidate, cost))) => {
-                                survivors.push((cost, order, candidate, chunk[i].clone()))
-                            }
-                            Ok(None) => stats.rejected += 1,
-                            Err(_panic) => stats.panicked += 1,
-                        }
-                        order += 1;
-                    }
-                }
-                if !survivors.is_empty() {
-                    break;
-                }
-            }
-            survivors.sort_by_key(|&(cost, index, _, _)| (cost, index));
-            for (cost, _, candidate, plan) in survivors.into_iter().take(options.beam_width) {
-                if let Some(reason) = options.reach.budget.check_soft(0) {
-                    stats.interrupt(reason, &options.reach.budget, t0);
-                    break;
-                }
-                stats.oracle_calls += 1;
-                if oracle_accepts(&candidate, &options.reach) {
-                    resolution = Some(Resolution {
-                        stg: candidate,
-                        plan,
-                        cost,
-                    });
-                    break;
-                }
-                stats.oracle_rejected += 1;
-            }
+        if !survivors.is_empty() {
+            break;
         }
     }
-    stats.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    stats.record(tiers.len());
-    ResolveOutcome { resolution, stats }
+    // A stable sort: equal costs keep candidate order.
+    survivors.sort_by_key(|&(cost, ..)| cost);
+    for (cost, candidate, plan) in survivors.into_iter().take(options.beam_width) {
+        if let Some(reason) = options.reach.budget.check_soft(0) {
+            stats.interrupt(reason, &options.reach.budget, started);
+            break;
+        }
+        if let Some(found) = oracle(candidate, plan, cost, &options.reach, stats) {
+            return (Some(found), reached);
+        }
+    }
+    (None, reached)
+}
+
+/// One behavioural oracle call on a structural survivor, counted into
+/// `stats`: the resolution when the oracle accepts it.
+fn oracle(
+    candidate: Stg,
+    plan: InsertionPlan,
+    cost: i64,
+    reach: &ReachOptions,
+    stats: &mut ResolveStats,
+) -> Option<Resolution> {
+    stats.oracle_calls += 1;
+    if oracle_accepts(&candidate, reach) {
+        return Some(Resolution {
+            stg: candidate,
+            plan,
+            cost,
+        });
+    }
+    stats.oracle_rejected += 1;
+    None
 }
 
 /// The configured insertion-signal name, uniquified against the input's
 /// signals by a numeric suffix (`csc0` → `csc0_1`, `csc0_2`, … —
 /// resolving an STG that already went through a resolution round must
 /// not collide).
-fn fresh_signal_name(stg: &Stg, base: &str) -> String {
+pub(crate) fn fresh_signal_name(stg: &Stg, base: &str) -> String {
     if stg.signal_by_name(base).is_none() {
         return base.to_string();
     }
@@ -397,7 +359,7 @@ fn fresh_signal_name(stg: &Stg, base: &str) -> String {
 /// captured by the isolation boundary.
 type EvalOutcome = Result<Option<(Stg, i64)>, String>;
 
-/// Scores one batch of candidates on the workspace pool
+/// Scores one chunk of candidates on the workspace pool
 /// ([`si_fault::par_map`]), preserving input order.
 ///
 /// Each candidate is scored inside a panic-isolation boundary: a
@@ -485,33 +447,6 @@ fn oracle_accepts(stg: &Stg, reach: &ReachOptions) -> bool {
     coding.has_csc() && semimodularity_violations(stg, rg).is_empty()
 }
 
-/// Searches for a single-signal insertion that resolves the CSC conflicts
-/// of `stg` with the default options (greedy strategy, 1M-state oracle
-/// cap). Returns the repaired STG and the plan, or `None` when no
-/// candidate within `budget` works.
-///
-/// When the input already satisfies CSC it is returned unchanged together
-/// with the no-op sentinel plan (`rise_split == fall_split == PlaceId(0)`,
-/// no waits — impossible for a real insertion, whose split places always
-/// differ).
-pub fn resolve_csc(stg: &Stg, budget: usize) -> Option<(Stg, InsertionPlan)> {
-    resolve_csc_with(stg, budget, ReachOptions::with_cap(1_000_000))
-}
-
-/// Like [`resolve_csc`] but with explicit [`ReachOptions`] for the
-/// behavioural acceptance oracle: `reach.cap` bounds the candidate's state
-/// space and `reach.shards > 1` runs the oracle's reachability build on
-/// the sharded multi-threaded engine.
-pub fn resolve_csc_with(
-    stg: &Stg,
-    budget: usize,
-    reach: ReachOptions,
-) -> Option<(Stg, InsertionPlan)> {
-    resolve(stg, &CscOptions::default().budget(budget).reach(reach))
-        .resolution
-        .map(|r| (r.stg, r.plan))
-}
-
 /// The pre-subsystem blind search, kept as the equivalence oracle and
 /// bench baseline: all ordered pairs of distinct simple places under a
 /// budget, first without wait arcs, then with one wait arc from every
@@ -533,11 +468,11 @@ pub fn resolve_csc_blind(
     blind_search(stg, &name, budget, &reach, &mut stats, Instant::now())
 }
 
-/// The candidate loop of [`resolve_csc_blind`], which [`resolve`] also
+/// The candidate loop of [`resolve_csc_blind`], which the CSC search also
 /// runs when the input fails the structural preconditions. Counts into
 /// `stats`, and checks the deadline and cancellation token of
 /// `reach.budget` before each candidate.
-fn blind_search(
+pub(crate) fn blind_search(
     stg: &Stg,
     name: &str,
     budget: usize,
@@ -619,11 +554,17 @@ fn blind_search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EngineResolve;
+
+    /// The search as every caller runs it: through a fresh session.
+    fn resolve(stg: &Stg, options: &CscOptions) -> ResolveOutcome {
+        Engine::new(stg).resolve_csc_outcome(options)
+    }
 
     #[test]
     fn vme_read_conflict_is_resolved_automatically() {
         let raw = si_stg::benchmarks::vme_read_raw();
-        let (fixed, plan) = resolve_csc(&raw, 50_000).expect("resolvable");
+        let (fixed, plan) = Engine::new(&raw).resolve_csc(50_000).expect("resolvable");
         assert_eq!(fixed.signal_count(), raw.signal_count() + 1);
         // The repaired STG synthesizes and verifies.
         let syn = si_core::synthesize(&fixed, &si_core::SynthesisOptions::default())
@@ -635,7 +576,7 @@ mod tests {
     #[test]
     fn csc_clean_stg_returned_unchanged() {
         let stg = si_stg::benchmarks::burst2();
-        let (same, plan) = resolve_csc(&stg, 10).expect("already clean");
+        let (same, plan) = Engine::new(&stg).resolve_csc(10).expect("already clean");
         assert_eq!(same.signal_count(), stg.signal_count());
         assert!(plan.rise_waits.is_empty());
     }
@@ -691,7 +632,7 @@ mod tests {
         ] {
             let reach = ReachOptions::with_cap(100_000);
             let blind = resolve_csc_blind(&stg, budget, reach.clone());
-            let new = resolve_csc_with(&stg, budget, reach.clone());
+            let new = Engine::new(&stg).reach(reach.clone()).resolve_csc(budget);
             assert_eq!(blind.is_some(), new.is_some(), "{}", stg.name());
             if let (Some((b, _)), Some((n, _))) = (blind, new) {
                 assert_eq!(b.signal_count(), n.signal_count(), "{}", stg.name());
@@ -745,6 +686,23 @@ mod tests {
         assert_eq!(outcome.stats.generated, 50);
         assert_eq!(outcome.stats.evaluated, 50);
         assert_eq!(outcome.stats.rejected, 50);
+    }
+
+    #[test]
+    fn targeted_search_checks_the_deadline_before_scoring() {
+        let raw = si_stg::benchmarks::vme_read_raw();
+        let token = si_petri::CancelToken::new();
+        token.cancel();
+        let cancelled = CscOptions::default().reach(ReachOptions::with_cap(10_000).cancel(token));
+        for strategy in [Strategy::Greedy, Strategy::Beam] {
+            let outcome = resolve(&raw, &cancelled.clone().strategy(strategy));
+            assert!(outcome.resolution.is_none());
+            let interrupt = outcome.stats.interrupted.expect("interrupted");
+            assert_eq!(interrupt.reason, si_petri::InterruptReason::Cancelled);
+            assert!(outcome.stats.cores > 0 && outcome.stats.generated > 0);
+            assert_eq!(outcome.stats.evaluated, 0);
+            assert_eq!(outcome.stats.oracle_calls, 0);
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! Deliberately a single-test binary: the si-obs registry is
 //! process-wide, so no other test may record into it in this process.
 
-use si_csc::CscOptions;
+use si_core::Engine;
+use si_csc::{CscOptions, EngineResolve};
 use std::sync::Barrier;
 
 #[test]
@@ -19,7 +20,8 @@ fn concurrent_searches_count_only_their_own_context_builds() {
             .map(|_| {
                 scope.spawn(|| {
                     start.wait();
-                    let outcome = si_csc::resolve(&raw, &CscOptions::default().budget(50_000));
+                    let outcome = Engine::new(&raw)
+                        .resolve_csc_outcome(&CscOptions::default().budget(50_000));
                     assert!(outcome.resolution.is_some(), "VME must resolve");
                     outcome.stats.evaluated
                 })
@@ -38,8 +40,8 @@ fn concurrent_searches_count_only_their_own_context_builds() {
         "one reanalysis per evaluated candidate of either search"
     );
     assert_eq!(
-        si_obs::counter_value("csc.context_rebuilds"),
+        si_obs::counter_value("engine.context_builds"),
         Some(2),
-        "one traced parent build per search"
+        "one input context build per search"
     );
 }

@@ -12,6 +12,7 @@
 //! downstream sites compile to nothing and this file is empty.
 #![cfg(feature = "failpoints")]
 
+use si_csc::EngineResolve;
 use si_fault::{arm, armed_count, relock, reset, FaultAction};
 use si_petri::{InterruptReason, ReachError, ReachOptions, ReachabilityGraph, SymbolicReach};
 use si_serve::json::{self, Value};
@@ -324,7 +325,7 @@ fn csc_scoring_panic_skips_the_candidate_and_the_search_continues() {
     // search must count the casualty, skip it and resolve on a survivor.
     arm("csc::evaluate", Some(0), FaultAction::Panic);
     let opts = si_csc::CscOptions::default().workers(2);
-    let outcome = si_csc::resolve(&stg, &opts);
+    let outcome = si_core::Engine::new(&stg).resolve_csc_outcome(&opts);
     assert_eq!(outcome.stats.panicked, 1, "stats: {:?}", outcome.stats);
     assert!(
         outcome.resolution.is_some(),

@@ -28,7 +28,7 @@ use si_core::{
 use si_csc::{CscOptions, EngineResolve, ResolveOutcome, Strategy};
 use si_petri::{check_live_safe_fc, CancelToken, ReachError, ReachOptions, StructuralCheck};
 use si_proto::{check_deadlock_with, DeadlockReport, ProtoError, ProtoSystem};
-use si_stg::{ConsistencyError, Stg, StgAnalysis};
+use si_stg::{ConsistencyError, Stg};
 use si_verify::{ConformanceReport, EngineVerify, VerificationReport};
 
 use crate::json::{Millis, Object, Value};
@@ -450,7 +450,12 @@ impl<'a> Check<'a> {
         let backend = engine.backend_choice();
         let states = engine.spec_state_count();
         let live_safe = check_live_safe_fc(stg.net());
-        let consistency = StgAnalysis::analyze(stg).map(drop);
+        // The session's context build runs the consistency analysis
+        // first, so its error is the consistency verdict.
+        let consistency = match engine.context() {
+            Err(SynthesisError::Inconsistent(e)) => Err(e),
+            _ => Ok(()),
+        };
         let analysis = engine.analyze();
         // The structural CSC verdict is conservative; a non-default
         // backend settles an unknown one exactly from the reachable set.
@@ -1220,5 +1225,21 @@ mod tests {
             let v = crate::json::parse(bad).unwrap();
             assert!(JobOptions::from_request(&v).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn check_takes_consistency_from_the_context_build() {
+        // `a` rises twice in a row: inconsistent.
+        let twice = si_stg::parse_g(
+            ".model twice\n.inputs a\n.outputs b\n.graph\na+ b+\nb+ a+/2\n\
+             a+/2 b-\nb- a+\n.marking { <b-,a+> }\n.end\n",
+        )
+        .expect("parses");
+        let expected = si_stg::StgAnalysis::analyze(&twice).map(drop);
+        assert!(expected.is_err());
+        assert_eq!(Check::build(&Engine::new(&twice)).consistency, expected);
+        // A conflicted but consistent spec passes.
+        let raw = si_stg::benchmarks::vme_read_raw();
+        assert_eq!(Check::build(&Engine::new(&raw)).consistency, Ok(()));
     }
 }

@@ -61,8 +61,7 @@ pub mod prelude {
         StructuralContext, Synthesis, SynthesisOptions,
     };
     pub use si_csc::{
-        resolve_csc, resolve_csc_with, CscOptions, EngineResolve, InsertionPlan, ResolveOutcome,
-        ResolveStats, Strategy,
+        CscOptions, EngineResolve, InsertionPlan, ResolveOutcome, ResolveStats, Strategy,
     };
     pub use si_petri::{
         check_live_safe_fc, Budget, CancelToken, Interrupt, InterruptReason, PetriNet, ReachError,

@@ -104,17 +104,6 @@ fn engine_conformance_keeps_probe_headroom_under_small_caps() {
 }
 
 #[test]
-fn engine_resolve_csc_matches_free_function() {
-    let raw = benchmarks::vme_read_raw();
-    let engine = Engine::new(&raw);
-    let (fixed_engine, plan_engine) = engine.resolve_csc(50_000).expect("resolvable");
-    let (fixed_free, plan_free) = resolve_csc(&raw, 50_000).expect("resolvable");
-    assert_eq!(plan_engine, plan_free);
-    assert_eq!(fixed_engine.signal_count(), fixed_free.signal_count());
-    assert_eq!(write_g(&fixed_engine), write_g(&fixed_free));
-}
-
-#[test]
 fn auto_minimizer_never_worse_than_espresso_on_benchmarks() {
     // The acceptance gate: per benchmark and architecture, synthesizing
     // with `auto` never yields more literals than `espresso` (auto keeps
