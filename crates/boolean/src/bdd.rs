@@ -3,13 +3,51 @@
 //! The exact minimizer backend ([`crate::BddMinimizer`]) represents the
 //! on-set and the care freedom as BDDs, enumerates **all prime implicants**
 //! with the classical recursive decomposition (Blake canonical form), and
-//! solves the covering problem on top. At STG-synthesis widths (one
-//! variable per signal, rarely beyond a few dozen) the node counts stay
-//! tiny, so the package favours clarity over sophistication: natural
-//! variable order, one manager per minimization call, no garbage
-//! collection. Prime sets are kept as explicit cube lists rather than ZDDs
-//! — at these sizes the implicit representation would cost more than it
+//! solves the covering problem on top; the symbolic reachability backend
+//! (`si_petri::SymbolicReach`) runs its image fixpoints on the same
+//! manager. Variables keep their natural order and nodes are never freed.
+//! Prime sets are kept as explicit cube lists rather than ZDDs — at
+//! synthesis widths the implicit representation would cost more than it
 //! saves.
+//!
+//! # Table layout
+//!
+//! The package follows Brace, Rudell and Bryant ("Efficient Implementation
+//! of a BDD Package", DAC 1990): a hash-consed node arena plus one lossy
+//! computed table shared by every operation.
+//!
+//! * **Nodes** live in one `Vec` arena; a [`BddRef`] is an arena index, and
+//!   the two terminals are indices 0 and 1.
+//! * **The unique table** is an open-addressed `Vec<u32>` of node indices:
+//!   a power-of-two slot count, linear probing, load at most ½, and 0 (the
+//!   FALSE terminal, never hashed) marking an empty slot. When it would
+//!   pass half full it doubles and is rebuilt from the arena.
+//! * **The computed table** is direct-mapped: one 16-byte entry per slot,
+//!   keyed by (operation tag, operand, operand). A new entry overwrites
+//!   whatever shared its slot. The tag names the operation and its
+//!   parameter: [`Bdd::exists`] and [`Bdd::and_exists`] intern their
+//!   variable set into it, [`Bdd::rename`] its map, and [`Bdd::cofactor`]
+//!   its literal. Both tables start at 64 slots, so short-lived managers
+//!   such as the minimizer's stay small. The computed table grows with
+//!   the unique table up to a fixed ceiling of 2^16 entries (1 MiB). The
+//!   ceiling is a constant, chosen by measurement on the symbolic
+//!   benchmark specs: larger tables cost more in processor-cache misses
+//!   and memory than their extra hits save, and smaller ones recompute
+//!   too much.
+//!
+//! # Why a lossy table keeps node ids
+//!
+//! An entry is written only after its operation has run to the end, so
+//! every node that operation's recursion creates exists by then. Nodes
+//! are never freed, and the result of an operation is the one canonical
+//! node of its function. An evicted entry therefore costs a recomputation
+//! whose `mk` calls all find their nodes in the unique table. Nodes are
+//! created in the same order, with the same ids, whatever the table size
+//! and whatever was evicted. Node counts, fixpoint iteration counts and
+//! every report built on them do not depend on the table. The unit tests
+//! pin this node for node against a manager with unbounded `HashMap`
+//! tables, once at the normal table sizes and once with the computed
+//! table held at its smallest size.
 //!
 //! # Examples
 //!
@@ -32,6 +70,7 @@
 use crate::bits::Bits;
 use crate::cover::Cover;
 use crate::cube::Cube;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// A node reference inside one [`Bdd`] manager.
@@ -46,6 +85,25 @@ pub const BDD_TRUE: BddRef = 1;
 /// real variable, which keeps the var-comparison logic branch-free).
 const TERMINAL_VAR: u32 = u32::MAX;
 
+/// The slot count both tables start with.
+const INITIAL_SLOTS: usize = 64;
+
+/// The most entries the computed table grows to (16 bytes each).
+const CACHE_CEILING: usize = 1 << 16;
+
+/// Computed-table operation tags. The low [`OP_BITS`] bits name the
+/// operation; the bits above carry its parameter (the interned variable
+/// set or rename map, or the cofactor literal). Tag 0 marks an empty
+/// entry.
+const OP_AND: u32 = 1;
+const OP_OR: u32 = 2;
+const OP_NOT: u32 = 3;
+const OP_EXISTS: u32 = 4;
+const OP_AND_EXISTS: u32 = 5;
+const OP_RENAME: u32 = 6;
+const OP_COFACTOR: u32 = 7;
+const OP_BITS: u32 = 3;
+
 #[derive(Copy, Clone, Debug)]
 struct Node {
     var: u32,
@@ -53,23 +111,64 @@ struct Node {
     hi: BddRef,
 }
 
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-enum Op {
-    And,
-    Or,
+/// One computed-table entry: `op(a, b) = r` under operation tag `tag`.
+#[derive(Copy, Clone, Debug, Default)]
+struct Entry {
+    tag: u32,
+    a: BddRef,
+    b: BddRef,
+    r: BddRef,
 }
 
-/// A reduced-ordered BDD manager with hash-consed nodes and memoized
-/// apply/negate operations. Variables are `0..width` in natural order.
+/// The tag bits of operation parameter `p`.
+fn param(p: usize) -> u32 {
+    assert!(
+        p < 1 << (32 - OP_BITS),
+        "operation parameter {p} overflows its tag"
+    );
+    (p as u32) << OP_BITS
+}
+
+/// The tag parameter of `key`, interned in `table` on first use (a
+/// manager sees only a handful of distinct variable sets and maps).
+fn intern<K: ToOwned + PartialEq + ?Sized>(table: &mut Vec<K::Owned>, key: &K) -> u32 {
+    let id = match table.iter().position(|k| k.borrow() == key) {
+        Some(id) => id,
+        None => {
+            table.push(key.to_owned());
+            table.len() - 1
+        }
+    };
+    param(id)
+}
+
+/// The table index of the key `(x, y, z)` in a table of `mask + 1` slots.
+#[inline]
+fn slot(x: u32, y: u32, z: u32, mask: usize) -> usize {
+    let h = (u64::from(x) << 32 | u64::from(y)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ u64::from(z).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+    ((h ^ h >> 31).wrapping_mul(0x1656_67B1_9E37_79F9) >> 32) as usize & mask
+}
+
+/// A reduced-ordered BDD manager with hash-consed nodes and one computed
+/// table for every operation (see the module docs for the layout).
+/// Variables are `0..width` in natural order.
 #[derive(Debug)]
 pub struct Bdd {
     width: usize,
     nodes: Vec<Node>,
-    unique: HashMap<(u32, BddRef, BddRef), BddRef>,
-    apply_cache: HashMap<(Op, BddRef, BddRef), BddRef>,
-    not_cache: HashMap<BddRef, BddRef>,
-    /// Memo-cache hits/misses across apply and negate (plain counters:
-    /// every op takes `&mut self`, so no atomics are needed).
+    /// Open-addressed unique table of node indices; 0 is an empty slot.
+    unique: Vec<BddRef>,
+    /// Direct-mapped computed table.
+    cache: Vec<Entry>,
+    /// The most entries `cache` grows to: [`CACHE_CEILING`], or the
+    /// initial size for the eviction tests.
+    cache_ceiling: usize,
+    /// Interned quantification sets and rename maps, by tag parameter.
+    var_sets: Vec<Bits>,
+    maps: Vec<Vec<u32>>,
+    /// Computed-table hits/misses (plain counters: every op takes
+    /// `&mut self`, so no atomics are needed).
     cache_hits: u64,
     cache_misses: u64,
 }
@@ -77,23 +176,30 @@ pub struct Bdd {
 impl Bdd {
     /// A fresh manager for functions of `width` variables.
     pub fn new(width: usize) -> Self {
+        Bdd::with_cache_ceiling(width, CACHE_CEILING)
+    }
+
+    /// A manager whose computed table never grows past its initial size,
+    /// so entries are evicted constantly.
+    #[cfg(test)]
+    fn with_smallest_cache(width: usize) -> Self {
+        Bdd::with_cache_ceiling(width, INITIAL_SLOTS)
+    }
+
+    fn with_cache_ceiling(width: usize, cache_ceiling: usize) -> Self {
+        let terminal = |r| Node {
+            var: TERMINAL_VAR,
+            lo: r,
+            hi: r,
+        };
         Bdd {
             width,
-            nodes: vec![
-                Node {
-                    var: TERMINAL_VAR,
-                    lo: BDD_FALSE,
-                    hi: BDD_FALSE,
-                },
-                Node {
-                    var: TERMINAL_VAR,
-                    lo: BDD_TRUE,
-                    hi: BDD_TRUE,
-                },
-            ],
-            unique: HashMap::new(),
-            apply_cache: HashMap::new(),
-            not_cache: HashMap::new(),
+            nodes: vec![terminal(BDD_FALSE), terminal(BDD_TRUE)],
+            unique: vec![0; INITIAL_SLOTS],
+            cache: vec![Entry::default(); INITIAL_SLOTS],
+            cache_ceiling,
+            var_sets: Vec::new(),
+            maps: Vec::new(),
             cache_hits: 0,
             cache_misses: 0,
         }
@@ -104,9 +210,9 @@ impl Bdd {
         self.width
     }
 
-    /// Memoized-operation cache `(hits, misses)` since construction —
-    /// the hit rate is the headline health metric of a manager's
-    /// variable order.
+    /// Computed-table `(hits, misses)` since construction, over every
+    /// operation — the hit rate is the headline health metric of a
+    /// manager's variable order.
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.cache_hits, self.cache_misses)
     }
@@ -126,10 +232,66 @@ impl Bdd {
         if lo == hi {
             return lo;
         }
-        *self.unique.entry((var, lo, hi)).or_insert_with(|| {
-            self.nodes.push(Node { var, lo, hi });
-            (self.nodes.len() - 1) as BddRef
-        })
+        let mask = self.unique.len() - 1;
+        let mut i = slot(var, lo, hi, mask);
+        loop {
+            let id = self.unique[i];
+            if id == 0 {
+                break;
+            }
+            let n = self.nodes[id as usize];
+            if n.var == var && n.lo == lo && n.hi == hi {
+                return id;
+            }
+            i = (i + 1) & mask;
+        }
+        let id = self.nodes.len() as BddRef;
+        self.nodes.push(Node { var, lo, hi });
+        self.unique[i] = id;
+        // Terminals are not in the table: keep it at most half full.
+        if 2 * (self.nodes.len() - 2) > self.unique.len() {
+            self.grow();
+        }
+        id
+    }
+
+    /// Doubles the unique table, rebuilt from the arena, and the computed
+    /// table with it up to its ceiling, keeping its entries.
+    fn grow(&mut self) {
+        let mask = 2 * self.unique.len() - 1;
+        self.unique = vec![0; mask + 1];
+        for (id, n) in self.nodes.iter().enumerate().skip(2) {
+            let mut i = slot(n.var, n.lo, n.hi, mask);
+            while self.unique[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.unique[i] = id as BddRef;
+        }
+        let size = self.unique.len().min(self.cache_ceiling);
+        if size > self.cache.len() {
+            let old = std::mem::replace(&mut self.cache, vec![Entry::default(); size]);
+            for e in old.into_iter().filter(|e| e.tag != 0) {
+                self.cache[slot(e.tag, e.a, e.b, size - 1)] = e;
+            }
+        }
+    }
+
+    /// The cached result of `tag(a, b)`, if its entry is still there.
+    fn lookup(&mut self, tag: u32, a: BddRef, b: BddRef) -> Option<BddRef> {
+        let e = self.cache[slot(tag, a, b, self.cache.len() - 1)];
+        if e.tag == tag && e.a == a && e.b == b {
+            self.cache_hits += 1;
+            Some(e.r)
+        } else {
+            self.cache_misses += 1;
+            None
+        }
+    }
+
+    /// Records `tag(a, b) = r`, evicting the entry that shared its slot.
+    fn insert(&mut self, tag: u32, a: BddRef, b: BddRef, r: BddRef) {
+        let i = slot(tag, a, b, self.cache.len() - 1);
+        self.cache[i] = Entry { tag, a, b, r };
     }
 
     /// The BDD of one cube (product of literals).
@@ -155,22 +317,21 @@ impl Bdd {
         f
     }
 
-    fn apply(&mut self, op: Op, a: BddRef, b: BddRef) -> BddRef {
+    /// `a op b` for `op` one of [`OP_AND`], [`OP_OR`].
+    fn apply(&mut self, op: u32, a: BddRef, b: BddRef) -> BddRef {
         match (op, a, b) {
-            (Op::And, BDD_FALSE, _) | (Op::And, _, BDD_FALSE) => return BDD_FALSE,
-            (Op::And, BDD_TRUE, x) | (Op::And, x, BDD_TRUE) => return x,
-            (Op::Or, BDD_TRUE, _) | (Op::Or, _, BDD_TRUE) => return BDD_TRUE,
-            (Op::Or, BDD_FALSE, x) | (Op::Or, x, BDD_FALSE) => return x,
+            (OP_AND, BDD_FALSE, _) | (OP_AND, _, BDD_FALSE) => return BDD_FALSE,
+            (OP_AND, BDD_TRUE, x) | (OP_AND, x, BDD_TRUE) => return x,
+            (OP_OR, BDD_TRUE, _) | (OP_OR, _, BDD_TRUE) => return BDD_TRUE,
+            (OP_OR, BDD_FALSE, x) | (OP_OR, x, BDD_FALSE) => return x,
             _ if a == b => return a,
             _ => {}
         }
         // Commutative ops: canonicalize the cache key.
-        let key = (op, a.min(b), a.max(b));
-        if let Some(&r) = self.apply_cache.get(&key) {
-            self.cache_hits += 1;
+        let (ka, kb) = (a.min(b), a.max(b));
+        if let Some(r) = self.lookup(op, ka, kb) {
             return r;
         }
-        self.cache_misses += 1;
         let (va, vb) = (self.var(a), self.var(b));
         let v = va.min(vb);
         let (a0, a1) = if va == v {
@@ -186,18 +347,18 @@ impl Bdd {
         let lo = self.apply(op, a0, b0);
         let hi = self.apply(op, a1, b1);
         let r = self.mk(v, lo, hi);
-        self.apply_cache.insert(key, r);
+        self.insert(op, ka, kb, r);
         r
     }
 
     /// Conjunction.
     pub fn and(&mut self, a: BddRef, b: BddRef) -> BddRef {
-        self.apply(Op::And, a, b)
+        self.apply(OP_AND, a, b)
     }
 
     /// Disjunction.
     pub fn or(&mut self, a: BddRef, b: BddRef) -> BddRef {
-        self.apply(Op::Or, a, b)
+        self.apply(OP_OR, a, b)
     }
 
     /// Negation.
@@ -207,16 +368,14 @@ impl Bdd {
             BDD_TRUE => return BDD_FALSE,
             _ => {}
         }
-        if let Some(&r) = self.not_cache.get(&f) {
-            self.cache_hits += 1;
+        if let Some(r) = self.lookup(OP_NOT, f, 0) {
             return r;
         }
-        self.cache_misses += 1;
         let Node { var, lo, hi } = self.nodes[f as usize];
         let nlo = self.not(lo);
         let nhi = self.not(hi);
         let r = self.mk(var, nlo, nhi);
-        self.not_cache.insert(f, r);
+        self.insert(OP_NOT, f, 0, r);
         r
     }
 
@@ -284,17 +443,11 @@ impl Bdd {
 
     /// The cofactor `f|var=val` (restriction of one variable).
     pub fn cofactor(&mut self, f: BddRef, var: usize, val: bool) -> BddRef {
-        let mut memo = HashMap::new();
-        self.cofactor_rec(f, var as u32, val, &mut memo)
+        let tag = OP_COFACTOR | param(2 * var + usize::from(val));
+        self.cofactor_rec(f, var as u32, val, tag)
     }
 
-    fn cofactor_rec(
-        &mut self,
-        f: BddRef,
-        var: u32,
-        val: bool,
-        memo: &mut HashMap<BddRef, BddRef>,
-    ) -> BddRef {
+    fn cofactor_rec(&mut self, f: BddRef, var: u32, val: bool, tag: u32) -> BddRef {
         let node = self.nodes[f as usize];
         if node.var > var {
             // Past the target level (terminals sort last): f is independent.
@@ -303,39 +456,40 @@ impl Bdd {
         if node.var == var {
             return if val { node.hi } else { node.lo };
         }
-        if let Some(&r) = memo.get(&f) {
+        if let Some(r) = self.lookup(tag, f, 0) {
             return r;
         }
-        let lo = self.cofactor_rec(node.lo, var, val, memo);
-        let hi = self.cofactor_rec(node.hi, var, val, memo);
+        let lo = self.cofactor_rec(node.lo, var, val, tag);
+        let hi = self.cofactor_rec(node.hi, var, val, tag);
         let r = self.mk(node.var, lo, hi);
-        memo.insert(f, r);
+        self.insert(tag, f, 0, r);
         r
     }
 
     /// Existential quantification `∃ vars . f` — eliminates every variable
     /// whose bit is set in `vars` (the result is independent of them all).
     pub fn exists(&mut self, f: BddRef, vars: &Bits) -> BddRef {
-        let mut memo = HashMap::new();
-        self.exists_rec(f, vars, &mut memo)
+        let set = intern(&mut self.var_sets, vars);
+        self.exists_rec(f, vars, set)
     }
 
-    fn exists_rec(&mut self, f: BddRef, vars: &Bits, memo: &mut HashMap<BddRef, BddRef>) -> BddRef {
+    /// `∃ vars . f` where `set` is the interned tag parameter of `vars`.
+    fn exists_rec(&mut self, f: BddRef, vars: &Bits, set: u32) -> BddRef {
         let node = self.nodes[f as usize];
         if node.var == TERMINAL_VAR {
             return f;
         }
-        if let Some(&r) = memo.get(&f) {
+        if let Some(r) = self.lookup(OP_EXISTS | set, f, 0) {
             return r;
         }
-        let lo = self.exists_rec(node.lo, vars, memo);
-        let hi = self.exists_rec(node.hi, vars, memo);
+        let lo = self.exists_rec(node.lo, vars, set);
+        let hi = self.exists_rec(node.hi, vars, set);
         let r = if vars.get(node.var as usize) {
             self.or(lo, hi)
         } else {
             self.mk(node.var, lo, hi)
         };
-        memo.insert(f, r);
+        self.insert(OP_EXISTS | set, f, 0, r);
         r
     }
 
@@ -343,17 +497,11 @@ impl Bdd {
     /// operator of symbolic reachability. Quantification happens on the
     /// fly, so the full conjunction `a ∧ b` is never materialized.
     pub fn and_exists(&mut self, a: BddRef, b: BddRef, vars: &Bits) -> BddRef {
-        let mut memo = HashMap::new();
-        self.and_exists_rec(a, b, vars, &mut memo)
+        let set = intern(&mut self.var_sets, vars);
+        self.and_exists_rec(a, b, vars, set)
     }
 
-    fn and_exists_rec(
-        &mut self,
-        a: BddRef,
-        b: BddRef,
-        vars: &Bits,
-        memo: &mut HashMap<(BddRef, BddRef), BddRef>,
-    ) -> BddRef {
+    fn and_exists_rec(&mut self, a: BddRef, b: BddRef, vars: &Bits, set: u32) -> BddRef {
         if a == BDD_FALSE || b == BDD_FALSE {
             return BDD_FALSE;
         }
@@ -361,13 +509,13 @@ impl Bdd {
             return BDD_TRUE;
         }
         if a == BDD_TRUE {
-            return self.exists_rec(b, vars, &mut HashMap::new());
+            return self.exists_rec(b, vars, set);
         }
         if b == BDD_TRUE || a == b {
-            return self.exists_rec(a, vars, &mut HashMap::new());
+            return self.exists_rec(a, vars, set);
         }
-        let key = (a.min(b), a.max(b));
-        if let Some(&r) = memo.get(&key) {
+        let (ka, kb) = (a.min(b), a.max(b));
+        if let Some(r) = self.lookup(OP_AND_EXISTS | set, ka, kb) {
             return r;
         }
         let (va, vb) = (self.var(a), self.var(b));
@@ -382,21 +530,21 @@ impl Bdd {
         } else {
             (b, b)
         };
-        let lo = self.and_exists_rec(a0, b0, vars, memo);
+        let lo = self.and_exists_rec(a0, b0, vars, set);
         let r = if vars.get(v as usize) {
             // Early exit: once the quantified disjunction saturates, the
             // other branch cannot change it.
             if lo == BDD_TRUE {
                 BDD_TRUE
             } else {
-                let hi = self.and_exists_rec(a1, b1, vars, memo);
+                let hi = self.and_exists_rec(a1, b1, vars, set);
                 self.or(lo, hi)
             }
         } else {
-            let hi = self.and_exists_rec(a1, b1, vars, memo);
+            let hi = self.and_exists_rec(a1, b1, vars, set);
             self.mk(v, lo, hi)
         };
-        memo.insert(key, r);
+        self.insert(OP_AND_EXISTS | set, ka, kb, r);
         r
     }
 
@@ -407,27 +555,27 @@ impl Bdd {
     /// substitution (`2i+1 → 2i` on the interleaved order) satisfies it.
     pub fn rename(&mut self, f: BddRef, map: &[u32]) -> BddRef {
         debug_assert_eq!(map.len(), self.width);
-        let mut memo = HashMap::new();
-        self.rename_rec(f, map, &mut memo)
+        let tag = OP_RENAME | intern(&mut self.maps, map);
+        self.rename_rec(f, map, tag)
     }
 
-    fn rename_rec(&mut self, f: BddRef, map: &[u32], memo: &mut HashMap<BddRef, BddRef>) -> BddRef {
+    fn rename_rec(&mut self, f: BddRef, map: &[u32], tag: u32) -> BddRef {
         let node = self.nodes[f as usize];
         if node.var == TERMINAL_VAR {
             return f;
         }
-        if let Some(&r) = memo.get(&f) {
+        if let Some(r) = self.lookup(tag, f, 0) {
             return r;
         }
-        let lo = self.rename_rec(node.lo, map, memo);
-        let hi = self.rename_rec(node.hi, map, memo);
+        let lo = self.rename_rec(node.lo, map, tag);
+        let hi = self.rename_rec(node.hi, map, tag);
         let nv = map[node.var as usize];
         debug_assert!(
             nv < self.var(lo) && nv < self.var(hi),
             "rename map must preserve the variable order on the support"
         );
         let r = self.mk(nv, lo, hi);
-        memo.insert(f, r);
+        self.insert(tag, f, 0, r);
         r
     }
 
@@ -826,5 +974,429 @@ mod tests {
         assert_eq!(b.sat_count(e), 4);
         assert!(b.eval(e, &Bits::from_ones(3, [0usize])));
         assert!(!b.eval(e, &Bits::from_ones(3, [0usize, 1])));
+    }
+
+    /// The manager as it stood before the computed table: `HashMap`
+    /// unique and apply/negate tables that never evict, and a fresh memo
+    /// per `exists`, `and_exists`, `rename` and `cofactor` call. It is the
+    /// reference that pins [`Bdd`] node for node.
+    mod reference {
+        use super::super::{Node, TERMINAL_VAR};
+        use crate::bits::Bits;
+        use crate::{BddRef, BDD_FALSE, BDD_TRUE};
+        use std::collections::HashMap;
+
+        #[derive(Copy, Clone, PartialEq, Eq, Hash)]
+        enum Op {
+            And,
+            Or,
+        }
+
+        pub struct HashBdd {
+            nodes: Vec<Node>,
+            unique: HashMap<(u32, BddRef, BddRef), BddRef>,
+            apply_cache: HashMap<(Op, BddRef, BddRef), BddRef>,
+            not_cache: HashMap<BddRef, BddRef>,
+        }
+
+        impl HashBdd {
+            pub fn new() -> Self {
+                let terminal = |r| Node {
+                    var: TERMINAL_VAR,
+                    lo: r,
+                    hi: r,
+                };
+                HashBdd {
+                    nodes: vec![terminal(BDD_FALSE), terminal(BDD_TRUE)],
+                    unique: HashMap::new(),
+                    apply_cache: HashMap::new(),
+                    not_cache: HashMap::new(),
+                }
+            }
+
+            pub fn node_count(&self) -> usize {
+                self.nodes.len()
+            }
+
+            fn var(&self, f: BddRef) -> u32 {
+                self.nodes[f as usize].var
+            }
+
+            fn mk(&mut self, var: u32, lo: BddRef, hi: BddRef) -> BddRef {
+                if lo == hi {
+                    return lo;
+                }
+                *self.unique.entry((var, lo, hi)).or_insert_with(|| {
+                    self.nodes.push(Node { var, lo, hi });
+                    (self.nodes.len() - 1) as BddRef
+                })
+            }
+
+            pub fn mk_node(&mut self, var: usize, lo: BddRef, hi: BddRef) -> BddRef {
+                self.mk(var as u32, lo, hi)
+            }
+
+            pub fn literal(&mut self, var: usize, polarity: bool) -> BddRef {
+                if polarity {
+                    self.mk(var as u32, BDD_FALSE, BDD_TRUE)
+                } else {
+                    self.mk(var as u32, BDD_TRUE, BDD_FALSE)
+                }
+            }
+
+            fn apply(&mut self, op: Op, a: BddRef, b: BddRef) -> BddRef {
+                match (op, a, b) {
+                    (Op::And, BDD_FALSE, _) | (Op::And, _, BDD_FALSE) => return BDD_FALSE,
+                    (Op::And, BDD_TRUE, x) | (Op::And, x, BDD_TRUE) => return x,
+                    (Op::Or, BDD_TRUE, _) | (Op::Or, _, BDD_TRUE) => return BDD_TRUE,
+                    (Op::Or, BDD_FALSE, x) | (Op::Or, x, BDD_FALSE) => return x,
+                    _ if a == b => return a,
+                    _ => {}
+                }
+                let key = (op, a.min(b), a.max(b));
+                if let Some(&r) = self.apply_cache.get(&key) {
+                    return r;
+                }
+                let (va, vb) = (self.var(a), self.var(b));
+                let v = va.min(vb);
+                let (a0, a1) = if va == v {
+                    (self.nodes[a as usize].lo, self.nodes[a as usize].hi)
+                } else {
+                    (a, a)
+                };
+                let (b0, b1) = if vb == v {
+                    (self.nodes[b as usize].lo, self.nodes[b as usize].hi)
+                } else {
+                    (b, b)
+                };
+                let lo = self.apply(op, a0, b0);
+                let hi = self.apply(op, a1, b1);
+                let r = self.mk(v, lo, hi);
+                self.apply_cache.insert(key, r);
+                r
+            }
+
+            pub fn and(&mut self, a: BddRef, b: BddRef) -> BddRef {
+                self.apply(Op::And, a, b)
+            }
+
+            pub fn or(&mut self, a: BddRef, b: BddRef) -> BddRef {
+                self.apply(Op::Or, a, b)
+            }
+
+            pub fn not(&mut self, f: BddRef) -> BddRef {
+                match f {
+                    BDD_FALSE => return BDD_TRUE,
+                    BDD_TRUE => return BDD_FALSE,
+                    _ => {}
+                }
+                if let Some(&r) = self.not_cache.get(&f) {
+                    return r;
+                }
+                let Node { var, lo, hi } = self.nodes[f as usize];
+                let nlo = self.not(lo);
+                let nhi = self.not(hi);
+                let r = self.mk(var, nlo, nhi);
+                self.not_cache.insert(f, r);
+                r
+            }
+
+            pub fn diff(&mut self, a: BddRef, b: BddRef) -> BddRef {
+                let nb = self.not(b);
+                self.and(a, nb)
+            }
+
+            pub fn iff(&mut self, a: BddRef, b: BddRef) -> BddRef {
+                let both = self.and(a, b);
+                let na = self.not(a);
+                let nb = self.not(b);
+                let neither = self.and(na, nb);
+                self.or(both, neither)
+            }
+
+            pub fn cofactor(&mut self, f: BddRef, var: usize, val: bool) -> BddRef {
+                self.cofactor_rec(f, var as u32, val, &mut HashMap::new())
+            }
+
+            fn cofactor_rec(
+                &mut self,
+                f: BddRef,
+                var: u32,
+                val: bool,
+                memo: &mut HashMap<BddRef, BddRef>,
+            ) -> BddRef {
+                let node = self.nodes[f as usize];
+                if node.var > var {
+                    return f;
+                }
+                if node.var == var {
+                    return if val { node.hi } else { node.lo };
+                }
+                if let Some(&r) = memo.get(&f) {
+                    return r;
+                }
+                let lo = self.cofactor_rec(node.lo, var, val, memo);
+                let hi = self.cofactor_rec(node.hi, var, val, memo);
+                let r = self.mk(node.var, lo, hi);
+                memo.insert(f, r);
+                r
+            }
+
+            pub fn exists(&mut self, f: BddRef, vars: &Bits) -> BddRef {
+                self.exists_rec(f, vars, &mut HashMap::new())
+            }
+
+            fn exists_rec(
+                &mut self,
+                f: BddRef,
+                vars: &Bits,
+                memo: &mut HashMap<BddRef, BddRef>,
+            ) -> BddRef {
+                let node = self.nodes[f as usize];
+                if node.var == TERMINAL_VAR {
+                    return f;
+                }
+                if let Some(&r) = memo.get(&f) {
+                    return r;
+                }
+                let lo = self.exists_rec(node.lo, vars, memo);
+                let hi = self.exists_rec(node.hi, vars, memo);
+                let r = if vars.get(node.var as usize) {
+                    self.or(lo, hi)
+                } else {
+                    self.mk(node.var, lo, hi)
+                };
+                memo.insert(f, r);
+                r
+            }
+
+            pub fn and_exists(&mut self, a: BddRef, b: BddRef, vars: &Bits) -> BddRef {
+                self.and_exists_rec(a, b, vars, &mut HashMap::new())
+            }
+
+            fn and_exists_rec(
+                &mut self,
+                a: BddRef,
+                b: BddRef,
+                vars: &Bits,
+                memo: &mut HashMap<(BddRef, BddRef), BddRef>,
+            ) -> BddRef {
+                if a == BDD_FALSE || b == BDD_FALSE {
+                    return BDD_FALSE;
+                }
+                if a == BDD_TRUE && b == BDD_TRUE {
+                    return BDD_TRUE;
+                }
+                if a == BDD_TRUE {
+                    return self.exists_rec(b, vars, &mut HashMap::new());
+                }
+                if b == BDD_TRUE || a == b {
+                    return self.exists_rec(a, vars, &mut HashMap::new());
+                }
+                let key = (a.min(b), a.max(b));
+                if let Some(&r) = memo.get(&key) {
+                    return r;
+                }
+                let (va, vb) = (self.var(a), self.var(b));
+                let v = va.min(vb);
+                let (a0, a1) = if va == v {
+                    (self.nodes[a as usize].lo, self.nodes[a as usize].hi)
+                } else {
+                    (a, a)
+                };
+                let (b0, b1) = if vb == v {
+                    (self.nodes[b as usize].lo, self.nodes[b as usize].hi)
+                } else {
+                    (b, b)
+                };
+                let lo = self.and_exists_rec(a0, b0, vars, memo);
+                let r = if vars.get(v as usize) {
+                    if lo == BDD_TRUE {
+                        BDD_TRUE
+                    } else {
+                        let hi = self.and_exists_rec(a1, b1, vars, memo);
+                        self.or(lo, hi)
+                    }
+                } else {
+                    let hi = self.and_exists_rec(a1, b1, vars, memo);
+                    self.mk(v, lo, hi)
+                };
+                memo.insert(key, r);
+                r
+            }
+
+            pub fn rename(&mut self, f: BddRef, map: &[u32]) -> BddRef {
+                self.rename_rec(f, map, &mut HashMap::new())
+            }
+
+            fn rename_rec(
+                &mut self,
+                f: BddRef,
+                map: &[u32],
+                memo: &mut HashMap<BddRef, BddRef>,
+            ) -> BddRef {
+                let node = self.nodes[f as usize];
+                if node.var == TERMINAL_VAR {
+                    return f;
+                }
+                if let Some(&r) = memo.get(&f) {
+                    return r;
+                }
+                let lo = self.rename_rec(node.lo, map, memo);
+                let hi = self.rename_rec(node.hi, map, memo);
+                let r = self.mk(map[node.var as usize], lo, hi);
+                memo.insert(f, r);
+                r
+            }
+        }
+    }
+
+    /// Asserts that both managers returned the same node and hold the same
+    /// number of nodes after `what`.
+    fn same(got: BddRef, want: BddRef, b: &Bdd, r: &reference::HashBdd, what: &str) -> BddRef {
+        assert_eq!(got, want, "{what}");
+        assert_eq!(b.node_count(), r.node_count(), "{what}: node counts");
+        got
+    }
+
+    /// Drives `fresh` managers and the [`reference::HashBdd`] through the
+    /// same seeded random operation sequences at widths 6 to 16, and
+    /// asserts after every step that both return the same node and hold
+    /// the same number of nodes.
+    fn lockstep(fresh: fn(usize) -> Bdd) {
+        const STEPS: usize = 250;
+        for w in 6..=16usize {
+            for seed in 1..=3u64 {
+                let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ w as u64;
+                let mut next = move || {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    s
+                };
+                let mut b = fresh(w);
+                let mut r = reference::HashBdd::new();
+                // The symbolic layer's rails: current variables on even
+                // levels, `2k+1 → 2k` renaming next onto current. An odd
+                // width leaves its last variable as an auxiliary.
+                let rails = w / 2;
+                let current = Bits::from_ones(w, (0..rails).map(|k| 2 * k));
+                let mut down: Vec<u32> = (0..w as u32).collect();
+                for k in 0..rails {
+                    down[2 * k + 1] = 2 * k as u32;
+                }
+                // Three quantification sets, so one operand pair meets
+                // several sets.
+                let sets = [
+                    current,
+                    Bits::from_ones(w, (0..rails).map(|k| 2 * k + 1)),
+                    Bits::from_ones(w, (0..w).filter(|_| next() % 3 == 0)),
+                ];
+                // Seed the pool with sums of random cubes, built bottom-up
+                // with `mk_node` and summed with `or`.
+                let mut pool = vec![BDD_FALSE, BDD_TRUE];
+                for f in 0..8 {
+                    let mut sum = BDD_FALSE;
+                    for c in 0..12 {
+                        let mut cube = BDD_TRUE;
+                        for v in (0..w).rev() {
+                            let (lo, hi) = match next() % 4 {
+                                0 => (BDD_FALSE, cube),
+                                1 => (cube, BDD_FALSE),
+                                _ => continue,
+                            };
+                            let what = format!("w={w} seed={seed} sum {f} cube {c} mk_node");
+                            cube = same(b.mk_node(v, lo, hi), r.mk_node(v, lo, hi), &b, &r, &what);
+                        }
+                        let what = format!("w={w} seed={seed} sum {f} cube {c} or");
+                        sum = same(b.or(sum, cube), r.or(sum, cube), &b, &r, &what);
+                    }
+                    pool.push(sum);
+                }
+                for step in 0..STEPS {
+                    let x = pool[next() as usize % pool.len()];
+                    let y = pool[next() as usize % pool.len()];
+                    let var = next() as usize % w;
+                    let polarity = next() % 2 == 0;
+                    let set = &sets[next() as usize % sets.len()];
+                    let what = |op: &str| format!("w={w} seed={seed} step={step} {op}");
+                    let got = match next() % 11 {
+                        0 => {
+                            let (got, want) = (b.literal(var, polarity), r.literal(var, polarity));
+                            same(got, want, &b, &r, &what("literal"))
+                        }
+                        1 => {
+                            // Children from below `var`, as `mk_node` requires.
+                            let below: Vec<BddRef> = pool
+                                .iter()
+                                .copied()
+                                .filter(|&f| b.var(f) > var as u32)
+                                .collect();
+                            let lo = below[next() as usize % below.len()];
+                            let hi = below[next() as usize % below.len()];
+                            let (got, want) = (b.mk_node(var, lo, hi), r.mk_node(var, lo, hi));
+                            same(got, want, &b, &r, &what("mk_node"))
+                        }
+                        2 => same(b.and(x, y), r.and(x, y), &b, &r, &what("and")),
+                        3 => same(b.or(x, y), r.or(x, y), &b, &r, &what("or")),
+                        4 => same(b.not(x), r.not(x), &b, &r, &what("not")),
+                        5 => same(b.diff(x, y), r.diff(x, y), &b, &r, &what("diff")),
+                        6 => same(b.iff(x, y), r.iff(x, y), &b, &r, &what("iff")),
+                        7 => same(b.exists(x, set), r.exists(x, set), &b, &r, &what("exists")),
+                        8 => {
+                            let (got, want) = (b.and_exists(x, y, set), r.and_exists(x, y, set));
+                            same(got, want, &b, &r, &what("and_exists"))
+                        }
+                        9 => {
+                            // The image step: quantify the current rail,
+                            // then rename next onto current.
+                            let (got, want) =
+                                (b.and_exists(x, y, &sets[0]), r.and_exists(x, y, &sets[0]));
+                            let q = same(got, want, &b, &r, &what("image and_exists"));
+                            same(
+                                b.rename(q, &down),
+                                r.rename(q, &down),
+                                &b,
+                                &r,
+                                &what("rename"),
+                            )
+                        }
+                        _ => {
+                            let (got, want) =
+                                (b.cofactor(x, var, polarity), r.cofactor(x, var, polarity));
+                            same(got, want, &b, &r, &what("cofactor"))
+                        }
+                    };
+                    pool.push(got);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn computed_table_keeps_node_ids_of_the_hashmap_reference() {
+        lockstep(Bdd::new);
+    }
+
+    #[test]
+    fn constant_eviction_keeps_node_ids_of_the_hashmap_reference() {
+        lockstep(Bdd::with_smallest_cache);
+    }
+
+    /// The computed table follows the unique table, which stays at most
+    /// half full; the eviction test's table stays at its initial size.
+    #[test]
+    fn computed_table_grows_with_the_unique_table_unless_pinned() {
+        let w = 16;
+        let (mut b, mut pinned) = (Bdd::new(w), Bdd::with_smallest_cache(w));
+        for seed in 1..200u64 {
+            arb_fn(&mut b, w, seed * 7919);
+            arb_fn(&mut pinned, w, seed * 7919);
+        }
+        assert!(b.unique.len() > INITIAL_SLOTS);
+        assert!(2 * (b.node_count() - 2) <= b.unique.len());
+        assert_eq!(b.cache.len(), b.unique.len().min(CACHE_CEILING));
+        assert_eq!(pinned.unique.len(), b.unique.len());
+        assert_eq!(pinned.cache.len(), INITIAL_SLOTS);
     }
 }

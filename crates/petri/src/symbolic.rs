@@ -76,9 +76,13 @@ use si_boolean::{Bdd, BddRef, Bits, BDD_FALSE, BDD_TRUE};
 use si_fault::fail_trigger;
 use std::time::Instant;
 
-/// Approximate bytes per live BDD node (node storage plus its share of the
-/// unique table and operation caches) — the same order-of-magnitude
-/// accounting the explicit explorers use for their arenas.
+/// Approximate bytes per live BDD node — the same order-of-magnitude
+/// accounting the explicit explorers use for their arenas. A node takes
+/// 12 bytes in the arena (up to 24 with the `Vec`'s spare capacity) and
+/// 8 to 16 bytes of unique-table slots (a `u32` per slot, the table
+/// between a quarter and a half full). The computed table is capped at
+/// 1 MiB whatever the node count. 64 bytes over-counts this on purpose,
+/// so a byte ceiling trips early rather than late.
 const BYTES_PER_NODE: usize = 64;
 
 /// The symbolically computed reachable set of a safe net, with the

@@ -448,7 +448,6 @@ impl<'a> Check<'a> {
     pub fn build(engine: &Engine<'a>) -> Self {
         let stg = engine.stg();
         let backend = engine.backend_choice();
-        let states = engine.spec_state_count();
         let live_safe = check_live_safe_fc(stg.net());
         // The session's context build runs the consistency analysis
         // first, so its error is the consistency verdict.
@@ -471,6 +470,9 @@ impl<'a> Check<'a> {
             }
             _ => "unknown",
         };
+        // Counted after the verdict, so a symbolic count reads the
+        // analysis the verdict built instead of running its fixpoint again.
+        let states = engine.spec_state_count();
         Check {
             stg,
             backend,

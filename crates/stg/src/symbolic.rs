@@ -190,6 +190,7 @@ impl SymbolicAnalysis {
     /// Derives initial values, value sets, the code relation and the
     /// USC/CSC verdicts; sets `consistency` to the first failure found.
     fn coding_layer(&mut self, stg: &Stg, budget: &Budget) {
+        let _span = si_obs::span("symbolic.coding");
         let nt = self.reach.transition_count();
         // Transition indices grouped per signal.
         let mut rise_of: Vec<Vec<usize>> = vec![Vec::new(); self.nsig];

@@ -313,6 +313,43 @@ fn unrepresentable_timeout_means_no_deadline() {
     assert_eq!(code, 0, "{out}");
 }
 
+/// A symbolic `check` whose structural CSC verdict is unknown settles the
+/// verdict and counts the states from one symbolic analysis, and the
+/// analysis spans its coding fixpoints as `symbolic.coding`.
+#[test]
+fn symbolic_check_builds_one_analysis() {
+    use sisyn::serve::json::{parse, Value};
+    let text = canonical_g(&sisyn::stg::generators::vme_burst(2));
+    let args = ["check", "--backend", "symbolic", "--json", "--profile=json"];
+    let (code, out) = cli(&args, &text);
+    assert_eq!(code, 1, "{out}");
+    let report = parse(&out).expect("JSON report");
+    assert_eq!(
+        report.get("csc").and_then(Value::as_str),
+        Some("csc-violation")
+    );
+    let profile = report.get("profile").expect("profile");
+    let counter = |name| {
+        let counters = profile.get("counters");
+        counters.and_then(|c| c.get(name)).and_then(Value::as_usize)
+    };
+    assert_eq!(counter("engine.symbolic_builds"), Some(1), "{out}");
+    assert_eq!(counter("symbolic.iterations"), Some(14), "{out}");
+    // The span path cli.check > symbolic.analysis > symbolic.coding.
+    let mut spans = profile.get("spans");
+    for name in ["cli.check", "symbolic.analysis", "symbolic.coding"] {
+        let Some(Value::Arr(nodes)) = spans else {
+            panic!("no spans above {name}: {out}");
+        };
+        let node = nodes
+            .iter()
+            .find(|n| n.get("name").and_then(Value::as_str) == Some(name));
+        spans = node
+            .unwrap_or_else(|| panic!("no {name} span: {out}"))
+            .get("children");
+    }
+}
+
 // One validation rule for the numeric options on every surface: stages
 // are 0..4, full or none, and numbers are integers.
 
