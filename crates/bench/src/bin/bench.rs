@@ -10,9 +10,6 @@
 //! * `conc_naive_ms` / `conc_batched_ms` — pairwise-worklist vs batched
 //!   word-parallel concurrency fixpoint;
 //! * `synth_ms` — the full structural synthesis flow;
-//! * `shard_scaling` — the sharded parallel reachability engine
-//!   (`ReachabilityGraph::build_sharded`) against the sequential engine on
-//!   the exponentially-growing `clatch(n)` family, at 1/2/4/8 shards;
 //! * `minimizer_backends` — literal counts and wall time of the pluggable
 //!   two-level minimizer backends (espresso / exact / bdd / auto) on the
 //!   complex-gate synthesis of the large set;
@@ -49,8 +46,7 @@
 //! ```text
 //! bench [--iters N] [--smoke] [--cap N] [--out FILE]
 //!
-//!   --iters N   timing iterations per measurement, best-of (default 5;
-//!               the shard-scaling sweep tapers it on big workloads)
+//!   --iters N   timing iterations per measurement, best-of (default 5)
 //!   --smoke     single iteration, small cap — CI bitrot check
 //!   --cap N     reachability state cap, all sections (default 4_000_000,
 //!               which admits clatch(20)'s 2_097_152 markings)
@@ -70,17 +66,6 @@ struct Config {
     cap: usize,
     out: String,
     smoke: bool,
-}
-
-/// One workload of the shard-scaling section.
-struct ShardEntry {
-    name: String,
-    places: usize,
-    transitions: usize,
-    states: usize,
-    /// Shard count -> best-of wall time (index-aligned with the configured
-    /// shard counts; `[0]` is the sequential engine).
-    times: Vec<(usize, Duration)>,
 }
 
 struct Entry {
@@ -184,68 +169,6 @@ fn measure(set: &'static str, stg: &Stg, cfg: &Config) -> Entry {
         conc_batched,
         synth,
     }
-}
-
-/// Times the sequential engine (shard count 1) and the sharded engine on
-/// the `clatch(n)` family — the workloads whose reachability graph is the
-/// whole cost. Honors `--cap` (workloads over the cap are skipped with a
-/// note) and `--iters`, tapering iterations as the state count grows so
-/// the full sweep stays affordable.
-fn measure_shard_scaling(cfg: &Config) -> (usize, Vec<usize>, Vec<ShardEntry>) {
-    let cap = cfg.cap;
-    let (sizes, counts): (Vec<usize>, Vec<usize>) = if cfg.smoke {
-        (vec![10], vec![1, 2])
-    } else {
-        (vec![14, 16, 18, 20], vec![1, 2, 4, 8])
-    };
-    debug_assert_eq!(counts[0], 1, "the sweep leads with the sequential engine");
-    let mut entries = Vec::new();
-    for n in sizes {
-        let stg = si_stg::generators::clatch(n);
-        let net = stg.net();
-        // The first sequential build doubles as the state-count probe (and
-        // the skip check), so the most expensive graph is never built
-        // untimed.
-        let t0 = Instant::now();
-        let states = match ReachabilityGraph::build(net, cap) {
-            Ok(rg) => rg.state_count(),
-            Err(e) => {
-                eprintln!("shard-scaling: clatch({n}) skipped ({e})");
-                continue;
-            }
-        };
-        let first_seq = t0.elapsed();
-        // Best-of tapering: 2M-state workloads get one shot per engine.
-        let iters = if states > 600_000 {
-            1
-        } else {
-            cfg.iters.min(3)
-        };
-        let mut times = Vec::new();
-        for &k in &counts {
-            let extra = if k == 1 { iters - 1 } else { iters };
-            let mut d = best_of(extra, || {
-                ReachabilityGraph::build_sharded(net, cap, k).unwrap()
-            });
-            if k == 1 {
-                d = d.min(first_seq);
-            }
-            times.push((k, d));
-        }
-        eprint!("shard/clatch_{n} ({states} states):");
-        for &(k, d) in &times {
-            eprint!(" {k}={}", fmt_duration(d));
-        }
-        eprintln!();
-        entries.push(ShardEntry {
-            name: stg.name().to_string(),
-            places: net.place_count(),
-            transitions: net.transition_count(),
-            states,
-            times,
-        });
-    }
-    (cap, counts, entries)
 }
 
 /// One workload of the minimizer-backend section.
@@ -777,7 +700,6 @@ fn main() {
         }
     }
 
-    let (shard_cap, shard_counts, shard_entries) = measure_shard_scaling(&cfg);
     let minimizer_entries = measure_minimizer_backends(&cfg);
     let (product_counts, product_entries) = measure_product_exploration(&cfg);
     let (csc_cap, csc_budget, csc_entries) = measure_csc_resolution(&cfg);
@@ -788,7 +710,7 @@ fn main() {
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"sisyn/bench-substrates/v9\",");
+    let _ = writeln!(json, "  \"schema\": \"sisyn/bench-substrates/v10\",");
     let _ = writeln!(json, "  \"iters\": {},", cfg.iters);
     let _ = writeln!(json, "  \"state_cap\": {},", cfg.cap);
     let _ = writeln!(
@@ -847,58 +769,6 @@ fn main() {
         );
     }
     let _ = writeln!(json, "  ],");
-    // Shard-scaling section: the sharded reachability engine vs the
-    // sequential one (shard count 1) on the clatch family.
-    let _ = writeln!(json, "  \"shard_scaling\": {{");
-    let _ = writeln!(json, "    \"state_cap\": {shard_cap},");
-    let _ = writeln!(
-        json,
-        "    \"shard_counts\": [{}],",
-        shard_counts
-            .iter()
-            .map(|k| k.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(
-        json,
-        "    \"hardware_threads\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    let _ = writeln!(json, "    \"entries\": [");
-    for (i, e) in shard_entries.iter().enumerate() {
-        let _ = writeln!(json, "      {{");
-        let _ = writeln!(json, "        \"name\": \"{}\",", e.name);
-        let _ = writeln!(json, "        \"places\": {},", e.places);
-        let _ = writeln!(json, "        \"transitions\": {},", e.transitions);
-        let _ = writeln!(json, "        \"states\": {},", e.states);
-        let _ = writeln!(
-            json,
-            "        \"reach_ms\": {{{}}},",
-            e.times
-                .iter()
-                .map(|&(k, d)| format!("\"{k}\": {}", json_ms(Some(d))))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let seq = e.times[0].1;
-        let _ = writeln!(
-            json,
-            "        \"speedup_vs_seq\": {{{}}}",
-            e.times[1..]
-                .iter()
-                .map(|&(k, d)| format!("\"{k}\": {}", json_speedup(Some(seq), Some(d))))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let _ = writeln!(
-            json,
-            "      }}{}",
-            if i + 1 < shard_entries.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "    ]");
-    let _ = writeln!(json, "  }},");
     // Minimizer-backend section: literal counts and wall time per backend
     // on the complex-gate synthesis of the large set.
     let _ = writeln!(json, "  \"minimizer_backends\": {{");

@@ -217,12 +217,11 @@ impl<'a> Engine<'a> {
         self
     }
 
-    /// Sets the shard-worker count of every state-space traversal the
-    /// session runs (see [`ReachOptions::shards`]): the reachability
-    /// build, and — through `si-verify`'s `EngineVerify` methods — the
-    /// speed-independence violation search and the conformance product
-    /// exploration, which all ride the generic explorers of
-    /// `si_petri::space`.
+    /// Sets the shard-worker count of the session's verdict searches (see
+    /// [`ReachOptions::shards`]): through `si-verify`'s `EngineVerify`
+    /// methods, the speed-independence violation search and the
+    /// conformance product exploration. The reachability graph is built
+    /// sequentially at any count.
     pub fn shards(mut self, shards: usize) -> Self {
         self.reach = self.reach.shards(shards);
         self
@@ -284,8 +283,8 @@ impl<'a> Engine<'a> {
             .map_err(Clone::clone)
     }
 
-    /// The cached explicit reachability graph (built on first use with the
-    /// configured cap and shard count).
+    /// The cached explicit reachability graph (built on first use under
+    /// the configured budget).
     ///
     /// # Errors
     ///
@@ -295,7 +294,7 @@ impl<'a> Engine<'a> {
         self.rg
             .get_or_init(|| {
                 si_obs::counter_inc("engine.reach_builds");
-                let built = ReachabilityGraph::build_with(self.stg.net(), self.reach.clone());
+                let built = ReachabilityGraph::build_with(self.stg.net(), &self.reach.budget);
                 if built.is_ok() {
                     self.rg_builds.fetch_add(1, Ordering::Relaxed);
                 }

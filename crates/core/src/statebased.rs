@@ -80,10 +80,9 @@ pub fn synthesize_state_based(
 }
 
 /// Like [`synthesize_state_based`] but with explicit [`ReachOptions`]:
-/// `reach.shards > 1` builds the reachability graph (the dominant cost of
-/// the baseline on the scalable benchmark families) on the sharded
-/// multi-threaded engine. The synthesized result is identical either way —
-/// the engines produce the same graph, state numbering included.
+/// the budget governs the reachability build (the dominant cost of the
+/// baseline on the scalable benchmark families). The build is sequential,
+/// so `reach.shards` does not change it.
 ///
 /// # Errors
 ///

@@ -429,9 +429,9 @@ fn cost_of(parent: &StructuralContext<'_>, ctx: &StructuralContext<'_>, map: &In
 }
 
 /// Does the behavioural oracle accept the candidate completely? Runs on
-/// the candidate's own [`Engine`] session under `reach` (cap and shard
-/// count): liveness, safeness, consistency, CSC and output
-/// semimodularity.
+/// the candidate's own [`Engine`] session under `reach`'s budget:
+/// liveness, safeness, consistency, CSC and output semimodularity, all
+/// read from the candidate's reachability graph.
 fn oracle_accepts(stg: &Stg, reach: &ReachOptions) -> bool {
     let engine = Engine::new(stg).reach(reach.clone());
     let Ok(rg) = engine.reachability() else {

@@ -14,6 +14,7 @@
 
 use si_csc::EngineResolve;
 use si_fault::{arm, armed_count, relock, reset, FaultAction};
+use si_petri::space::{explore_with, Exploration, ExploreError, ExploreOptions, MarkingSpace};
 use si_petri::{InterruptReason, ReachError, ReachOptions, ReachabilityGraph, SymbolicReach};
 use si_serve::json::{self, Value};
 use si_serve::{ArtifactStore, JobQueue, Service};
@@ -28,20 +29,36 @@ fn serial() -> MutexGuard<'static, ()> {
     relock(&LOCK)
 }
 
+/// Explores the marking space of clatch(6) at `shards` workers (1 runs
+/// the sequential explorer).
+fn explore_clatch6(shards: usize) -> Result<Exploration<ReachError>, ExploreError<ReachError>> {
+    let stg = si_stg::generators::clatch(6);
+    explore_with(
+        &MarkingSpace::new(stg.net()),
+        ExploreOptions::with_cap(1_000_000).shards(shards),
+    )
+}
+
+/// The interned states of an exploration, sorted (ids differ between the
+/// explorers; the state set does not).
+fn sorted_keys(e: &Exploration<ReachError>) -> Vec<Vec<u64>> {
+    let mut keys: Vec<Vec<u64>> = (0..e.interned() as u32)
+        .map(|s| e.key(s).to_vec())
+        .collect();
+    keys.sort_unstable();
+    keys
+}
+
 #[test]
 fn shard_worker_panic_becomes_structured_error() {
     let _guard = serial();
-    let stg = si_stg::generators::clatch(6);
-    let net = stg.net();
     // Every shard of the explorer must convert a dying worker into the
     // structured error naming it, with the process intact.
     for shard in 0..4u64 {
         reset();
         arm("shard::worker", Some(shard), FaultAction::Panic);
-        let err = ReachabilityGraph::build_with(net, ReachOptions::with_cap(1_000_000).shards(4))
-            .unwrap_err();
-        match err {
-            ReachError::WorkerPanicked { shard: s, message } => {
+        match explore_clatch6(4).unwrap_err() {
+            ExploreError::WorkerPanicked { shard: s, message } => {
                 assert_eq!(s, shard as usize);
                 assert!(message.contains("injected fault"), "got: {message}");
             }
@@ -49,13 +66,13 @@ fn shard_worker_panic_becomes_structured_error() {
         }
         assert_eq!(armed_count(), 0, "the armed fault must have fired");
     }
-    // The pool is reusable after the panic: a clean rebuild succeeds and
-    // matches the sequential engine.
-    let seq = ReachabilityGraph::build(net, 1_000_000).unwrap();
-    let par =
-        ReachabilityGraph::build_with(net, ReachOptions::with_cap(1_000_000).shards(4)).unwrap();
-    assert_eq!(seq.state_count(), par.state_count());
-    assert_eq!(seq.edge_count(), par.edge_count());
+    // The pool is reusable after the panic: a clean rerun succeeds and
+    // finds the sequential explorer's states.
+    let seq = explore_clatch6(1).unwrap();
+    let par = explore_clatch6(4).unwrap();
+    assert_eq!(par.interrupted, None);
+    assert_eq!(seq.states, par.states);
+    assert_eq!(sorted_keys(&seq), sorted_keys(&par));
     reset();
 }
 
@@ -63,14 +80,10 @@ fn shard_worker_panic_becomes_structured_error() {
 fn first_worker_panic_wins_and_only_one_is_reported() {
     let _guard = serial();
     reset();
-    let stg = si_stg::generators::clatch(6);
-    let net = stg.net();
     arm("shard::worker", Some(1), FaultAction::Panic);
     arm("shard::worker", Some(2), FaultAction::Panic);
-    let err = ReachabilityGraph::build_with(net, ReachOptions::with_cap(1_000_000).shards(4))
-        .unwrap_err();
-    match err {
-        ReachError::WorkerPanicked { shard, .. } => {
+    match explore_clatch6(4).unwrap_err() {
+        ExploreError::WorkerPanicked { shard, .. } => {
             assert!(
                 shard == 1 || shard == 2,
                 "reported shard {shard} was never armed"
@@ -82,24 +95,22 @@ fn first_worker_panic_wins_and_only_one_is_reported() {
 }
 
 #[test]
-fn flush_stall_does_not_deadlock_and_the_sealed_graph_is_identical() {
+fn flush_stall_does_not_deadlock_and_every_state_is_found() {
     let _guard = serial();
     reset();
-    let stg = si_stg::generators::clatch(6);
-    let net = stg.net();
     // Delay one cross-shard publish: the in-flight counter must keep the
-    // receiver spinning until the batch lands, and the canonical seal must
-    // still reproduce the sequential graph bit for bit.
+    // receiver spinning until the batch lands, and the run must still
+    // find every state of the sequential exploration.
     arm(
         "shard::flush",
         None,
         FaultAction::Stall(Duration::from_millis(50)),
     );
-    let par =
-        ReachabilityGraph::build_with(net, ReachOptions::with_cap(1_000_000).shards(4)).unwrap();
-    let seq = ReachabilityGraph::build(net, 1_000_000).unwrap();
-    assert_eq!(seq.state_count(), par.state_count());
-    assert_eq!(seq.edge_count(), par.edge_count());
+    let par = explore_clatch6(4).unwrap();
+    let seq = explore_clatch6(1).unwrap();
+    assert_eq!(par.interrupted, None);
+    assert_eq!(seq.states, par.states);
+    assert_eq!(sorted_keys(&seq), sorted_keys(&par));
     assert_eq!(armed_count(), 0, "the stall must have fired");
     reset();
 }
@@ -108,28 +119,17 @@ fn flush_stall_does_not_deadlock_and_the_sealed_graph_is_identical() {
 fn injected_cap_burst_degrades_into_the_ordinary_cap_verdict() {
     let _guard = serial();
     reset();
-    let stg = si_stg::generators::clatch(6);
-    let net = stg.net();
     // Simulate the global state counter bursting at the 4th interned
     // state (value = count before the add): the run winds down exactly
     // like a genuine cap hit, not a crash.
     arm("shard::accept", Some(3), FaultAction::Trigger);
-    let err = ReachabilityGraph::build_with(net, ReachOptions::with_cap(1_000_000).shards(4))
-        .unwrap_err();
-    assert!(
-        matches!(err, ReachError::StateCapExceeded { .. }),
-        "expected StateCapExceeded, got {err:?}"
-    );
+    let burst = explore_clatch6(4).unwrap();
+    assert_eq!(burst.interrupted, Some(InterruptReason::CapExceeded));
     assert_eq!(armed_count(), 0, "the trigger must have fired");
-    // And the burst leaves no residue: the next build is exhaustive.
-    let rg =
-        ReachabilityGraph::build_with(net, ReachOptions::with_cap(1_000_000).shards(4)).unwrap();
-    assert_eq!(
-        rg.state_count(),
-        ReachabilityGraph::build(net, 1_000_000)
-            .unwrap()
-            .state_count()
-    );
+    // And the burst leaves no residue: the next run is exhaustive.
+    let par = explore_clatch6(4).unwrap();
+    assert_eq!(par.interrupted, None);
+    assert_eq!(par.states, explore_clatch6(1).unwrap().states);
     reset();
 }
 

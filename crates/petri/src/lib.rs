@@ -9,13 +9,13 @@
 //!   firing rule, plus free-choice / state-machine / marked-graph checks;
 //! * [`space`] — the generic state-space layer: the [`space::StateSpace`]
 //!   abstraction (packed states + lazy successors + a verdict hook) with
-//!   **one** sequential explorer ([`space::explore`]) and **one** sharded
-//!   multi-threaded explorer ([`shard::explore_sharded`]) behind every
-//!   traversal in the workspace — reachability, speed-independence
-//!   verification and conformance checking;
+//!   **one** sequential explorer ([`space::explore`]) behind every
+//!   traversal in the workspace, and **one** sharded multi-threaded
+//!   explorer ([`shard::explore_sharded`]) for the verdict searches —
+//!   speed-independence verification, conformance and deadlock checking;
 //! * [`ReachabilityGraph`] — the explicit state space (the thing the paper
-//!   avoids; used as baseline and oracle), built on the generic explorers
-//!   over the trivial marking space, engine selected via [`ReachOptions`];
+//!   avoids; used as baseline and oracle), built by the sequential
+//!   explorer over the trivial marking space;
 //! * [`SymbolicReach`] — the BDD reachability backend: markings as BDD
 //!   variables, per-transition relation BDDs from the [`FiringView`]
 //!   masks, the reachable set by symbolic image iteration — cardinality,

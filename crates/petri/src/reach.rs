@@ -29,13 +29,12 @@ use std::time::{Duration, Instant};
 /// — a reachability *graph* is an all-or-nothing artifact, so budget
 /// exhaustion is an error here even though the underlying explorers
 /// return partial results (verdict-style clients consume those).
-/// `shards` selects the engine: `1` runs the sequential word-parallel
-/// builder, anything larger runs the sharded multi-threaded builder of
-/// [`crate::shard`] with that many workers. Worker counts are powers of
-/// two ≤ 64: the [`Self::shards`] setter and [`Self::auto`] normalize,
-/// and [`ReachabilityGraph::build_sharded`] rounds a raw field value up
-/// itself. All engines produce the *same* graph (state numbering
-/// included); see [`ReachabilityGraph::build_sharded`].
+/// `shards` is the worker count of the searches that run on the sharded
+/// explorer of [`crate::shard`] — the speed-independence violation
+/// search, the conformance product and the CFSM deadlock check; `1` runs
+/// them sequentially. A reachability graph is always built by the
+/// sequential explorer, whatever the count. Worker counts are powers of
+/// two ≤ 64: the [`Self::shards`] setter and [`Self::auto`] normalize.
 ///
 /// # Examples
 ///
@@ -220,9 +219,9 @@ impl std::error::Error for ReachError {}
 /// no clones, no `Hasher` machinery. The table stores `u32` state indices
 /// probed by a multiplicative hash of the words.
 ///
-/// Crate-visible: the sharded engine ([`crate::shard`]) gives each worker
-/// thread one private interner, so the ids it hands out are *shard-local*
-/// there and only become global after the seal phase.
+/// Crate-visible: the sharded explorer ([`crate::shard`]) gives each
+/// worker thread one private interner, so the ids it hands out are
+/// *shard-local* there and only become global at the merge.
 #[derive(Clone, Debug)]
 pub(crate) struct MarkingInterner {
     /// Flat key storage: marking `s` is `words[s*nwords .. (s+1)*nwords]`.
@@ -299,7 +298,7 @@ impl MarkingInterner {
 
     /// Lookup without insertion, comparing candidate keys against the
     /// caller's markings (the internal key arena is freed after the build
-    /// by [`Self::seal`] — see there).
+    /// by [`Self::drop_keys`] — see there).
     fn get(&self, key: &[u64], markings: &[Marking]) -> Option<StateId> {
         if key.len() != self.nwords {
             return None;
@@ -326,9 +325,9 @@ impl MarkingInterner {
     /// compares contiguous words without chasing per-marking heap pointers;
     /// once the graph is finished every key is also held by the graph's
     /// `markings` vector, so keeping both would double the dominant memory
-    /// of a large graph for no benefit. After sealing, only [`Self::get`]
+    /// of a large graph for no benefit. Afterwards only [`Self::get`]
     /// (which compares via `markings`) may be used — not [`Self::intern`].
-    fn seal(&mut self) {
+    fn drop_keys(&mut self) {
         self.words = Vec::new();
     }
 
@@ -402,7 +401,7 @@ impl ReachabilityGraph {
     /// reachable; [`ReachError::NotSafe`] if a firing puts a second token on
     /// a place.
     pub fn build(net: &PetriNet, cap: usize) -> Result<Self, ReachError> {
-        Self::build_with(net, ReachOptions::with_cap(cap))
+        Self::build_with(net, &Budget::with_cap(cap))
     }
 
     /// Maps a partial exploration's interruption tag onto the
@@ -448,36 +447,28 @@ impl ReachabilityGraph {
         ))
     }
 
-    /// Explores the state space with the engine selected by `options`:
-    /// sequential ([`Self::build`]) for `shards == 1`, the sharded
-    /// multi-threaded engine ([`Self::build_sharded`]) otherwise.
+    /// Explores the state space under `budget` with the sequential
+    /// word-parallel explorer ([`crate::space::explore`]).
     ///
     /// # Errors
     ///
     /// Same contract as [`Self::build`], plus [`ReachError::Interrupted`]
     /// when a soft budget dimension (deadline, cancellation, byte
-    /// ceiling) runs out and [`ReachError::WorkerPanicked`] when a
-    /// sharded worker dies (caught; the process is intact).
-    pub fn build_with(net: &PetriNet, options: ReachOptions) -> Result<Self, ReachError> {
+    /// ceiling) runs out.
+    pub fn build_with(net: &PetriNet, budget: &Budget) -> Result<Self, ReachError> {
         use crate::space::{explore, ExploreOptions, MarkingSpace, ScalarMarkingSpace};
         let _span = si_obs::span("reach.build");
         si_obs::counter_inc("reach.builds");
-        let opts = ExploreOptions::from(&options).record_edges();
-        if options.shards <= 1 {
-            let nw = net.initial_marking().as_words().len();
-            let expl = if nw == 1 {
-                explore(&ScalarMarkingSpace::new(net), opts)
-            } else {
-                explore(&MarkingSpace::new(net), opts)
-            };
-            Self::from_exploration(net, expl.map_err(Self::unwrap_explore_error)?)
+        let opts = ExploreOptions::with_cap(budget.cap)
+            .budget(budget.clone())
+            .record_edges();
+        let nw = net.initial_marking().as_words().len();
+        let expl = if nw == 1 {
+            explore(&ScalarMarkingSpace::new(net), opts)
         } else {
-            let space = MarkingSpace::new(net);
-            let expl =
-                crate::shard::explore_sharded(&space, opts).map_err(Self::unwrap_explore_error)?;
-            Self::check_interrupt(&expl)?;
-            Ok(crate::shard::seal(net, &expl))
-        }
+            explore(&MarkingSpace::new(net), opts)
+        };
+        Self::from_exploration(net, expl.map_err(Self::unwrap_explore_error)?)
     }
 
     /// Flattens the generic explorer error into [`ReachError`] (whose
@@ -491,36 +482,8 @@ impl ReachabilityGraph {
         }
     }
 
-    /// Explores the state space in parallel across `shards` worker threads,
-    /// each owning one hash-partition of the marking interner (see
-    /// [`crate::shard`] for the pipeline).
-    ///
-    /// The result is **bit-identical** to [`Self::build`] — same state
-    /// numbering, same adjacency — because the parallel phase is followed by
-    /// a canonical renumbering replaying the sequential exploration order
-    /// over the already-discovered graph. Callers can therefore switch
-    /// engines freely; property tests pin the equivalence on the full
-    /// random-net corpus.
-    ///
-    /// `shards` is clamped to `[1, 64]` and rounded up to a power of two;
-    /// `shards <= 1` falls back to the sequential engine.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::build`], with one caveat: the *first*
-    /// failure a racing worker hits wins. On a net with several safeness
-    /// violations, *which* transition a [`ReachError::NotSafe`] reports is
-    /// scheduling-dependent; on a net that is both unsafe **and** larger
-    /// than `cap`, even the error kind (`NotSafe` vs `StateCapExceeded`)
-    /// may differ from run to run and from the sequential engine. On safe
-    /// nets the cap error is deterministic and identical to
-    /// [`Self::build`]'s.
-    pub fn build_sharded(net: &PetriNet, cap: usize, shards: usize) -> Result<Self, ReachError> {
-        Self::build_with(net, ReachOptions::with_cap(cap).shards(shards))
-    }
-
     /// Process-wide number of reachability-graph constructions completed so
-    /// far (every engine: sequential, sharded and naive).
+    /// far (both engines: interned and naive).
     ///
     /// This is the **build-count hook** behind the `Engine` artifact-cache
     /// guarantee: tests snapshot it, run a synth-then-verify pipeline, and
@@ -532,7 +495,7 @@ impl ReachabilityGraph {
 
     /// Builds the predecessor CSR and the excitation-region index from the
     /// successor adjacency in one fused pass over the edges.
-    pub(crate) fn index_edges(
+    fn index_edges(
         nt: usize,
         markings: Vec<Marking>,
         mut interner: MarkingInterner,
@@ -540,7 +503,7 @@ impl ReachabilityGraph {
         succ_ranges: Vec<(u32, u32)>,
     ) -> Self {
         BUILD_COUNT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        interner.seal();
+        interner.drop_keys();
         let n = markings.len();
         let mut pred_off = vec![0u32; n + 1];
         let mut er_off = vec![0u32; nt + 1];

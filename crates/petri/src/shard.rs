@@ -5,10 +5,10 @@
 //! [`StateSpace`] by *partitioning the interner*: every discovered packed
 //! state is owned by exactly one **shard**, chosen by a multiplicative mix
 //! of the state's word hash, and every shard is explored by its own worker
-//! thread. Reachability-graph construction
-//! ([`crate::ReachabilityGraph::build_sharded`]), speed-independence
-//! verification and conformance product exploration all ride the same
-//! pipeline.
+//! thread. It runs the searches whose reports name none of its state
+//! ids: the speed-independence violation search, the conformance product
+//! and the CFSM deadlock check. Reachability graphs are built by the
+//! sequential explorer alone.
 //!
 //! # Pipeline
 //!
@@ -24,7 +24,7 @@
 //!             └──────────────────────┬───────────────────────────────┘
 //!                                    ▼
 //!             ┌────────────────────── worker j ──────────────────────┐
-//!             │ drain queues[j][*] ─▶ intern_j ─▶ record edge/parent │
+//!             │ drain queues[j][*] ─▶ intern_j ─▶ record parent      │
 //!             │                          │ (if new) ─▶ frontier_j    │
 //!             └──────────────────────────┴───────────────────────────┘
 //!
@@ -42,29 +42,18 @@
 //! per-destination batches that are flushed under a per-`(src, dst)` pair
 //! mutex — workers never contend on a single global structure.
 //!
-//! # Merging, and canonical reachability numbering
+//! # Merging
 //!
 //! After the parallel phase the shards hold disjoint state sets with
 //! *shard-local* ids. [`explore_sharded`] merges them into one
-//! [`Exploration`] under provisional global ids (shard offset + local id):
-//! states into a flat arena, per-state discovering edges (witnesses),
-//! violations, and — when edge recording is on — the successor adjacency
-//! as CSR rows sorted by label. Verdict-style clients (verification,
-//! conformance) consume that directly: the violation *set* and the
-//! witness validity are deterministic even though ids are not.
-//!
-//! Reachability needs more: the crate-private `seal` step **renumbers
-//! states by replaying the
-//! sequential exploration order** (LIFO stack from the initial state,
-//! successors scanned in label order) over the discovered graph, making
-//! [`crate::ReachabilityGraph::build_sharded`] *bit-identical* to the
-//! sequential engine regardless of thread scheduling. Property tests
-//! (`crates/petri/tests/prop_substrate.rs`) pin this equivalence on the
-//! random live/safe/free-choice corpus.
+//! [`Exploration`] under global ids (shard offset + local id): states
+//! into a flat arena, per-state discovering edges (witnesses) and
+//! violations. The ids depend on thread scheduling, but the state *set*,
+//! the violation *set* and the validity of every witness do not, so the
+//! verdict-style clients canonicalize their reports without ids.
 
 use crate::budget::{Budget, InterruptReason};
-use crate::net::{Marking, PetriNet, TransId};
-use crate::reach::{MarkingInterner, ReachError, ReachabilityGraph, StateId};
+use crate::reach::{MarkingInterner, StateId};
 use crate::space::{
     Exploration, ExploreError, ExploreOptions, SpaceVisitor, StateSpace, Store, NO_PARENT,
 };
@@ -109,15 +98,6 @@ struct MsgBatch {
 struct Queue {
     nonempty: AtomicBool,
     buf: Mutex<MsgBatch>,
-}
-
-/// One discovered edge, recorded by the shard owning its destination.
-struct EdgeRec {
-    src_shard: u32,
-    src_local: u32,
-    label: u32,
-    /// Local id within the recording shard.
-    dst_local: u32,
 }
 
 /// [`Shared::interrupted`] codes: 0 = none, otherwise an
@@ -230,7 +210,7 @@ impl<V> Shared<V> {
 }
 
 /// Per-worker private state: one shard of the interner, its frontier, its
-/// edge/parent/violation records and its outbound staging buffers.
+/// parent/violation records and its outbound staging buffers.
 struct Worker<V> {
     me: usize,
     nw: usize,
@@ -238,8 +218,6 @@ struct Worker<V> {
     /// LIFO frontier of shard-local state ids (same discipline as the
     /// sequential explorer).
     frontier: Vec<u32>,
-    /// All discovered edges, when [`ExploreOptions::record_edges`].
-    edges: Vec<EdgeRec>,
     /// Discovering `(src_shard, src_local, label)` per local state, when
     /// [`ExploreOptions::witness`].
     parents: Vec<(u32, u32, u32)>,
@@ -248,7 +226,6 @@ struct Worker<V> {
     violations: Vec<(u32, V)>,
     /// Outbound staging, one batch per destination shard.
     out: Vec<MsgBatch>,
-    record_edges: bool,
     witness: bool,
     /// Cross-shard batches this worker published (plain field: summed
     /// into the observability registry at merge time, so the hot path
@@ -265,18 +242,16 @@ impl<V: Send> Worker<V> {
             nw,
             interner: MarkingInterner::new(nw),
             frontier: Vec::new(),
-            edges: Vec::new(),
             parents: Vec::new(),
             violations: Vec::new(),
             out: (0..nshards).map(|_| MsgBatch::default()).collect(),
-            record_edges: opts.record_edges,
             witness: opts.witness,
             flushes: 0,
             idle_spins: 0,
         }
     }
 
-    /// Interns `key` in this shard, recording the edge/parent that
+    /// Interns `key` in this shard, recording the parent that
     /// discovered it; new states are charged against the global cap and
     /// pushed on the local frontier. Returns `false` when the exploration
     /// must stop.
@@ -305,14 +280,6 @@ impl<V: Send> Worker<V> {
             }
             shared.pending.fetch_add(1, Ordering::AcqRel);
             self.frontier.push(local.0);
-        }
-        if self.record_edges {
-            self.edges.push(EdgeRec {
-                src_shard,
-                src_local,
-                label,
-                dst_local: local.0,
-            });
         }
         true
     }
@@ -529,13 +496,18 @@ impl<V: Send> SpaceVisitor<V> for WorkerVisitor<'_, V> {
 /// sequential counterpart sharing the same contract.
 ///
 /// `opts.shards` is normalized like [`crate::ReachOptions::shards`];
-/// `shards <= 1` falls back to the sequential explorer.
+/// `shards <= 1` falls back to the sequential explorer. More than one
+/// shard records no successor adjacency: [`ExploreOptions::record_edges`]
+/// belongs to the sequential explorer, which builds every
+/// [`crate::ReachabilityGraph`].
 ///
 /// # Errors
 ///
 /// [`ExploreError::Fatal`]: the first fatal violation a racing worker
-/// hits wins; see [`crate::ReachabilityGraph::build_sharded`] for the
-/// determinism contract this implies.
+/// hits wins. On a space with several fatal violations, *which* one is
+/// reported depends on thread scheduling; on one that is both fatal
+/// **and** larger than the cap, even whether the run fails or ends with
+/// the cap interrupt may differ from run to run.
 /// [`ExploreError::WorkerPanicked`]: a worker thread panicked — the
 /// panic is caught at the worker boundary, the remaining workers wind
 /// down, and the first panic is reported with the process intact.
@@ -613,8 +585,8 @@ pub fn explore_sharded<S: StateSpace>(
     Ok(expl)
 }
 
-/// Merges the shards into one [`Exploration`] under provisional global
-/// ids (`gid = shard offset + local id`).
+/// Merges the shards into one [`Exploration`] under global ids
+/// (`gid = shard offset + local id`).
 fn merge<V>(
     workers: Vec<Worker<V>>,
     shared: &Shared<V>,
@@ -643,33 +615,12 @@ fn merge<V>(
     let n = off[nshards];
     let gid = |shard: u32, local: u32| (off[shard as usize] + local as usize) as u32;
 
-    // Successor CSR over gids (edges are recorded by the shard owning
-    // their destination, so rows are scattered across workers): count,
-    // prefix-sum, scatter, then sort each row by label — which recovers
-    // the sequential explorer's in-row order, since every (state, label)
-    // edge is unique and labels are enumerated ascending.
-    let nedges: usize = workers.iter().map(|w| w.edges.len()).sum();
-    let mut deg = vec![0u32; n + 1];
-    if opts.record_edges {
-        for w in &workers {
-            for e in &w.edges {
-                deg[gid(e.src_shard, e.src_local) as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            deg[i + 1] += deg[i];
-        }
-    }
-    let mut cursor = deg.clone();
-    let mut succ_edges = vec![(0u32, 0u32); nedges];
-
     // One consuming pass per worker: states into the flat arena, parents
-    // and violations remapped to gids, edges scattered into the CSR.
+    // and violations remapped to gids.
     let mut words: Vec<u64> = Vec::with_capacity(n * nw);
     let mut parents: Vec<(u32, u32)> = Vec::with_capacity(if opts.witness { n } else { 0 });
     let mut violations: Vec<(u32, V)> = Vec::new();
     for (j, w) in workers.into_iter().enumerate() {
-        let j = j as u32;
         words.extend_from_slice(&w.interner.words);
         for &(ps, pl, label) in &w.parents {
             parents.push(if ps == NO_PARENT {
@@ -678,33 +629,20 @@ fn merge<V>(
                 (gid(ps, pl), label)
             });
         }
-        violations.extend(w.violations.into_iter().map(|(l, v)| (gid(j, l), v)));
-        for e in &w.edges {
-            let c = &mut cursor[gid(e.src_shard, e.src_local) as usize];
-            succ_edges[*c as usize] = (e.label, gid(j, e.dst_local));
-            *c += 1;
-        }
+        violations.extend(w.violations.into_iter().map(|(l, v)| (gid(j as u32, l), v)));
     }
     debug_assert!(!opts.witness || parents.len() == n);
-    let mut succ_ranges: Vec<(u32, u32)> = Vec::new();
-    if opts.record_edges {
-        for s in 0..n {
-            succ_edges[deg[s] as usize..deg[s + 1] as usize].sort_unstable_by_key(|&(l, _)| l);
-        }
-        succ_ranges = (0..n).map(|s| (deg[s], deg[s + 1])).collect();
-    }
 
     let interrupted = intr_reason(shared.interrupted.load(Ordering::Acquire));
     let states = n.min(shared.budget.cap);
     if si_obs::enabled() {
         si_obs::counter_add("explore.states", states as u64);
-        si_obs::counter_add("explore.edges", nedges as u64);
     }
     Exploration {
         store: Store::Flat { nw, words, len: n },
         root: off[owner] as u32,
-        succ_edges,
-        succ_ranges,
+        succ_edges: Vec::new(),
+        succ_ranges: Vec::new(),
         parents,
         violations,
         interrupted,
@@ -713,67 +651,13 @@ fn merge<V>(
     }
 }
 
-/// Canonical reachability numbering over a sharded [`Exploration`] of the
-/// marking space: replays the sequential exploration order (LIFO stack
-/// from the initial marking, successors in transition order, ids assigned
-/// at first discovery) over the discovered graph, then packs the result
-/// into the CSR/interner representation — making
-/// [`ReachabilityGraph::build_sharded`] bit-identical to
-/// [`ReachabilityGraph::build`]. The renumbering derives purely from
-/// graph structure, so thread scheduling cannot leak into the output.
-pub(crate) fn seal(net: &PetriNet, expl: &Exploration<ReachError>) -> ReachabilityGraph {
-    let np = net.place_count();
-    let nt = net.transition_count();
-    let n = expl.interned();
-    let row = |s: usize| {
-        let (start, end) = expl.succ_ranges[s];
-        &expl.succ_edges[start as usize..end as usize]
-    };
-
-    // Replay: LIFO stack, successors in label order, ids at discovery.
-    let root = expl.root() as usize;
-    let mut perm = vec![u32::MAX; n];
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    perm[root] = 0;
-    order.push(root as u32);
-    let mut stack: Vec<u32> = vec![root as u32];
-    while let Some(s) = stack.pop() {
-        for &(_, d) in row(s as usize) {
-            if perm[d as usize] == u32::MAX {
-                perm[d as usize] = order.len() as u32;
-                order.push(d);
-                stack.push(d);
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), n, "every state is reachable from m0");
-
-    // Emit in canonical order, straight into the flat CSR layout (no
-    // per-row Vec allocations — n can be millions).
-    let markings: Vec<Marking> = order
-        .iter()
-        .map(|&old| Marking::from_words(np, expl.key(old).to_vec()))
-        .collect();
-    let mut interner = MarkingInterner::new(markings.first().map_or(1, |m| m.as_words().len()));
-    for m in &markings {
-        interner.intern(m.as_words());
-    }
-    let mut succ_edges: Vec<(TransId, StateId)> = Vec::with_capacity(expl.succ_edges.len());
-    let mut succ_ranges: Vec<(u32, u32)> = Vec::with_capacity(n);
-    for &old in &order {
-        let start = succ_edges.len() as u32;
-        for &(t, d) in row(old as usize) {
-            succ_edges.push((TransId(t), StateId(perm[d as usize])));
-        }
-        succ_ranges.push((start, succ_edges.len() as u32));
-    }
-    ReachabilityGraph::index_edges(nt, markings, interner, succ_edges, succ_ranges)
-}
-
 #[cfg(test)]
 mod tests {
+    use super::explore_sharded;
+    use crate::budget::InterruptReason;
     use crate::net::PetriNet;
-    use crate::reach::{ReachError, ReachabilityGraph};
+    use crate::reach::ReachError;
+    use crate::space::{explore, Exploration, ExploreError, ExploreOptions, MarkingSpace};
 
     /// An `n`-stage pipeline of fork-joins — enough states to exercise
     /// cross-shard traffic and table growth.
@@ -810,28 +694,33 @@ mod tests {
         b.build()
     }
 
-    fn assert_identical(a: &ReachabilityGraph, b: &ReachabilityGraph) {
-        assert_eq!(a.state_count(), b.state_count());
-        assert_eq!(a.edge_count(), b.edge_count());
-        for s in a.states() {
-            assert_eq!(a.marking(s), b.marking(s), "marking of {s:?}");
-            assert_eq!(a.successors(s), b.successors(s), "succs of {s:?}");
-            assert_eq!(a.predecessors(s), b.predecessors(s), "preds of {s:?}");
-        }
+    /// The interned states of an exploration, sorted — the id-free view
+    /// every sharded client reports from.
+    fn sorted_keys<V>(e: &Exploration<V>) -> Vec<Vec<u64>> {
+        let mut keys: Vec<Vec<u64>> = (0..e.interned() as u32)
+            .map(|s| e.key(s).to_vec())
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    fn assert_same_states(net: &PetriNet, shards: usize) {
+        let space = MarkingSpace::new(net);
+        let seq = explore(&space, ExploreOptions::with_cap(1_000_000)).unwrap();
+        let par =
+            explore_sharded(&space, ExploreOptions::with_cap(1_000_000).shards(shards)).unwrap();
+        assert_eq!(par.interrupted, None);
+        assert_eq!(par.states, seq.states, "{shards} shards");
+        assert_eq!(sorted_keys(&par), sorted_keys(&seq), "{shards} shards");
+        assert_eq!(par.key(par.root()), seq.key(seq.root()));
     }
 
     #[test]
     fn sharded_matches_sequential_bit_for_bit() {
         for n in [1, 3, 6] {
             let net = pipeline(n);
-            let seq = ReachabilityGraph::build(&net, 1_000_000).unwrap();
             for shards in [2, 4, 8] {
-                let par = ReachabilityGraph::build_sharded(&net, 1_000_000, shards).unwrap();
-                assert_identical(&seq, &par);
-                for t in net.transitions() {
-                    assert_eq!(seq.states_enabling(t), par.states_enabling(t));
-                }
-                assert_eq!(seq.is_live(&net), par.is_live(&net));
+                assert_same_states(&net, shards);
             }
         }
     }
@@ -839,10 +728,12 @@ mod tests {
     #[test]
     fn sharded_respects_cap() {
         let net = pipeline(4);
-        let full = ReachabilityGraph::build(&net, 1_000_000).unwrap();
-        let cap = full.state_count() - 1;
-        let err = ReachabilityGraph::build_sharded(&net, cap, 4).unwrap_err();
-        assert_eq!(err, ReachError::StateCapExceeded { cap });
+        let space = MarkingSpace::new(&net);
+        let full = explore(&space, ExploreOptions::with_cap(1_000_000)).unwrap();
+        let cap = full.states - 1;
+        let par = explore_sharded(&space, ExploreOptions::with_cap(cap).shards(4)).unwrap();
+        assert_eq!(par.interrupted, Some(InterruptReason::CapExceeded));
+        assert_eq!(par.states, cap);
     }
 
     #[test]
@@ -860,32 +751,25 @@ mod tests {
         b.arc_tp(t1, p1);
         b.arc_tp(t1, p0);
         let net = b.build();
-        let r = ReachabilityGraph::build_sharded(&net, 100, 2);
-        assert!(matches!(r, Err(ReachError::NotSafe { .. })));
-    }
-
-    #[test]
-    fn one_shard_falls_back_to_sequential() {
-        let net = pipeline(2);
-        let a = ReachabilityGraph::build_sharded(&net, 1_000, 1).unwrap();
-        let b = ReachabilityGraph::build(&net, 1_000).unwrap();
-        assert_identical(&a, &b);
+        let r = explore_sharded(
+            &MarkingSpace::new(&net),
+            ExploreOptions::with_cap(100).shards(2),
+        );
+        assert!(matches!(
+            r,
+            Err(ExploreError::Fatal(ReachError::NotSafe { .. }))
+        ));
     }
 
     #[test]
     fn wide_nets_cross_word_boundaries() {
         // > 64 places forces multi-word markings through the message path.
         let n = 40; // 6 places per stage + 1 => ~241 places
-        let net = pipeline(n);
-        let seq = ReachabilityGraph::build(&net, 1_000_000).unwrap();
-        let par = ReachabilityGraph::build_sharded(&net, 1_000_000, 4).unwrap();
-        assert_identical(&seq, &par);
+        assert_same_states(&pipeline(n), 4);
     }
 
     #[test]
     fn sharded_witnesses_replay() {
-        use crate::shard::explore_sharded;
-        use crate::space::{ExploreOptions, MarkingSpace};
         let net = pipeline(3);
         let space = MarkingSpace::new(&net);
         let e = explore_sharded(

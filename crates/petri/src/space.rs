@@ -5,8 +5,7 @@
 //! product-automaton conformance checking are all the same computation —
 //! enumerate the states reachable from an initial packed state, watch for
 //! violations along the way — yet they historically each hand-rolled their
-//! own loop, and only reachability got the sharded parallel engine. This
-//! module factors the traversal out:
+//! own loop. This module factors the traversal out:
 //!
 //! * [`StateSpace`] — a state space as data: a packed-word state format,
 //!   an [`initial`](StateSpace::initial) state, a lazy
@@ -17,7 +16,8 @@
 //!   engine);
 //! * [`crate::shard::explore_sharded`] — the hash-partitioned parallel
 //!   explorer (one interner shard + worker thread per partition, batched
-//!   cross-shard queues, in-flight-counter termination);
+//!   cross-shard queues, in-flight-counter termination) of the verdict
+//!   searches, whose reports name none of its state ids;
 //! * [`ExploreOptions`] / [`Exploration`] — one knob set (cap, shard
 //!   count, violation budget, edge recording, witness reconstruction) and
 //!   one result shape for every client.
@@ -26,7 +26,7 @@
 //!    spaces                     explorers                clients
 //!   ┌───────────────┐     ┌──────────────────────┐    ┌──────────────────┐
 //!   │ MarkingSpace  │────▶│ explore (sequential) │───▶│ ReachabilityGraph│
-//!   │ (firing rule) │  ┌─▶│                      │    │ ::build[_sharded]│
+//!   │ (firing rule) │  ┌─▶│                      │    │ ::build          │
 //!   ├───────────────┤  │  ├──────────────────────┤    ├──────────────────┤
 //!   │ SI-verify     │──┤  │ shard::              │───▶│ EngineVerify::   │
 //!   │ (rg walk)     │  │  │   explore_sharded    │    │   verify         │
@@ -162,6 +162,7 @@ pub struct ExploreOptions {
     pub max_violations: usize,
     /// Record the full labelled successor adjacency — needed by
     /// reachability-graph construction, wasted on verdict-only clients.
+    /// Only the sequential explorer records it.
     pub record_edges: bool,
     /// Record each state's discovering edge so
     /// [`Exploration::witness`] can reconstruct a firing sequence from
@@ -603,8 +604,8 @@ impl<V> SpaceVisitor<V> for SequentialSink<V> {
 /// rule `(m \ •t) ∪ t•` via a [`FiringView`]. A safeness violation is
 /// fatal ([`ReachError::NotSafe`]).
 ///
-/// This is the space behind [`crate::ReachabilityGraph::build`] /
-/// [`crate::ReachabilityGraph::build_sharded`]; it reports no
+/// This is the space behind [`crate::ReachabilityGraph::build`] on nets
+/// of more than 64 places; it reports no
 /// [`inspect`](StateSpace::inspect) violations.
 #[derive(Debug)]
 pub struct MarkingSpace {

@@ -4,7 +4,9 @@
 //! reference implementations on random live, safe, free-choice nets.
 
 use proptest::prelude::*;
-use si_petri::{ConcurrencyRelation, PetriNet, ReachabilityGraph};
+use si_petri::shard::explore_sharded;
+use si_petri::space::{ExploreOptions, MarkingSpace};
+use si_petri::{ConcurrencyRelation, InterruptReason, PetriNet, ReachError, ReachabilityGraph};
 
 /// Expansion step applied to a random place of a ring (same grammar as the
 /// structural property tests: the result stays live/safe/free-choice).
@@ -174,40 +176,22 @@ proptest! {
     }
 
     #[test]
-    fn sharded_reachability_matches_sequential(
-        exps in arb_expansions(),
-        shards in prop_oneof![Just(2usize), Just(4usize), Just(8usize)],
-    ) {
-        let net = build_net(&exps);
-        let seq = ReachabilityGraph::build(&net, 20_000).unwrap();
-        let par = ReachabilityGraph::build_sharded(&net, 20_000, shards).unwrap();
-        // The sharded engine renumbers canonically, so the comparison is
-        // bit-for-bit — not merely up to permutation.
-        prop_assert_eq!(par.state_count(), seq.state_count());
-        prop_assert_eq!(par.edge_count(), seq.edge_count());
-        for s in seq.states() {
-            prop_assert_eq!(par.marking(s), seq.marking(s));
-            prop_assert_eq!(par.successors(s), seq.successors(s));
-            prop_assert_eq!(par.predecessors(s), seq.predecessors(s));
-            prop_assert_eq!(par.state_of(par.marking(s)), Some(s));
-        }
-        for t in net.transitions() {
-            prop_assert_eq!(par.states_enabling(t), seq.states_enabling(t));
-        }
-        prop_assert_eq!(par.is_live(&net), seq.is_live(&net));
-        prop_assert_eq!(par.is_strongly_connected(), seq.is_strongly_connected());
-    }
-
-    #[test]
     fn sharded_cap_errors_agree(exps in arb_expansions()) {
+        // The graph build's cap error and the sharded explorer's cap
+        // interrupt bite at the same state count.
         let net = build_net(&exps);
         let full = ReachabilityGraph::build(&net, 20_000).unwrap();
         if full.state_count() > 1 {
             let cap = full.state_count() - 1;
             let seq = ReachabilityGraph::build(&net, cap);
-            let par = ReachabilityGraph::build_sharded(&net, cap, 4);
-            prop_assert!(par.is_err());
-            prop_assert_eq!(seq.unwrap_err(), par.unwrap_err());
+            let par = explore_sharded(
+                &MarkingSpace::new(&net),
+                ExploreOptions::with_cap(cap).shards(4),
+            )
+            .unwrap();
+            prop_assert_eq!(seq.unwrap_err(), ReachError::StateCapExceeded { cap });
+            prop_assert_eq!(par.interrupted, Some(InterruptReason::CapExceeded));
+            prop_assert_eq!(par.states, cap);
         }
     }
 

@@ -9,31 +9,11 @@
 //! pinned the same way against [`StateEncoding`]/[`CodingAnalysis`]/
 //! [`SignalRegions`]: signal values, ER/QR membership, USC/CSC verdicts
 //! and distinct-code counts.
-//!
-//! The explicit side honors `SISYN_DIFF_SHARDS` (CI runs the suite at two
-//! shard counts) — the symbolic answers must match the sequential *and*
-//! the sharded spelling of the oracle.
 
 use proptest::prelude::*;
-use si_petri::{
-    PetriNet, ReachError, ReachOptions, ReachabilityGraph, StateId, SymbolicReach, TransId,
-};
+use si_petri::{PetriNet, ReachError, ReachabilityGraph, StateId, SymbolicReach, TransId};
 use si_stg::generators::{clatch, philosophers, vme_burst, vme_chain};
 use si_stg::{CodingAnalysis, SignalRegions, StateEncoding, Stg, SymbolicAnalysis};
-
-/// Shard count of the explicit oracle (`SISYN_DIFF_SHARDS`, default 1) —
-/// the differential assertions are shard-invariant because the explicit
-/// build itself is pinned bit-identical at any shard count.
-fn diff_shards() -> usize {
-    std::env::var("SISYN_DIFF_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
-fn explicit(net: &PetriNet, cap: usize) -> Result<ReachabilityGraph, ReachError> {
-    ReachabilityGraph::build_with(net, ReachOptions::with_cap(cap).shards(diff_shards()))
-}
 
 /// Sampled subset of the explicit states: all of them on small graphs, an
 /// evenly-strided slice on bigger ones (membership checks are per-state
@@ -47,7 +27,7 @@ fn sample_states(rg: &ReachabilityGraph) -> Vec<StateId> {
 /// Net-level agreement: counts, per-transition ER cardinalities, sampled
 /// membership and enabledness.
 fn assert_net_agrees(net: &PetriNet) {
-    let rg = explicit(net, 4_000_000).expect("explicit oracle within cap");
+    let rg = ReachabilityGraph::build(net, 4_000_000).expect("explicit oracle within cap");
     let sym = SymbolicReach::build(net).expect("symbolic build");
     assert!(sym.is_complete());
     assert_eq!(
@@ -84,7 +64,7 @@ fn assert_net_agrees(net: &PetriNet) {
 /// ER/QR membership, consistency and the USC/CSC coding verdicts.
 fn assert_stg_agrees(stg: &Stg) {
     assert_net_agrees(stg.net());
-    let rg = explicit(stg.net(), 4_000_000).expect("explicit oracle within cap");
+    let rg = ReachabilityGraph::build(stg.net(), 4_000_000).expect("explicit oracle within cap");
     let enc = StateEncoding::compute(stg, &rg).expect("generator STGs are consistent");
     let coding = CodingAnalysis::compute(stg, &rg, &enc);
     let sym = SymbolicAnalysis::build(stg).expect("symbolic build");
@@ -241,7 +221,7 @@ fn symbolic_solves_beyond_the_explicit_cap() {
     assert!(sym.is_complete());
     assert_eq!(sym.state_count(), 1u128 << 23);
     assert!(sym.state_count() > 4_000_000);
-    match explicit(stg.net(), 100_000) {
+    match ReachabilityGraph::build(stg.net(), 100_000) {
         Err(ReachError::StateCapExceeded { cap: 100_000 }) => {}
         other => panic!("expected the explicit cap to overflow, got {other:?}"),
     }
@@ -308,7 +288,7 @@ fn unsafe_net() -> PetriNet {
 #[test]
 fn unsafe_nets_agree_on_the_not_safe_verdict() {
     let net = unsafe_net();
-    let explicit_err = explicit(&net, 1_000).expect_err("explicit NotSafe");
+    let explicit_err = ReachabilityGraph::build(&net, 1_000).expect_err("explicit NotSafe");
     let symbolic_err = SymbolicReach::build(&net).expect_err("symbolic NotSafe");
     assert!(matches!(explicit_err, ReachError::NotSafe { .. }));
     assert!(matches!(symbolic_err, ReachError::NotSafe { .. }));

@@ -537,9 +537,8 @@ impl Report for Check<'_> {
             Err(ReachError::StateCapExceeded { cap }) => writeln!(
                 out,
                 "reachable markings: > {cap} (state cap exceeded — the structural flow does not \
-                 need the state graph; pass a larger `--cap N` for exact counts, `--shards auto` \
-                 to explore big state spaces in parallel, or `--backend symbolic` to count \
-                 without enumerating)"
+                 need the state graph; pass a larger `--cap N` for exact counts, or \
+                 `--backend symbolic` to count without enumerating)"
             ),
             Err(ReachError::Interrupted {
                 reason,
@@ -840,7 +839,7 @@ impl Report for Verify<'_> {
                 return format!(
                     "verification inconclusive: {e} — state-based verification needs the full \
                      reachability graph; pass a larger `--cap N` / `--timeout DUR` to raise the \
-                     budget (and `--shards auto` to build the graph in parallel)\n"
+                     budget\n"
                 )
             }
             Err(VerifyFailure::Functional(e)) => return format!("verification failed: {e}\n"),

@@ -51,18 +51,17 @@
 //!                      (how many insertion plans may be structurally
 //!                      evaluated). Raising --cap admits bigger
 //!                      candidates; raising --budget searches longer.
-//!   --shards N|auto    explore state spaces with N parallel shard
+//!   --shards N|auto    run the verdict searches with N parallel shard
 //!                      workers (see si-petri's generic sharded explorer;
 //!                      N is rounded up to a power of two, max 64); `auto`
 //!                      picks the hardware-thread count rounded down.
-//!                      Applies to every traversal of the run: the
-//!                      reachability build, the speed-independence
-//!                      violation search and the spec×circuit conformance
-//!                      product. Default 1 (sequential). Raising --cap on
-//!                      a big net? Combine it with --shards to keep the
-//!                      wall time down. When `verify` finds a violation
-//!                      it prints (and emits in --json as "trace") a
-//!                      firing-sequence counterexample leading to it.
+//!                      Applies to the speed-independence violation
+//!                      search, the spec×circuit conformance product and
+//!                      `deadlock`; the reachability graph is always
+//!                      built sequentially. Default 1 (sequential). When
+//!                      `verify` finds a violation it prints (and emits
+//!                      in --json as "trace") a firing-sequence
+//!                      counterexample leading to it.
 //!   --budget N         resolve only: insertion-candidate search budget
 //!                      (default 100000) — how many state-signal
 //!                      insertions may be structurally evaluated,

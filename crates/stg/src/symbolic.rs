@@ -138,6 +138,9 @@ impl SymbolicAnalysis {
         let _span = si_obs::span("symbolic.analysis");
         let nsig = stg.signal_count();
         let mut reach = SymbolicReach::build_with_aux(stg.net(), budget, nsig)?;
+        // What the reachability build already counted: the work below
+        // runs on the same manager and is counted on top.
+        let (hits0, misses0) = reach.bdd().cache_stats();
         let nt = reach.transition_count();
 
         // Per-transition ERs and per-signal enabledness disjunctions are
@@ -184,6 +187,13 @@ impl SymbolicAnalysis {
             sym.interrupt = sym.reach.interrupt();
         }
         sym.peak_nodes = sym.reach.peak_nodes().max(sym.reach.bdd().node_count());
+        if si_obs::enabled() {
+            let (hits, misses) = sym.reach.bdd().cache_stats();
+            si_obs::counter_add("bdd.cache_hits", hits - hits0);
+            si_obs::counter_add("bdd.cache_misses", misses - misses0);
+            si_obs::gauge_max("symbolic.peak_nodes", sym.peak_nodes as i64);
+            si_obs::gauge_set("symbolic.live_nodes", sym.reach.bdd().node_count() as i64);
+        }
         Ok(sym)
     }
 

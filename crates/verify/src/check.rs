@@ -156,10 +156,11 @@ pub fn verify_circuit(stg: &Stg, circuit: &Circuit) -> VerificationReport {
 /// Verifies with explicit [`si_petri::ReachOptions`]: `reach.cap` bounds
 /// the specification's state space (the call returns
 /// [`si_petri::ReachError::StateCapExceeded`] instead of hanging past it)
-/// and `reach.shards > 1` runs both the reachability build **and** the
-/// violation search on the sharded multi-threaded explorer. The report is
-/// identical at any shard count (violations are canonically ordered; only
-/// the counterexample trace may differ between equally valid witnesses).
+/// and `reach.shards > 1` runs the violation search on the sharded
+/// multi-threaded explorer; the reachability graph is built sequentially.
+/// The report is identical at any shard count (violations are canonically
+/// ordered; only the counterexample trace may differ between equally
+/// valid witnesses).
 ///
 /// This is a one-shot wrapper over [`si_core::Engine`]; pipelines that
 /// also synthesize or check conformance should hold an `Engine` and call

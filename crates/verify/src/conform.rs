@@ -112,10 +112,10 @@ pub fn check_conformance(
 
 /// Like [`check_conformance`] but with explicit [`si_petri::ReachOptions`]:
 /// the budget (state cap, deadline, cancellation) bounds the product
-/// exploration and `reach.shards > 1` runs **both** the specification's
-/// reachability probe (which seeds the initial wire encoding) and the
-/// product exploration itself on the sharded multi-threaded explorer. The
-/// verdict is identical at any shard count.
+/// exploration and `reach.shards > 1` runs it on the sharded
+/// multi-threaded explorer; the specification's reachability probe (which
+/// seeds the initial wire encoding) is built sequentially. The verdict is
+/// identical at any shard count.
 ///
 /// Exhausting the budget is **not** an error: the report comes back
 /// partial, tagged [`ConformanceReport::interrupted`]. The probe keeps at

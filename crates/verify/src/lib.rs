@@ -20,7 +20,8 @@
 //! by the workspace's generic explorers: passing `shards > 1` (via
 //! [`si_petri::ReachOptions`] or `Engine::shards`) runs the violation
 //! search and the conformance product on the sharded multi-threaded
-//! explorer, and every failing report carries a firing-sequence
+//! explorer, while the reachability graph both read is built
+//! sequentially. Every failing report carries a firing-sequence
 //! counterexample ([`VerificationReport::trace`],
 //! [`ConformanceReport::trace`]).
 //!

@@ -335,6 +335,18 @@ fn symbolic_check_builds_one_analysis() {
     };
     assert_eq!(counter("engine.symbolic_builds"), Some(1), "{out}");
     assert_eq!(counter("symbolic.iterations"), Some(14), "{out}");
+    // The BDD figures count the coding layer's work too: they are the
+    // in-process analysis' own.
+    let analysis = sisyn::stg::SymbolicAnalysis::build(&parse_g(&text).unwrap()).unwrap();
+    assert_eq!(analysis.peak_nodes(), 4430);
+    let peak = profile
+        .get("gauges")
+        .and_then(|g| g.get("symbolic.peak_nodes"))
+        .and_then(Value::as_usize);
+    assert_eq!(peak, Some(analysis.peak_nodes()), "{out}");
+    let (hits, misses) = analysis.reach().bdd().cache_stats();
+    assert_eq!(counter("bdd.cache_hits"), Some(hits as usize), "{out}");
+    assert_eq!(counter("bdd.cache_misses"), Some(misses as usize), "{out}");
     // The span path cli.check > symbolic.analysis > symbolic.coding.
     let mut spans = profile.get("spans");
     for name in ["cli.check", "symbolic.analysis", "symbolic.coding"] {
