@@ -308,9 +308,10 @@ impl<'a> Engine<'a> {
     /// kept as a value so each caller can map it to its own error type).
     fn encoding_entry(&self) -> Result<&Result<StateEncoding, EncodingError>, ReachError> {
         let rg = self.reachability()?;
-        Ok(self
-            .enc
-            .get_or_init(|| StateEncoding::compute(self.stg, rg)))
+        Ok(self.enc.get_or_init(|| {
+            let _span = si_obs::span("stg.encode");
+            StateEncoding::compute(self.stg, rg)
+        }))
     }
 
     /// The cached state encoding over [`Engine::reachability`].

@@ -268,10 +268,16 @@ impl MarkingInterner {
     }
 
     /// Looks up `key`; on a miss interns it as state `len` and returns
-    /// `(id, true)`. One probe sequence for both outcomes.
+    /// `(id, true)`.
     pub(crate) fn intern(&mut self, key: &[u64]) -> (StateId, bool) {
+        self.intern_hashed(key, hash_key(key))
+    }
+
+    /// [`Self::intern`] with the key's hash, `h == hash_key(key)`,
+    /// computed by the caller. One probe sequence for both outcomes.
+    pub(crate) fn intern_hashed(&mut self, key: &[u64], h: u64) -> (StateId, bool) {
         debug_assert_eq!(key.len(), self.nwords);
-        let h = hash_key(key);
+        debug_assert_eq!(h, hash_key(key));
         let tag = h & TAG_MASK;
         let mut i = (h as usize) & self.mask;
         loop {

@@ -53,6 +53,7 @@
 use crate::budget::{Budget, Interrupt, InterruptReason};
 use crate::net::{FiringView, PetriNet, TransId};
 use crate::reach::{MarkingInterner, ReachError, StateId};
+use si_boolean::hash_word_slice;
 use std::time::{Duration, Instant};
 
 /// How often (in explored states) the sequential explorer consults the
@@ -75,9 +76,13 @@ pub enum Verdict {
 /// [`StateSpace::inspect`].
 pub trait SpaceVisitor<V> {
     /// A successor reached by firing `label`. Returns `false` when the
-    /// space must stop enumerating (cap reached or exploration aborted) —
-    /// implementations of [`StateSpace::for_each_successor`] must return
-    /// `Ok(())` immediately in that case.
+    /// space must stop enumerating — implementations of
+    /// [`StateSpace::for_each_successor`] must return `Ok(())`
+    /// immediately in that case. The sequential explorer buffers each
+    /// successor and interns them once the state is expanded, so it
+    /// returns `false` only after a [`Self::violation`] whose flush of
+    /// that buffer hit the cap; the sharded explorer returns `false` once
+    /// a successor it interned burst the cap.
     fn successor(&mut self, label: u32, next: &[u64]) -> bool;
 
     /// A non-fatal violation observed at the current state (or on one of
@@ -475,6 +480,9 @@ pub fn explore<S: StateSpace>(
         record_edges: opts.record_edges,
         witness: opts.witness,
         cap: opts.budget.cap,
+        nw,
+        pending: Vec::new(),
+        pending_keys: Vec::new(),
     };
     let mut cur = vec![0u64; nw];
     let mut scratch = vec![0u64; nw];
@@ -513,9 +521,13 @@ pub fn explore<S: StateSpace>(
             break;
         }
         let start = sink.succ_edges.len() as u32;
-        space
-            .for_each_successor(&cur, &mut scratch, &mut sink)
-            .map_err(ExploreError::Fatal)?;
+        let expanded = space.for_each_successor(&cur, &mut scratch, &mut sink);
+        sink.flush();
+        // A flush that hit the cap stands for the one-at-a-time sink
+        // stopping the space there, before it reached its error.
+        if let (Err(e), None) = (expanded, sink.interrupted) {
+            return Err(ExploreError::Fatal(e));
+        }
         if opts.record_edges {
             sink.succ_ranges[s as usize] = (start, sink.succ_edges.len() as u32);
         }
@@ -541,6 +553,13 @@ pub fn explore<S: StateSpace>(
 
 /// The sequential explorer's visitor: interns successors, records
 /// edges/parents, collects violations, enforces the cap.
+///
+/// It expands, then interns: [`SpaceVisitor::successor`] buffers the
+/// successor with its hash, and [`Self::flush`] interns the current
+/// state's buffer in one loop, in label order, once the space is done
+/// with the state. The probes of that loop do not depend on each other,
+/// so their cache misses overlap. Ids, edges, parents and violations are
+/// those of interning each successor as it is reported.
 struct SequentialSink<V> {
     interner: MarkingInterner,
     frontier: Vec<u32>,
@@ -556,9 +575,46 @@ struct SequentialSink<V> {
     record_edges: bool,
     witness: bool,
     cap: usize,
+    /// Words per state.
+    nw: usize,
+    /// The current state's buffered successors `(label, hash)`, in label
+    /// order; successor `i` is `pending_keys[i * nw .. (i + 1) * nw]`.
+    pending: Vec<(u32, u64)>,
+    pending_keys: Vec<u64>,
 }
 
 impl<V> SequentialSink<V> {
+    /// Interns the buffered successors in label order, as the
+    /// one-at-a-time sink would have, and empties the buffer. Sets
+    /// `interrupted` and drops the rest of the buffer at the cap.
+    fn flush(&mut self) {
+        let mut at = 0;
+        for &(label, hash) in &self.pending {
+            let key = &self.pending_keys[at..at + self.nw];
+            at += self.nw;
+            let (id, is_new) = self.interner.intern_hashed(key, hash);
+            if is_new {
+                if self.states >= self.cap {
+                    self.interrupted = Some(InterruptReason::CapExceeded);
+                    break;
+                }
+                self.states += 1;
+                if self.record_edges {
+                    self.succ_ranges.push((0, 0));
+                }
+                if self.witness {
+                    self.parents.push((self.src, label));
+                }
+                self.frontier.push(id.0);
+            }
+            if self.record_edges {
+                self.succ_edges.push((label, id.0));
+            }
+        }
+        self.pending.clear();
+        self.pending_keys.clear();
+    }
+
     /// Approximate live bytes: state arena + interner table + recorded
     /// adjacency (the dominant allocations of an exploration).
     fn approx_bytes(&self) -> usize {
@@ -573,29 +629,20 @@ impl<V> SpaceVisitor<V> for SequentialSink<V> {
         if self.interrupted.is_some() {
             return false;
         }
-        let (id, is_new) = self.interner.intern(next);
-        if is_new {
-            if self.states >= self.cap {
-                self.interrupted = Some(InterruptReason::CapExceeded);
-                return false;
-            }
-            self.states += 1;
-            if self.record_edges {
-                self.succ_ranges.push((0, 0));
-            }
-            if self.witness {
-                self.parents.push((self.src, label));
-            }
-            self.frontier.push(id.0);
-        }
-        if self.record_edges {
-            self.succ_edges.push((label, id.0));
-        }
+        self.pending.push((label, hash_word_slice(next)));
+        self.pending_keys.extend_from_slice(next);
         true
     }
 
+    /// Flushes the buffered successors first, so the violation lands
+    /// where the one-at-a-time sink put it. When that flush hits the cap,
+    /// that sink would have stopped the space before this violation, so
+    /// it is dropped.
     fn violation(&mut self, v: V) {
-        self.violations.push((self.src, v));
+        self.flush();
+        if self.interrupted.is_none() {
+            self.violations.push((self.src, v));
+        }
     }
 }
 
@@ -839,5 +886,350 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
+    }
+
+    /// The one-successor-at-a-time sink that [`SequentialSink`] replaced,
+    /// kept as the oracle of its expand-then-intern batching: every
+    /// successor is interned the moment the space reports it, and the cap
+    /// stops the space at once.
+    mod reference {
+        use super::*;
+
+        struct OneAtATimeSink<V> {
+            interner: MarkingInterner,
+            frontier: Vec<u32>,
+            succ_edges: Vec<(u32, u32)>,
+            succ_ranges: Vec<(u32, u32)>,
+            parents: Vec<(u32, u32)>,
+            violations: Vec<(u32, V)>,
+            states: usize,
+            interrupted: Option<InterruptReason>,
+            src: u32,
+            record_edges: bool,
+            witness: bool,
+            cap: usize,
+        }
+
+        impl<V> SpaceVisitor<V> for OneAtATimeSink<V> {
+            fn successor(&mut self, label: u32, next: &[u64]) -> bool {
+                if self.interrupted.is_some() {
+                    return false;
+                }
+                let (id, is_new) = self.interner.intern(next);
+                if is_new {
+                    if self.states >= self.cap {
+                        self.interrupted = Some(InterruptReason::CapExceeded);
+                        return false;
+                    }
+                    self.states += 1;
+                    if self.record_edges {
+                        self.succ_ranges.push((0, 0));
+                    }
+                    if self.witness {
+                        self.parents.push((self.src, label));
+                    }
+                    self.frontier.push(id.0);
+                }
+                if self.record_edges {
+                    self.succ_edges.push((label, id.0));
+                }
+                true
+            }
+
+            fn violation(&mut self, v: V) {
+                self.violations.push((self.src, v));
+            }
+        }
+
+        /// [`explore`]'s loop around the old sink, for budgets with a
+        /// state cap only.
+        pub(super) fn explore<S: StateSpace>(
+            space: &S,
+            opts: ExploreOptions,
+        ) -> Result<Exploration<S::Violation>, ExploreError<S::Violation>> {
+            assert!(!opts.budget.has_soft_limits());
+            let nw = space.words();
+            let mut interner = MarkingInterner::new(nw);
+            interner.intern(&space.initial());
+            let mut sink = OneAtATimeSink {
+                interner,
+                frontier: vec![0u32],
+                succ_edges: Vec::new(),
+                succ_ranges: if opts.record_edges {
+                    vec![(0, 0)]
+                } else {
+                    Vec::new()
+                },
+                parents: if opts.witness {
+                    vec![(NO_PARENT, 0)]
+                } else {
+                    Vec::new()
+                },
+                violations: Vec::new(),
+                states: 1,
+                interrupted: None,
+                src: 0,
+                record_edges: opts.record_edges,
+                witness: opts.witness,
+                cap: opts.budget.cap,
+            };
+            let mut cur = vec![0u64; nw];
+            let mut scratch = vec![0u64; nw];
+            while let Some(s) = sink.frontier.pop() {
+                if sink.violations.len() >= opts.max_violations || sink.interrupted.is_some() {
+                    break;
+                }
+                cur.copy_from_slice(sink.interner.key(s as usize));
+                sink.src = s;
+                if space.inspect(&cur, &mut sink) == Verdict::Violation
+                    && sink.violations.len() >= opts.max_violations
+                {
+                    break;
+                }
+                let start = sink.succ_edges.len() as u32;
+                space
+                    .for_each_successor(&cur, &mut scratch, &mut sink)
+                    .map_err(ExploreError::Fatal)?;
+                if opts.record_edges {
+                    sink.succ_ranges[s as usize] = (start, sink.succ_edges.len() as u32);
+                }
+            }
+            Ok(Exploration {
+                store: Store::Map(sink.interner),
+                root: 0,
+                succ_edges: sink.succ_edges,
+                succ_ranges: sink.succ_ranges,
+                parents: sink.parents,
+                violations: sink.violations,
+                interrupted: sink.interrupted,
+                states: sink.states.min(opts.budget.cap),
+                elapsed: Duration::ZERO,
+            })
+        }
+    }
+
+    /// splitmix64: a seeded generator for the random nets below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// A random net of a few hundred markings: one token circling in each
+    /// of a few state machines of the given sizes, local moves, two-machine
+    /// rendezvous, and now and then a transition that moves a token between
+    /// machines, so some nets reach an unsafe marking (a fatal error).
+    fn random_net(rng: &mut Rng, sizes: &[usize]) -> PetriNet {
+        let mut b = PetriNet::builder();
+        let machines: Vec<Vec<_>> = sizes
+            .iter()
+            .enumerate()
+            .map(|(m, &n)| {
+                (0..n)
+                    .map(|i| b.add_place(format!("m{m}p{i}"), i == 0))
+                    .collect()
+            })
+            .collect();
+        let mut t = 0;
+        let mut arc = |b: &mut crate::net::PetriNetBuilder, moves: &[(usize, usize, usize)]| {
+            let tr = b.add_transition(format!("t{t}"));
+            t += 1;
+            for &(m, from, to) in moves {
+                b.arc_pt(machines[m][from], tr);
+                b.arc_tp(tr, machines[m][to]);
+            }
+        };
+        for (m, &n) in sizes.iter().enumerate() {
+            for i in 0..n {
+                arc(&mut b, &[(m, i, (i + 1) % n)]);
+            }
+        }
+        for _ in 0..sizes.len() * 2 {
+            let m = rng.below(sizes.len());
+            let k = (m + 1 + rng.below(sizes.len() - 1)) % sizes.len();
+            let (a, c) = (rng.below(sizes[m]), rng.below(sizes[k]));
+            let (bb, d) = (rng.below(sizes[m]), rng.below(sizes[k]));
+            arc(&mut b, &[(m, a, bb), (k, c, d)]);
+        }
+        if rng.below(2) == 0 {
+            let (m, k) = (0, sizes.len() - 1);
+            let tr = b.add_transition("leak");
+            b.arc_pt(machines[m][rng.below(sizes[m])], tr);
+            b.arc_tp(tr, machines[k][rng.below(sizes[k])]);
+        }
+        b.build()
+    }
+
+    /// A space over a net's markings that reports a violation at chosen
+    /// states (`inspect`), a per-edge violation before chosen successors,
+    /// and a fatal error at chosen edges.
+    struct EdgeFlagger {
+        inner: MarkingSpace,
+        salt: u64,
+    }
+
+    impl EdgeFlagger {
+        fn pick(&self, words: &[u64], label: u32) -> u64 {
+            hash_word_slice(words) ^ self.salt.wrapping_mul(label as u64 + 1)
+        }
+    }
+
+    impl StateSpace for EdgeFlagger {
+        type Violation = (u32, u64);
+
+        fn words(&self) -> usize {
+            self.inner.words()
+        }
+
+        fn initial(&self) -> Vec<u64> {
+            self.inner.initial()
+        }
+
+        fn inspect<Vis: SpaceVisitor<(u32, u64)>>(&self, state: &[u64], sink: &mut Vis) -> Verdict {
+            if self.pick(state, u32::MAX).is_multiple_of(11) {
+                sink.violation((u32::MAX, state[0]));
+                return Verdict::Violation;
+            }
+            Verdict::Continue
+        }
+
+        fn for_each_successor<Vis: SpaceVisitor<(u32, u64)>>(
+            &self,
+            state: &[u64],
+            scratch: &mut [u64],
+            visit: &mut Vis,
+        ) -> Result<(), (u32, u64)> {
+            struct Collect(Vec<(u32, Vec<u64>)>);
+            impl SpaceVisitor<ReachError> for Collect {
+                fn successor(&mut self, label: u32, next: &[u64]) -> bool {
+                    self.0.push((label, next.to_vec()));
+                    true
+                }
+                fn violation(&mut self, _: ReachError) {}
+            }
+            let mut all = Collect(Vec::new());
+            let _ = self.inner.for_each_successor(state, scratch, &mut all);
+            for (label, next) in all.0 {
+                let pick = self.pick(&next, label) ^ state[0];
+                match pick % 89 {
+                    0 => return Err((label, next[0])),
+                    1..=12 => visit.violation((label, next[0])),
+                    _ => {}
+                }
+                if !visit.successor(label, &next) {
+                    return Ok(());
+                }
+                if pick.is_multiple_of(17) {
+                    visit.violation((label, !next[0]));
+                }
+            }
+            Ok(())
+        }
+    }
+
+    fn assert_same<V: PartialEq + std::fmt::Debug>(
+        batched: &Result<Exploration<V>, ExploreError<V>>,
+        reference: &Result<Exploration<V>, ExploreError<V>>,
+        ctx: &str,
+    ) {
+        match (batched, reference) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.interned(), b.interned(), "{ctx}: interned");
+                for s in 0..a.interned() as u32 {
+                    assert_eq!(a.key(s), b.key(s), "{ctx}: key of state {s}");
+                }
+                assert_eq!(a.succ_edges, b.succ_edges, "{ctx}: edges");
+                assert_eq!(a.succ_ranges, b.succ_ranges, "{ctx}: ranges");
+                assert_eq!(a.parents, b.parents, "{ctx}: parents");
+                assert_eq!(a.violations, b.violations, "{ctx}: violations");
+                assert_eq!(a.interrupted, b.interrupted, "{ctx}: interrupted");
+                assert_eq!(a.states, b.states, "{ctx}: states");
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "{ctx}: error"),
+            _ => panic!(
+                "{ctx}: batched is_ok {} against reference is_ok {}",
+                batched.is_ok(),
+                reference.is_ok()
+            ),
+        }
+    }
+
+    /// Runs both sinks on `space` at every cap from 1 to one past its
+    /// state count, with edges and witnesses on and off and, when
+    /// `violations`, with a violation budget of 1 too. A space that fails
+    /// is swept until every exhaustive run fails: a larger cap fails at
+    /// the same edge.
+    fn assert_sinks_agree<S: StateSpace>(space: &S, violations: bool, ctx: &str)
+    where
+        S::Violation: PartialEq + std::fmt::Debug,
+    {
+        let n = reference::explore(space, ExploreOptions::with_cap(100_000))
+            .map_or(usize::MAX, |e| e.states);
+        for cap in 1..=n.saturating_add(1) {
+            let mut all_fail = true;
+            for flags in 0..8 {
+                if flags & 4 != 0 && !violations {
+                    continue;
+                }
+                let mut opts = ExploreOptions::with_cap(cap);
+                if flags & 1 != 0 {
+                    opts = opts.record_edges();
+                }
+                if flags & 2 != 0 {
+                    opts = opts.witness();
+                }
+                if flags & 4 != 0 {
+                    opts = opts.max_violations(1);
+                }
+                let reference = reference::explore(space, opts.clone());
+                all_fail &= flags & 4 != 0 || reference.is_err();
+                let ctx = format!("{ctx}, cap {cap}, flags {flags}");
+                assert_same(&explore(space, opts), &reference, &ctx);
+            }
+            if all_fail {
+                break;
+            }
+            assert!(cap <= 2_000, "{ctx}: too many states for the cap sweep");
+        }
+    }
+
+    #[test]
+    fn batched_sink_matches_the_one_at_a_time_sink_on_random_nets() {
+        let mut rng = Rng(7);
+        let (mut unsafe_nets, mut failing_flaggers) = (0, 0);
+        for case in 0..12 {
+            // One-word nets, then nets of more than 64 places.
+            let sizes: Vec<usize> = if case < 6 {
+                (0..3).map(|_| 2 + rng.below(5)).collect()
+            } else {
+                vec![65 + rng.below(3), 2 + rng.below(2)]
+            };
+            let net = random_net(&mut rng, &sizes);
+            let ctx = format!("case {case}, sizes {sizes:?}");
+            let space = MarkingSpace::new(&net);
+            assert_eq!(space.words(), if case < 6 { 1 } else { 2 }, "{ctx}");
+            let full = reference::explore(&space, ExploreOptions::with_cap(100_000));
+            unsafe_nets += full.is_err() as usize;
+            assert_sinks_agree(&space, false, &ctx);
+            if case < 6 {
+                assert_sinks_agree(&ScalarMarkingSpace::new(&net), false, &ctx);
+            }
+            let flagger = EdgeFlagger {
+                inner: space,
+                salt: case as u64,
+            };
+            let flagged = reference::explore(&flagger, ExploreOptions::with_cap(100_000));
+            failing_flaggers += flagged.is_err() as usize;
+            assert_sinks_agree(&flagger, true, &format!("{ctx}, flagged"));
+        }
+        assert!(unsafe_nets > 0, "some net must reach an unsafe marking");
+        assert!(failing_flaggers > 0, "some flagged space must fail");
+        assert!(failing_flaggers < 12, "some flagged space must finish");
     }
 }

@@ -140,41 +140,33 @@ impl Field {
     fn get(&self, state: &[u64]) -> u64 {
         (state[self.word] >> self.shift) & self.mask
     }
-
-    #[inline]
-    fn set(&self, state: &mut [u64], v: u64) {
-        debug_assert_eq!(v & !self.mask, 0);
-        state[self.word] = (state[self.word] & !(self.mask << self.shift)) | (v << self.shift);
-    }
 }
 
-/// One global action (= one explorer label).
-#[derive(Copy, Clone, Debug)]
-enum Action {
-    /// `module`: `from -tau-> to`.
-    Internal { module: u32, from: u16, to: u16 },
-    /// Buffered/async send: fills the channel slot.
-    Send {
-        module: u32,
-        from: u16,
-        to: u16,
-        chan: u32,
-    },
-    /// Buffered/async receive: drains the channel slot.
-    Recv {
-        module: u32,
-        from: u16,
-        to: u16,
-        chan: u32,
-    },
-    /// Rendezvous: sender and receiver step together.
-    Sync {
-        chan: u32,
-        s_from: u16,
-        s_to: u16,
-        r_from: u16,
-        r_to: u16,
-    },
+/// One word of an action's compiled masks.
+#[derive(Copy, Clone, Default, Debug)]
+struct WordMask {
+    /// Guard: the action is enabled iff `state & care == value` on every
+    /// word.
+    care: u64,
+    value: u64,
+    /// Update: the successor is `(state & !clear) | set`.
+    clear: u64,
+    set: u64,
+    /// An `async` send's slot bit: firing while it is full is an
+    /// overflow, with no successor.
+    overflow: u64,
+}
+
+/// Adds `f == v` to an action's guard.
+fn require(masks: &mut [WordMask], f: Field, v: u64) {
+    masks[f.word].care |= f.mask << f.shift;
+    masks[f.word].value |= v << f.shift;
+}
+
+/// Adds `f := v` to an action's update.
+fn assign(masks: &mut [WordMask], f: Field, v: u64) {
+    masks[f.word].clear |= f.mask << f.shift;
+    masks[f.word].set |= v << f.shift;
 }
 
 /// The product state space of one [`ProtoSystem`].
@@ -185,13 +177,25 @@ pub struct ProtoSpace<'a> {
     module_fields: Vec<Field>,
     /// Packed pending bit of each slotted channel (`None` for sync).
     slot_fields: Vec<Option<Field>>,
-    /// Canonical global action table; index = explorer label.
-    actions: Vec<Action>,
+    /// Every slot bit, per word.
+    slot_bits: Vec<u64>,
+    /// The compiled masks of the canonical global action table: label
+    /// `l` owns `masks[l * words .. (l + 1) * words]`.
+    masks: Vec<WordMask>,
+    /// The violation an `async` send reports when it overflows (`None`
+    /// for every other action).
+    overflows: Vec<Option<ProtoViolation>>,
     /// Rendered name of each action, for witnesses and JSON.
     action_names: Vec<String>,
-    /// `has_send[m]` bit `s`: local state `s` of module `m` has an
-    /// outgoing send transition.
-    has_send: Vec<Vec<u64>>,
+    /// Index of module `m`'s local state `s` among all (module, local
+    /// state) pairs: `state_base[m] + s`.
+    state_base: Vec<u32>,
+    /// The labels whose source is the local state of pair `k` are
+    /// `label_start[k] .. label_start[k + 1]`: a module's labels are
+    /// contiguous and sorted by source state.
+    label_start: Vec<u32>,
+    /// Per (module, local state) pair: the state has an outgoing send.
+    has_send: Vec<bool>,
     /// `can_receive[c]` (slotted channels only) bit `s`: from local state
     /// `s`, the channel's receiver can locally reach a receive on `c`.
     can_receive: Vec<Option<Vec<u64>>>,
@@ -245,137 +249,120 @@ impl<'a> ProtoSpace<'a> {
             }
         }
         let words = cursor.div_ceil(64).max(1);
+        let mut slot_bits = vec![0u64; words];
+        for f in slot_fields.iter().flatten() {
+            slot_bits[f.word] |= 1 << f.shift;
+        }
+        let mut state_base = Vec::with_capacity(sys.modules().len());
+        let mut pairs = 0u32;
+        for m in sys.modules() {
+            state_base.push(pairs);
+            pairs += m.states.len() as u32;
+        }
 
         // Canonical action table: modules ascending, transitions in their
-        // (already canonical) order; a rendezvous send pairs with each
-        // receive transition of the peer, in the peer's order.
-        let mut actions = Vec::new();
+        // (already canonical, source-sorted) order; a rendezvous send
+        // pairs with each receive transition of the peer, in the peer's
+        // order. Each action compiles to its guard, update and overflow
+        // masks, and is filed under its (module, source state) pair.
+        let mut masks = Vec::new();
+        let mut overflows = Vec::new();
+        let mut action_names = Vec::new();
+        let mut sources = Vec::new();
+        let mut has_send = vec![false; pairs as usize];
         for (mi, m) in sys.modules().iter().enumerate() {
+            let me = module_fields[mi];
             for t in &m.transitions {
+                let mut push = |rec: Vec<WordMask>, overflow, name| {
+                    masks.extend(rec);
+                    overflows.push(overflow);
+                    action_names.push(name);
+                    sources.push(state_base[mi] + t.from as u32);
+                };
+                let step = |rec: &mut Vec<WordMask>| {
+                    require(rec, me, t.from as u64);
+                    assign(rec, me, t.to as u64);
+                };
+                let mut rec = vec![WordMask::default(); words];
+                let local = format!(
+                    "{}: {} -> {}",
+                    m.name,
+                    m.state_name(t.from),
+                    m.state_name(t.to)
+                );
                 match t.action {
-                    ActionKind::Internal => actions.push(Action::Internal {
-                        module: mi as u32,
-                        from: t.from,
-                        to: t.to,
-                    }),
+                    ActionKind::Internal => {
+                        step(&mut rec);
+                        push(rec, None, format!("{local} : tau"));
+                    }
                     ActionKind::Send(c) => {
+                        has_send[(state_base[mi] + t.from as u32) as usize] = true;
                         let ch = sys.channel(c);
                         if ch.kind == ChannelKind::Rendezvous {
                             let peer = sys.module(ch.receiver);
+                            let pf = module_fields[ch.receiver.0 as usize];
                             for rt in &peer.transitions {
-                                if rt.action == ActionKind::Receive(c) {
-                                    actions.push(Action::Sync {
-                                        chan: c.0,
-                                        s_from: t.from,
-                                        s_to: t.to,
-                                        r_from: rt.from,
-                                        r_to: rt.to,
-                                    });
+                                if rt.action != ActionKind::Receive(c) {
+                                    continue;
                                 }
+                                let mut rec = vec![WordMask::default(); words];
+                                step(&mut rec);
+                                require(&mut rec, pf, rt.from as u64);
+                                assign(&mut rec, pf, rt.to as u64);
+                                let name = format!(
+                                    "{}: {}.{} -> {} | {}.{} -> {}",
+                                    ch.name,
+                                    m.name,
+                                    m.state_name(t.from),
+                                    m.state_name(t.to),
+                                    peer.name,
+                                    peer.state_name(rt.from),
+                                    peer.state_name(rt.to)
+                                );
+                                push(rec, None, name);
                             }
                         } else {
-                            actions.push(Action::Send {
-                                module: mi as u32,
-                                from: t.from,
-                                to: t.to,
-                                chan: c.0,
-                            });
+                            let slot = slot_fields[c.0 as usize].expect("slotted channel");
+                            step(&mut rec);
+                            assign(&mut rec, slot, 1);
+                            let overflow = if ch.kind == ChannelKind::Async {
+                                // Enabled whatever the slot holds: firing
+                                // onto a full slot is the overflow.
+                                rec[slot.word].overflow |= 1 << slot.shift;
+                                Some(ProtoViolation::Overflow {
+                                    channel: c,
+                                    module: ModuleId(mi as u32),
+                                })
+                            } else {
+                                require(&mut rec, slot, 0);
+                                None
+                            };
+                            push(rec, overflow, format!("{local} : {}!", ch.name));
                         }
                     }
                     ActionKind::Receive(c) => {
                         // Rendezvous receives are folded into the send side.
-                        if sys.channel(c).kind.has_slot() {
-                            actions.push(Action::Recv {
-                                module: mi as u32,
-                                from: t.from,
-                                to: t.to,
-                                chan: c.0,
-                            });
+                        if let Some(slot) = slot_fields[c.0 as usize] {
+                            step(&mut rec);
+                            require(&mut rec, slot, 1);
+                            assign(&mut rec, slot, 0);
+                            push(rec, None, format!("{local} : {}?", sys.channel(c).name));
                         }
                     }
                 }
             }
         }
-        let action_names = actions
-            .iter()
-            .map(|a| match *a {
-                Action::Internal { module, from, to } => {
-                    let m = &sys.modules()[module as usize];
-                    format!(
-                        "{}: {} -> {} : tau",
-                        m.name,
-                        m.state_name(from),
-                        m.state_name(to)
-                    )
-                }
-                Action::Send {
-                    module,
-                    from,
-                    to,
-                    chan,
-                } => {
-                    let m = &sys.modules()[module as usize];
-                    format!(
-                        "{}: {} -> {} : {}!",
-                        m.name,
-                        m.state_name(from),
-                        m.state_name(to),
-                        sys.channels()[chan as usize].name
-                    )
-                }
-                Action::Recv {
-                    module,
-                    from,
-                    to,
-                    chan,
-                } => {
-                    let m = &sys.modules()[module as usize];
-                    format!(
-                        "{}: {} -> {} : {}?",
-                        m.name,
-                        m.state_name(from),
-                        m.state_name(to),
-                        sys.channels()[chan as usize].name
-                    )
-                }
-                Action::Sync {
-                    chan,
-                    s_from,
-                    s_to,
-                    r_from,
-                    r_to,
-                } => {
-                    let ch = &sys.channels()[chan as usize];
-                    let s = sys.module(ch.sender);
-                    let r = sys.module(ch.receiver);
-                    format!(
-                        "{}: {}.{} -> {} | {}.{} -> {}",
-                        ch.name,
-                        s.name,
-                        s.state_name(s_from),
-                        s.state_name(s_to),
-                        r.name,
-                        r.state_name(r_from),
-                        r.state_name(r_to)
-                    )
-                }
-            })
-            .collect();
-
-        // has_send[m]: local states with an outgoing send.
-        let has_send = sys
-            .modules()
-            .iter()
-            .map(|m| {
-                let mut set = vec![0u64; m.states.len().div_ceil(64)];
-                for t in &m.transitions {
-                    if matches!(t.action, ActionKind::Send(_)) {
-                        set_bit(&mut set, t.from);
-                    }
-                }
-                set
-            })
-            .collect();
+        assert!(
+            sources.is_sorted(),
+            "a module's actions are sorted by source state"
+        );
+        let mut label_start = vec![0u32; pairs as usize + 1];
+        for &k in &sources {
+            label_start[k as usize + 1] += 1;
+        }
+        for k in 0..pairs as usize {
+            label_start[k + 1] += label_start[k];
+        }
 
         // can_receive[c]: backward closure, in the receiver's local
         // control graph, of the sources of its receives on c.
@@ -414,8 +401,12 @@ impl<'a> ProtoSpace<'a> {
             words,
             module_fields,
             slot_fields,
-            actions,
+            slot_bits,
+            masks,
+            overflows,
             action_names,
+            state_base,
+            label_start,
             has_send,
             can_receive,
         }
@@ -428,7 +419,7 @@ impl<'a> ProtoSpace<'a> {
 
     /// Number of global actions (= explorer labels).
     pub fn action_count(&self) -> usize {
-        self.actions.len()
+        self.action_names.len()
     }
 
     /// Human-readable name of action `label`.
@@ -453,97 +444,87 @@ impl<'a> ProtoSpace<'a> {
         }
     }
 
-    /// Whether `action` is enabled at `state`. An `async` send counts as
-    /// enabled whenever its source state does — firing onto a full slot
-    /// is the overflow violation, not a blocked send.
-    fn enabled(&self, state: &[u64], action: &Action) -> bool {
-        match *action {
-            Action::Internal { module, from, .. } => self.local(state, module as usize) == from,
-            Action::Send {
-                module, from, chan, ..
-            } => {
-                self.local(state, module as usize) == from
-                    && (self.sys.channels()[chan as usize].kind == ChannelKind::Async
-                        || !self.slot(state, chan as usize))
-            }
-            Action::Recv {
-                module, from, chan, ..
-            } => self.local(state, module as usize) == from && self.slot(state, chan as usize),
-            Action::Sync {
-                chan,
-                s_from,
-                r_from,
-                ..
-            } => {
-                let ch = &self.sys.channels()[chan as usize];
-                self.local(state, ch.sender.0 as usize) == s_from
-                    && self.local(state, ch.receiver.0 as usize) == r_from
-            }
-        }
+    /// The compiled masks of action `label`.
+    #[inline]
+    fn masks(&self, label: usize) -> &[WordMask] {
+        &self.masks[label * self.words..(label + 1) * self.words]
     }
 
-    /// Applies `action` (assumed enabled) to `state` into `out`.
-    /// Returns `false` for the async-overflow case: the violation is the
-    /// caller's to report and there is no successor.
-    fn apply(&self, state: &[u64], action: &Action, out: &mut [u64]) -> bool {
-        out.copy_from_slice(state);
-        match *action {
-            Action::Internal { module, to, .. } => {
-                self.module_fields[module as usize].set(out, to as u64);
-            }
-            Action::Send {
-                module, to, chan, ..
-            } => {
-                if self.slot(state, chan as usize) {
-                    return false; // async send onto a full slot: overflow
+    /// Whether action `label` is enabled at `state`. An `async` send
+    /// counts as enabled whenever its source state does: firing onto a
+    /// full slot is the overflow violation, not a blocked send.
+    #[inline]
+    fn enabled(&self, label: usize, state: &[u64]) -> bool {
+        self.masks(label)
+            .iter()
+            .zip(state)
+            .all(|(m, &s)| s & m.care == m.value)
+    }
+
+    /// Calls `f(label)` for each action enabled at `state`, in ascending
+    /// label order, until `f` returns `false`. Returns whether every call
+    /// returned `true`. Only the labels filed under each module's current
+    /// local state are tested.
+    #[inline]
+    fn for_each_enabled(&self, state: &[u64], mut f: impl FnMut(usize) -> bool) -> bool {
+        for (field, &base) in self.module_fields.iter().zip(&self.state_base) {
+            let k = base as usize + field.get(state) as usize;
+            for label in self.label_start[k] as usize..self.label_start[k + 1] as usize {
+                if self.enabled(label, state) && !f(label) {
+                    return false;
                 }
-                self.module_fields[module as usize].set(out, to as u64);
-                self.slot_fields[chan as usize]
-                    .as_ref()
-                    .unwrap()
-                    .set(out, 1);
-            }
-            Action::Recv {
-                module, to, chan, ..
-            } => {
-                self.module_fields[module as usize].set(out, to as u64);
-                self.slot_fields[chan as usize]
-                    .as_ref()
-                    .unwrap()
-                    .set(out, 0);
-            }
-            Action::Sync {
-                chan, s_to, r_to, ..
-            } => {
-                let ch = &self.sys.channels()[chan as usize];
-                self.module_fields[ch.sender.0 as usize].set(out, s_to as u64);
-                self.module_fields[ch.receiver.0 as usize].set(out, r_to as u64);
             }
         }
         true
     }
 
+    /// Fires action `label`, enabled at `state`, into `out`. Returns
+    /// `false` for an `async` send onto a full slot: the overflow is the
+    /// caller's to report, and there is no successor.
+    #[inline]
+    fn fire(&self, label: usize, state: &[u64], out: &mut [u64]) -> bool {
+        for ((o, &s), m) in out.iter_mut().zip(state).zip(self.masks(label)) {
+            if s & m.overflow != 0 {
+                return false;
+            }
+            *o = (s & !m.clear) | m.set;
+        }
+        true
+    }
+
+    /// Whether some channel slot is full at `state`.
+    fn any_slot_full(&self, state: &[u64]) -> bool {
+        self.slot_bits.iter().zip(state).any(|(b, s)| b & s != 0)
+    }
+
     /// Whether a send is pending at `state`: a full slot, or a module
     /// whose current local state has an outgoing send.
     fn send_pending(&self, state: &[u64]) -> bool {
-        (0..self.sys.channels().len()).any(|c| self.slot(state, c))
-            || (0..self.sys.modules().len()).any(|m| bit(&self.has_send[m], self.local(state, m)))
+        self.any_slot_full(state)
+            || self
+                .module_fields
+                .iter()
+                .zip(&self.state_base)
+                .any(|(f, &base)| self.has_send[base as usize + f.get(state) as usize])
     }
 
     /// The violations `inspect` reports at `state` (deadlock, dangling
     /// sends), in canonical order.
     fn inspect_violations(&self, state: &[u64]) -> Vec<ProtoViolation> {
         let mut out = Vec::new();
-        if !self.actions.iter().any(|a| self.enabled(state, a)) && self.send_pending(state) {
+        // The visit runs to the end only when no action is enabled.
+        if self.for_each_enabled(state, |_| false) && self.send_pending(state) {
             out.push(ProtoViolation::Deadlock);
         }
-        for (c, ch) in self.sys.channels().iter().enumerate() {
-            if self.slot(state, c) {
-                let can = self.can_receive[c].as_ref().unwrap();
-                if !bit(can, self.local(state, ch.receiver.0 as usize)) {
-                    out.push(ProtoViolation::DanglingSend {
-                        channel: ChannelId(c as u32),
-                    });
+        if self.any_slot_full(state) {
+            for (c, ch) in self.sys.channels().iter().enumerate() {
+                if self.slot(state, c) {
+                    let can = self.can_receive[c].as_ref().expect("slotted channel");
+                    if !bit(can, self.local(state, ch.receiver.0 as usize)) {
+                        out.push(ProtoViolation::DanglingSend {
+                            channel: ChannelId(c as u32),
+                        });
+                    }
                 }
             }
         }
@@ -556,28 +537,25 @@ impl<'a> ProtoSpace<'a> {
     /// tests and witness rendering.
     pub fn violations_at(&self, state: &[u64]) -> Vec<ProtoViolation> {
         let mut out = self.inspect_violations(state);
-        for action in &self.actions {
-            if let Action::Send { module, chan, .. } = *action {
-                if self.enabled(state, action) && self.slot(state, chan as usize) {
-                    out.push(ProtoViolation::Overflow {
-                        channel: ChannelId(chan),
-                        module: ModuleId(module),
-                    });
-                }
+        let mut next = vec![0u64; self.words];
+        self.for_each_enabled(state, |label| {
+            if !self.fire(label, state, &mut next) {
+                out.extend(self.overflows[label]);
             }
-        }
+            true
+        });
         out.dedup();
         out
     }
 
     /// The enabled action labels at `state`, ascending.
     pub fn enabled_actions(&self, state: &[u64]) -> Vec<u32> {
-        self.actions
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| self.enabled(state, a))
-            .map(|(i, _)| i as u32)
-            .collect()
+        let mut out = Vec::new();
+        self.for_each_enabled(state, |label| {
+            out.push(label as u32);
+            true
+        });
+        out
     }
 
     /// Decodes a packed state.
@@ -599,8 +577,9 @@ impl<'a> ProtoSpace<'a> {
         let mut cur = self.initial();
         let mut next = vec![0u64; self.words];
         for &l in labels {
-            let action = self.actions.get(l as usize)?;
-            if !self.enabled(&cur, action) || !self.apply(&cur, action, &mut next) {
+            let l = l as usize;
+            if l >= self.action_count() || !self.enabled(l, &cur) || !self.fire(l, &cur, &mut next)
+            {
                 return None;
             }
             std::mem::swap(&mut cur, &mut next);
@@ -616,7 +595,7 @@ impl fmt::Debug for ProtoSpace<'_> {
             "ProtoSpace({:?}, {} words, {} actions)",
             self.sys.name(),
             self.words,
-            self.actions.len()
+            self.action_count()
         )
     }
 }
@@ -652,21 +631,14 @@ impl StateSpace for ProtoSpace<'_> {
         visit: &mut Vis,
     ) -> Result<(), ProtoViolation> {
         fail_point!("proto::step", state[0]);
-        for (label, action) in self.actions.iter().enumerate() {
-            if !self.enabled(state, action) {
-                continue;
+        self.for_each_enabled(state, |label| {
+            if self.fire(label, state, scratch) {
+                visit.successor(label as u32, scratch)
+            } else {
+                visit.violation(self.overflows[label].expect("only async sends overflow"));
+                true
             }
-            if self.apply(state, action, scratch) {
-                if !visit.successor(label as u32, scratch) {
-                    return Ok(());
-                }
-            } else if let Action::Send { module, chan, .. } = *action {
-                visit.violation(ProtoViolation::Overflow {
-                    channel: ChannelId(chan),
-                    module: ModuleId(module),
-                });
-            }
-        }
+        });
         Ok(())
     }
 }
@@ -839,5 +811,409 @@ x -> y : c?
         assert_eq!(d.slots, vec![true]);
         assert!(space.replay(&[99]).is_none());
         assert_eq!(d.render(&sys), "rx=x tx=b | pending: c");
+    }
+
+    /// The match-based firing rule that the compiled masks replaced,
+    /// kept as their oracle: one `Action` per label, tested and applied
+    /// field by field.
+    mod reference {
+        use super::*;
+
+        #[derive(Copy, Clone, Debug)]
+        enum Action {
+            Internal {
+                module: u32,
+                from: u16,
+                to: u16,
+            },
+            Send {
+                module: u32,
+                from: u16,
+                to: u16,
+                chan: u32,
+            },
+            Recv {
+                module: u32,
+                from: u16,
+                to: u16,
+                chan: u32,
+            },
+            Sync {
+                chan: u32,
+                s_from: u16,
+                s_to: u16,
+                r_from: u16,
+                r_to: u16,
+            },
+        }
+
+        /// One event of a state's expansion, in the order it happened.
+        #[derive(Clone, PartialEq, Eq, Debug)]
+        pub(super) enum Event {
+            Successor(u32, Vec<u64>),
+            Violation(ProtoViolation),
+        }
+
+        pub(super) struct Rule<'s, 'a> {
+            space: &'s ProtoSpace<'a>,
+            actions: Vec<Action>,
+        }
+
+        fn set(f: &Field, state: &mut [u64], v: u64) {
+            state[f.word] = (state[f.word] & !(f.mask << f.shift)) | (v << f.shift);
+        }
+
+        impl<'s, 'a> Rule<'s, 'a> {
+            pub(super) fn new(space: &'s ProtoSpace<'a>) -> Self {
+                let sys = space.sys;
+                let mut actions = Vec::new();
+                for (mi, m) in sys.modules().iter().enumerate() {
+                    for t in &m.transitions {
+                        match t.action {
+                            ActionKind::Internal => actions.push(Action::Internal {
+                                module: mi as u32,
+                                from: t.from,
+                                to: t.to,
+                            }),
+                            ActionKind::Send(c) => {
+                                let ch = sys.channel(c);
+                                if ch.kind == ChannelKind::Rendezvous {
+                                    for rt in &sys.module(ch.receiver).transitions {
+                                        if rt.action == ActionKind::Receive(c) {
+                                            actions.push(Action::Sync {
+                                                chan: c.0,
+                                                s_from: t.from,
+                                                s_to: t.to,
+                                                r_from: rt.from,
+                                                r_to: rt.to,
+                                            });
+                                        }
+                                    }
+                                } else {
+                                    actions.push(Action::Send {
+                                        module: mi as u32,
+                                        from: t.from,
+                                        to: t.to,
+                                        chan: c.0,
+                                    });
+                                }
+                            }
+                            ActionKind::Receive(c) => {
+                                if sys.channel(c).kind.has_slot() {
+                                    actions.push(Action::Recv {
+                                        module: mi as u32,
+                                        from: t.from,
+                                        to: t.to,
+                                        chan: c.0,
+                                    });
+                                }
+                            }
+                        }
+                    }
+                }
+                Rule { space, actions }
+            }
+
+            fn enabled(&self, state: &[u64], action: &Action) -> bool {
+                let sp = self.space;
+                match *action {
+                    Action::Internal { module, from, .. } => {
+                        sp.local(state, module as usize) == from
+                    }
+                    Action::Send {
+                        module, from, chan, ..
+                    } => {
+                        sp.local(state, module as usize) == from
+                            && (sp.sys.channels()[chan as usize].kind == ChannelKind::Async
+                                || !sp.slot(state, chan as usize))
+                    }
+                    Action::Recv {
+                        module, from, chan, ..
+                    } => sp.local(state, module as usize) == from && sp.slot(state, chan as usize),
+                    Action::Sync {
+                        chan,
+                        s_from,
+                        r_from,
+                        ..
+                    } => {
+                        let ch = &sp.sys.channels()[chan as usize];
+                        sp.local(state, ch.sender.0 as usize) == s_from
+                            && sp.local(state, ch.receiver.0 as usize) == r_from
+                    }
+                }
+            }
+
+            fn apply(&self, state: &[u64], action: &Action, out: &mut [u64]) -> bool {
+                let sp = self.space;
+                out.copy_from_slice(state);
+                match *action {
+                    Action::Internal { module, to, .. } => {
+                        set(&sp.module_fields[module as usize], out, to as u64);
+                    }
+                    Action::Send {
+                        module, to, chan, ..
+                    } => {
+                        if sp.slot(state, chan as usize) {
+                            return false;
+                        }
+                        set(&sp.module_fields[module as usize], out, to as u64);
+                        set(sp.slot_fields[chan as usize].as_ref().unwrap(), out, 1);
+                    }
+                    Action::Recv {
+                        module, to, chan, ..
+                    } => {
+                        set(&sp.module_fields[module as usize], out, to as u64);
+                        set(sp.slot_fields[chan as usize].as_ref().unwrap(), out, 0);
+                    }
+                    Action::Sync {
+                        chan, s_to, r_to, ..
+                    } => {
+                        let ch = &sp.sys.channels()[chan as usize];
+                        set(&sp.module_fields[ch.sender.0 as usize], out, s_to as u64);
+                        set(&sp.module_fields[ch.receiver.0 as usize], out, r_to as u64);
+                    }
+                }
+                true
+            }
+
+            fn overflow(action: &Action) -> ProtoViolation {
+                match *action {
+                    Action::Send { module, chan, .. } => ProtoViolation::Overflow {
+                        channel: ChannelId(chan),
+                        module: ModuleId(module),
+                    },
+                    _ => unreachable!("only sends overflow"),
+                }
+            }
+
+            pub(super) fn enabled_actions(&self, state: &[u64]) -> Vec<u32> {
+                (0..self.actions.len() as u32)
+                    .filter(|&l| self.enabled(state, &self.actions[l as usize]))
+                    .collect()
+            }
+
+            pub(super) fn successors(&self, state: &[u64]) -> Vec<Event> {
+                let mut out = vec![0u64; self.space.words];
+                let mut events = Vec::new();
+                for (label, action) in self.actions.iter().enumerate() {
+                    if !self.enabled(state, action) {
+                        continue;
+                    }
+                    if self.apply(state, action, &mut out) {
+                        events.push(Event::Successor(label as u32, out.clone()));
+                    } else {
+                        events.push(Event::Violation(Self::overflow(action)));
+                    }
+                }
+                events
+            }
+
+            pub(super) fn violations_at(&self, state: &[u64]) -> Vec<ProtoViolation> {
+                let sp = self.space;
+                let sys = sp.sys;
+                let mut out = Vec::new();
+                let send_pending = (0..sys.channels().len()).any(|c| sp.slot(state, c))
+                    || sys.modules().iter().enumerate().any(|(m, md)| {
+                        md.transitions.iter().any(|t| {
+                            t.from == sp.local(state, m) && matches!(t.action, ActionKind::Send(_))
+                        })
+                    });
+                if !self.actions.iter().any(|a| self.enabled(state, a)) && send_pending {
+                    out.push(ProtoViolation::Deadlock);
+                }
+                for (c, ch) in sys.channels().iter().enumerate() {
+                    if sp.slot(state, c)
+                        && !bit(
+                            sp.can_receive[c].as_ref().unwrap(),
+                            sp.local(state, ch.receiver.0 as usize),
+                        )
+                    {
+                        out.push(ProtoViolation::DanglingSend {
+                            channel: ChannelId(c as u32),
+                        });
+                    }
+                }
+                for action in &self.actions {
+                    if let Action::Send { chan, .. } = *action {
+                        if self.enabled(state, action) && sp.slot(state, chan as usize) {
+                            out.push(Self::overflow(action));
+                        }
+                    }
+                }
+                out.dedup();
+                out
+            }
+        }
+    }
+
+    /// Records a state's expansion (or inspection) as reference events.
+    struct Record(Vec<reference::Event>);
+
+    impl SpaceVisitor<ProtoViolation> for Record {
+        fn successor(&mut self, label: u32, next: &[u64]) -> bool {
+            self.0
+                .push(reference::Event::Successor(label, next.to_vec()));
+            true
+        }
+
+        fn violation(&mut self, v: ProtoViolation) {
+            self.0.push(reference::Event::Violation(v));
+        }
+    }
+
+    /// Pins the compiled firing rule against the match-based one on every
+    /// state `explore` reaches under `cap`: enabled labels, successors and
+    /// overflows in order, violations, and witnesses that replay.
+    fn assert_matches_reference(sys: &ProtoSystem, cap: usize) -> usize {
+        let space = ProtoSpace::new(sys);
+        let rule = reference::Rule::new(&space);
+        let e = explore(&space, ExploreOptions::with_cap(cap).witness()).unwrap();
+        let mut scratch = vec![0u64; space.words()];
+        for s in 0..e.states as u32 {
+            let state = e.key(s);
+            let ctx = format!("{}: {}", sys.name(), space.decode(state).render(sys));
+            assert_eq!(
+                space.enabled_actions(state),
+                rule.enabled_actions(state),
+                "{ctx}: enabled"
+            );
+            let mut rec = Record(Vec::new());
+            space
+                .for_each_successor(state, &mut scratch, &mut rec)
+                .unwrap();
+            assert_eq!(rec.0, rule.successors(state), "{ctx}: successors");
+            let violations = rule.violations_at(state);
+            assert_eq!(space.violations_at(state), violations, "{ctx}: violations");
+            let mut rec = Record(Vec::new());
+            let verdict = space.inspect(state, &mut rec);
+            assert_eq!(verdict == Verdict::Violation, !rec.0.is_empty(), "{ctx}");
+            for event in &rec.0 {
+                let reference::Event::Violation(v) = event else {
+                    panic!("{ctx}: inspect reported a successor");
+                };
+                assert!(violations.contains(v), "{ctx}: inspect reported {v:?}");
+            }
+            assert_eq!(
+                space.replay(&e.witness(s)).as_deref(),
+                Some(state),
+                "{ctx}: witness"
+            );
+        }
+        e.states
+    }
+
+    /// splitmix64, for the random systems below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// A random valid system: a tau cycle through each module's states,
+    /// channels of every kind with distinct endpoints, and extra
+    /// transitions on the right endpoint only.
+    fn random_system(rng: &mut Rng) -> ProtoSystem {
+        use crate::model::ChannelKind as K;
+        let nmod = 2 + rng.below(3);
+        let states: Vec<usize> = (0..nmod).map(|_| 1 + rng.below(3)).collect();
+        let mut b = ProtoSystem::builder("random");
+        let mods: Vec<_> = (0..nmod).map(|i| b.module(format!("m{i}"))).collect();
+        let name = |rng: &mut Rng, m: usize| format!("s{}", rng.below(states[m]));
+        for (i, &m) in mods.iter().enumerate() {
+            b.init(m, "s0");
+            for s in 0..states[i] {
+                b.tau(m, &format!("s{s}"), &format!("s{}", (s + 1) % states[i]));
+            }
+        }
+        let mut ends = Vec::new();
+        for ci in 0..1 + rng.below(3) {
+            let sender = rng.below(nmod);
+            let receiver = (sender + 1 + rng.below(nmod - 1)) % nmod;
+            let kind = [K::Rendezvous, K::Buffered, K::Async][rng.below(3)];
+            let c = b.channel(format!("c{ci}"), kind);
+            let (f, t) = (name(rng, sender), name(rng, sender));
+            b.send(mods[sender], &f, &t, c);
+            let (f, t) = (name(rng, receiver), name(rng, receiver));
+            b.recv(mods[receiver], &f, &t, c);
+            ends.push((sender, receiver, c));
+        }
+        for _ in 0..rng.below(8) {
+            let (sender, receiver, c) = ends[rng.below(ends.len())];
+            match rng.below(3) {
+                0 => {
+                    let m = rng.below(nmod);
+                    let (f, t) = (name(rng, m), name(rng, m));
+                    b.tau(mods[m], &f, &t);
+                }
+                1 => {
+                    let (f, t) = (name(rng, sender), name(rng, sender));
+                    b.send(mods[sender], &f, &t, c);
+                }
+                _ => {
+                    let (f, t) = (name(rng, receiver), name(rng, receiver));
+                    b.recv(mods[receiver], &f, &t, c);
+                }
+            }
+        }
+        b.build().expect("random systems are valid by construction")
+    }
+
+    #[test]
+    fn masks_match_the_reference_rule_on_the_generator_families() {
+        use crate::generators::{dining, fork_join, pipeline, ring};
+        for n in 2..=5 {
+            for sys in [ring(n), pipeline(n - 1), fork_join(n - 1), dining(n)] {
+                assert_matches_reference(&sys, 100_000);
+            }
+        }
+    }
+
+    #[test]
+    fn masks_match_the_reference_rule_on_the_protocol_examples() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/protocols");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|x| x == "proto") {
+                let sys = parse_proto(&std::fs::read_to_string(&path).unwrap()).unwrap();
+                assert_matches_reference(&sys, 100_000);
+                seen += 1;
+            }
+        }
+        assert!(seen >= 9, "{seen} protocol examples");
+    }
+
+    #[test]
+    fn masks_match_the_reference_rule_on_random_systems() {
+        let mut rng = Rng(24);
+        let mut overflowing = 0;
+        for _ in 0..200 {
+            let sys = random_system(&mut rng);
+            assert_matches_reference(&sys, 100_000);
+            let space = ProtoSpace::new(&sys);
+            let e = explore(&space, ExploreOptions::with_cap(100_000)).unwrap();
+            overflowing += e
+                .violations
+                .iter()
+                .any(|(_, v)| matches!(v, ProtoViolation::Overflow { .. }))
+                as usize;
+        }
+        assert!(overflowing > 0, "some random system must overflow");
+    }
+
+    #[test]
+    fn masks_match_the_reference_rule_across_two_words() {
+        // dining(20) packs 40 two-bit modules: forks and the first
+        // philosophers in word 0, the last philosophers in word 1, so
+        // phil19's rendezvous with fork00 spans both words.
+        let sys = crate::generators::dining(20);
+        assert_eq!(ProtoSpace::new(&sys).words(), 2);
+        assert_eq!(assert_matches_reference(&sys, 3_000), 3_000);
     }
 }

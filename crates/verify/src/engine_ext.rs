@@ -103,6 +103,7 @@ impl EngineVerify for Engine<'_> {
         seed: u64,
     ) -> Result<WalkOutcome, ReachError> {
         let code0 = initial_code(self)?;
+        let _span = si_obs::span("verify.walks");
         Ok(walks_from(self.stg(), circuit, code0, walks, steps, seed))
     }
 }
