@@ -279,11 +279,10 @@ impl<'a> ProtoSpace<'a> {
                     action_names.push(name);
                     sources.push(state_base[mi] + t.from as u32);
                 };
-                let step = |rec: &mut Vec<WordMask>| {
-                    require(rec, me, t.from as u64);
-                    assign(rec, me, t.to as u64);
-                };
+                // Every action moves its module from `t.from` to `t.to`.
                 let mut rec = vec![WordMask::default(); words];
+                require(&mut rec, me, t.from as u64);
+                assign(&mut rec, me, t.to as u64);
                 let local = format!(
                     "{}: {} -> {}",
                     m.name,
@@ -291,10 +290,7 @@ impl<'a> ProtoSpace<'a> {
                     m.state_name(t.to)
                 );
                 match t.action {
-                    ActionKind::Internal => {
-                        step(&mut rec);
-                        push(rec, None, format!("{local} : tau"));
-                    }
+                    ActionKind::Internal => push(rec, None, format!("{local} : tau")),
                     ActionKind::Send(c) => {
                         has_send[(state_base[mi] + t.from as u32) as usize] = true;
                         let ch = sys.channel(c);
@@ -305,8 +301,7 @@ impl<'a> ProtoSpace<'a> {
                                 if rt.action != ActionKind::Receive(c) {
                                     continue;
                                 }
-                                let mut rec = vec![WordMask::default(); words];
-                                step(&mut rec);
+                                let mut rec = rec.clone();
                                 require(&mut rec, pf, rt.from as u64);
                                 assign(&mut rec, pf, rt.to as u64);
                                 let name = format!(
@@ -323,7 +318,6 @@ impl<'a> ProtoSpace<'a> {
                             }
                         } else {
                             let slot = slot_fields[c.0 as usize].expect("slotted channel");
-                            step(&mut rec);
                             assign(&mut rec, slot, 1);
                             let overflow = if ch.kind == ChannelKind::Async {
                                 // Enabled whatever the slot holds: firing
@@ -343,7 +337,6 @@ impl<'a> ProtoSpace<'a> {
                     ActionKind::Receive(c) => {
                         // Rendezvous receives are folded into the send side.
                         if let Some(slot) = slot_fields[c.0 as usize] {
-                            step(&mut rec);
                             require(&mut rec, slot, 1);
                             assign(&mut rec, slot, 0);
                             push(rec, None, format!("{local} : {}?", sys.channel(c).name));
