@@ -207,7 +207,73 @@ fn walk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use si_core::{synthesize, ImplKind, SynthesisOptions};
+    use si_boolean::{Cover, Cube};
+    use si_core::{synthesize, ImplKind, SignalImplementation, SynthesisOptions};
+
+    /// The five sabotages of one implementation, by name: a constant 1
+    /// (the universe), a constant 0 (the inverted universe), every cover
+    /// of its kind emptied, its set and reset swapped (an inverted gate, a
+    /// gated latch's data and control), and the OR of the other signals.
+    fn sabotages(stg: &Stg, imp: &SignalImplementation) -> Vec<(&'static str, ImplKind)> {
+        let w = stg.signal_count();
+        let constant = |inverted| ImplKind::Combinational {
+            cover: Cover::universe(w),
+            inverted,
+        };
+        let emptied = match &imp.kind {
+            ImplKind::Combinational { inverted, .. } => ImplKind::Combinational {
+                cover: Cover::empty(w),
+                inverted: *inverted,
+            },
+            ImplKind::CLatch { set, reset } => ImplKind::CLatch {
+                set: vec![Cover::empty(w); set.len()],
+                reset: vec![Cover::empty(w); reset.len()],
+            },
+            ImplKind::GcLatch { .. } => ImplKind::GcLatch {
+                set: Cover::empty(w),
+                reset: Cover::empty(w),
+            },
+            ImplKind::GatedLatch { .. } => ImplKind::GatedLatch {
+                data: Cover::empty(w),
+                control: Cover::empty(w),
+            },
+        };
+        let swapped = match imp.kind.clone() {
+            ImplKind::Combinational { cover, inverted } => ImplKind::Combinational {
+                cover,
+                inverted: !inverted,
+            },
+            ImplKind::CLatch { set, reset } => ImplKind::CLatch {
+                set: reset,
+                reset: set,
+            },
+            ImplKind::GcLatch { set, reset } => ImplKind::GcLatch {
+                set: reset,
+                reset: set,
+            },
+            ImplKind::GatedLatch { data, control } => ImplKind::GatedLatch {
+                data: control,
+                control: data,
+            },
+        };
+        let others = stg
+            .signals()
+            .filter(|&s| s != imp.signal)
+            .map(|s| Cube::literal(w, s.index(), true));
+        vec![
+            ("universe", constant(false)),
+            ("inverted universe", constant(true)),
+            ("empty cover", emptied),
+            ("swapped set/reset", swapped),
+            (
+                "or of the other signals",
+                ImplKind::Combinational {
+                    cover: Cover::from_cubes(w, others),
+                    inverted: false,
+                },
+            ),
+        ]
+    }
 
     #[test]
     fn clean_circuits_walk_clean() {
@@ -244,7 +310,42 @@ mod tests {
             },
         };
         let outcome = random_walks(&stg, &syn.circuit, 8, 4000, 7);
-        assert!(!outcome.is_clean(), "sabotage must be detected");
+        assert_eq!(
+            outcome,
+            WalkOutcome::UnexpectedOutput { signal: z, step: 1 }
+        );
+    }
+
+    /// `random_walks` (4 walks × 4000 steps) of `stg`'s circuit with its
+    /// `index`-th implementation replaced by the sabotage called `name`.
+    fn sabotaged_walks(stg: &Stg, index: usize, name: &str, seed: u64) -> WalkOutcome {
+        let mut circuit = synthesize(stg, &SynthesisOptions::default())
+            .unwrap()
+            .circuit;
+        let (_, kind) = sabotages(stg, &circuit.implementations[index])
+            .into_iter()
+            .find(|(n, _)| *n == name)
+            .expect("a sabotage of that name");
+        circuit.implementations[index].kind = kind;
+        random_walks(stg, &circuit, 4, 4000, seed)
+    }
+
+    #[test]
+    fn sabotaged_walks_fail_where_pinned() {
+        use si_stg::generators::{muller_pipeline, philosophers};
+        let stg = muller_pipeline(3);
+        let outcome = sabotaged_walks(&stg, 0, "or of the other signals", 0);
+        let signal = stg.signal_by_name("c0").unwrap();
+        assert_eq!(outcome, WalkOutcome::UnexpectedOutput { signal, step: 3 });
+        // A firing of another signal withdraws done2's own excitation.
+        let stg = philosophers(4);
+        let outcome = sabotaged_walks(&stg, 2, "or of the other signals", 1);
+        let signal = stg.signal_by_name("done2").unwrap();
+        assert_eq!(outcome, WalkOutcome::DisabledOutput { signal, step: 31 });
+        // done0 never rises, so its philosopher's forks are never returned.
+        let stg = philosophers(3);
+        let outcome = sabotaged_walks(&stg, 0, "empty cover", 4);
+        assert_eq!(outcome, WalkOutcome::Deadlock { step: 17 });
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! (human text and `--json`), `synth --json`, `verify --json` and
 //! `resolve --json`, and executes the same `check`/`synth`/`verify`/
 //! `resolve` requests on an in-process `Service`. `deadlock --json` runs
-//! on every `examples/protocols/*.proto`. Each CLI `--json` object must
+//! on every `examples/protocols/*.proto`. For a few specs the stderr of
+//! `synth --waveform 200` pins a recorded random walk: its outcome and
+//! the waveform of the transitions it fired. Each CLI `--json` object must
 //! equal the serve body of the same request without its artifact key
 //! (`"verilog"`, `"resolved"`). Specs are fed in canonical form, the
 //! form serve works on, so both surfaces number nodes alike (resolve's
@@ -94,19 +96,26 @@ fn protocols() -> Vec<(String, String)> {
 
 /// Runs `sisyn ARGS -` with `input` on stdin: (exit code, stdout).
 fn cli(args: &[&str], input: &str) -> (i32, String) {
+    let (code, stdout, _) = cli_with_stderr(args, input);
+    (code, stdout)
+}
+
+/// [`cli`] that also returns the stderr.
+fn cli_with_stderr(args: &[&str], input: &str) -> (i32, String, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_sisyn"))
         .args(args)
         .arg("-")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("spawn sisyn");
     // A usage error exits before reading its input: ignore the broken pipe.
     let _ = child.stdin.take().unwrap().write_all(input.as_bytes());
     let out = child.wait_with_output().expect("sisyn output");
     let code = out.status.code().expect("exit code");
-    (code, String::from_utf8(out.stdout).expect("utf-8 stdout"))
+    let text = |bytes| String::from_utf8(bytes).expect("utf-8 output");
+    (code, text(out.stdout), text(out.stderr))
 }
 
 /// Replaces the number after every `"KEY": ` with `#`.
@@ -249,6 +258,16 @@ const VARIANTS: &[(&str, &str, &[&str], &str)] = &[
     ),
 ];
 
+/// The specs whose `synth --waveform 200` stderr is pinned: the
+/// `simulation: …` line and the waveform of the recorded walk.
+const WAVEFORM_SPECS: &[&str] = &[
+    "clatch3",
+    "muller3",
+    "burst4",
+    "philosophers4",
+    "pipeline_pair",
+];
+
 /// Runs `op` with `flags` on the CLI and with `fields` on a fresh
 /// `Service`, records both, and checks that they agree.
 fn run_pair(golden: &mut Golden, name: &str, text: &str, op: &str, flags: &[&str], fields: &str) {
@@ -286,6 +305,14 @@ fn cli_and_serve_reports_match_the_goldens() {
         }
         for &(_, op, flags, fields) in VARIANTS.iter().filter(|v| v.0 == name) {
             run_pair(&mut golden, &name, &text, op, flags, fields);
+        }
+        if WAVEFORM_SPECS.contains(&name.as_str()) {
+            let args = ["synth", "--waveform", "200"];
+            let (code, _, stderr) = cli_with_stderr(&args, &text);
+            golden.add(
+                format!("cli {} stderr (exit {code})", args.join(" ")),
+                &stderr,
+            );
         }
         golden.check(&format!("{name}.g"));
     }
