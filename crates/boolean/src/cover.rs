@@ -109,6 +109,13 @@ impl Cover {
         self.cubes.iter().any(|c| c.contains_vertex(v))
     }
 
+    /// [`Cover::contains_vertex`] on the raw words of an assignment
+    /// ([`Cube::contains_words`]).
+    #[inline]
+    pub fn contains_words(&self, words: &[u64]) -> bool {
+        self.cubes.iter().any(|c| c.contains_words(words))
+    }
+
     /// Returns `true` iff some cube of the cover intersects `cube`.
     pub fn intersects_cube(&self, cube: &Cube) -> bool {
         self.cubes.iter().any(|c| c.intersects(cube))
@@ -515,6 +522,30 @@ mod tests {
         let f = cover(3, &["1-0"]);
         assert!(f.contains_vertex(&Bits::from_ones(3, [0])));
         assert!(!f.contains_vertex(&Bits::from_ones(3, [2])));
+    }
+
+    #[test]
+    fn contains_words_agrees_with_contains_vertex() {
+        // Two words: literals on both sides of the word boundary.
+        let w = 70;
+        let mut a = Cube::literal(w, 3, true);
+        a.set(66, Some(false));
+        let f = Cover::from_cubes(w, [a, Cube::literal(w, 64, true)]);
+        for ones in [
+            vec![],
+            vec![3],
+            vec![3, 66],
+            vec![64],
+            vec![3, 64, 66],
+            vec![69],
+        ] {
+            let v = Bits::from_ones(w, ones);
+            assert_eq!(f.contains_words(v.as_words()), f.contains_vertex(&v), "{v}");
+            for c in f.cubes() {
+                assert_eq!(c.contains_words(v.as_words()), c.contains_vertex(&v), "{v}");
+            }
+        }
+        assert!(!Cover::empty(w).contains_words(Bits::ones(w).as_words()));
     }
 
     #[test]

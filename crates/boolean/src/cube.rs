@@ -185,12 +185,22 @@ impl Cube {
     /// Panics if the widths differ.
     pub fn contains_vertex(&self, v: &Bits) -> bool {
         assert_width(self.width(), v.len());
+        self.contains_words(v.as_words())
+    }
+
+    /// [`Cube::contains_vertex`] on the raw words of an assignment (low bit
+    /// of word 0 is variable 0), for callers that keep the assignment in a
+    /// reused word buffer. The words must be those of an assignment of the
+    /// cube's width.
+    #[inline]
+    pub fn contains_words(&self, words: &[u64]) -> bool {
+        debug_assert_eq!(words.len(), self.care.as_words().len(), "word count");
         // v agrees with val on all care positions: (v ^ val) & care == 0
         self.care
             .as_words()
             .iter()
             .zip(self.val.as_words())
-            .zip(v.as_words())
+            .zip(words)
             .all(|((&care, &val), &x)| (x ^ val) & care == 0)
     }
 

@@ -108,23 +108,31 @@ impl SignalImplementation {
     /// of all signals and the current value of this signal — the semantics
     /// used by verification and hazard simulation.
     pub fn next_value(&self, code: &Bits, current: bool) -> bool {
+        self.next_value_words(code.as_words(), current)
+    }
+
+    /// [`Self::next_value`] on the raw words of the code (low bit of word 0
+    /// is signal 0), for callers that keep the code in a reused word
+    /// buffer: the gates are evaluated through their own covers
+    /// ([`Cover::contains_words`]).
+    pub fn next_value_words(&self, code: &[u64], current: bool) -> bool {
         let latch = |s: bool, r: bool| match (s, r) {
             (true, false) => true,
             (false, true) => false,
             _ => current,
         };
         match &self.kind {
-            ImplKind::Combinational { cover, inverted } => cover.contains_vertex(code) != *inverted,
+            ImplKind::Combinational { cover, inverted } => cover.contains_words(code) != *inverted,
             ImplKind::CLatch { set, reset } => latch(
-                set.iter().any(|c| c.contains_vertex(code)),
-                reset.iter().any(|c| c.contains_vertex(code)),
+                set.iter().any(|c| c.contains_words(code)),
+                reset.iter().any(|c| c.contains_words(code)),
             ),
             ImplKind::GcLatch { set, reset } => {
-                latch(set.contains_vertex(code), reset.contains_vertex(code))
+                latch(set.contains_words(code), reset.contains_words(code))
             }
             ImplKind::GatedLatch { data, control } => {
-                if control.contains_vertex(code) {
-                    data.contains_vertex(code)
+                if control.contains_words(code) {
+                    data.contains_words(code)
                 } else {
                     current
                 }
