@@ -566,6 +566,29 @@ mod tests {
     }
 
     #[test]
+    fn inconsistency_is_reported_before_a_missing_sm_cover() {
+        // b's cycle holds no token, so no one-token SM-component covers
+        // its places; a rises twice in a row, so the STG is inconsistent.
+        let spec = |a_cycle: &str| {
+            si_stg::parse_g(&format!(
+                ".model precedence\n.outputs a b\n.graph\n{a_cycle}\
+                 b+ b-\nb- b+\n.marking {{ <a-,a+> }}\n.end\n"
+            ))
+            .unwrap()
+        };
+        let both = spec("a+ a+/2\na+/2 a-\na- a+\n");
+        assert!(matches!(
+            StructuralContext::build(&both),
+            Err(SynthesisError::Inconsistent(_))
+        ));
+        let uncoverable = spec("a+ a-\na- a+\n");
+        assert!(matches!(
+            StructuralContext::build(&uncoverable),
+            Err(SynthesisError::NotSmCoverable(_))
+        ));
+    }
+
+    #[test]
     fn er_covers_are_safe_overapproximations() {
         // For every benchmark and every transition: the structural ER cover
         // contains every reachable code of the true excitation region and
