@@ -205,18 +205,60 @@ impl Cover {
 
     /// Tautology check: does the cover contain every vertex?
     ///
-    /// Recursive Shannon expansion with standard shortcuts.
+    /// Recursive Shannon expansion with standard shortcuts, run by the
+    /// containment kernel (see [`Cover::covers_cube`]).
     pub fn is_tautology(&self) -> bool {
-        tautology_rec(&self.cubes, self.width)
+        let answer = self.cubes.iter().any(Cube::is_full)
+            || (!self.cubes.is_empty()
+                && kernel::tautology(self.width, |words| {
+                    for c in &self.cubes {
+                        words.extend_from_slice(c.care().as_words());
+                        words.extend_from_slice(c.val().as_words());
+                    }
+                }));
+        #[cfg(debug_assertions)]
+        lockstep::check(answer, || self.cubes.clone(), self.width);
+        answer
     }
 
     /// Functional containment of a cube: every vertex of `cube` is covered.
     ///
     /// Uses the standard reduction: `c ⊆ F` iff the cofactor `F|c` is a
-    /// tautology.
+    /// tautology. A full cofactor answers `true` and an empty one `false`
+    /// before the kernel runs; otherwise the kernel tests the cofactor
+    /// over flat words in a per-thread scratch buffer, so once that buffer
+    /// has grown the test allocates nothing.
     pub fn covers_cube(&self, cube: &Cube) -> bool {
-        let cof: Vec<Cube> = self.cubes.iter().filter_map(|c| c.cofactor(cube)).collect();
-        tautology_rec(&cof, self.width)
+        let answer = self.cofactor_is_tautology(cube);
+        #[cfg(debug_assertions)]
+        lockstep::check(
+            answer,
+            || self.cubes.iter().filter_map(|c| c.cofactor(cube)).collect(),
+            self.width,
+        );
+        answer
+    }
+
+    /// The body of [`Cover::covers_cube`].
+    fn cofactor_is_tautology(&self, cube: &Cube) -> bool {
+        let mut any = false;
+        for c in &self.cubes {
+            if c.intersects(cube) {
+                if c.care().is_subset(cube.care()) {
+                    return true;
+                }
+                any = true;
+            }
+        }
+        any && kernel::tautology(self.width, |words| {
+            let free = cube.care().as_words();
+            for c in self.cubes.iter().filter(|c| c.intersects(cube)) {
+                let care = c.care().as_words().iter().zip(free);
+                words.extend(care.map(|(&a, &b)| a & !b));
+                let val = c.val().as_words().iter().zip(free);
+                words.extend(val.map(|(&a, &b)| a & !b));
+            }
+        })
     }
 
     /// Functional containment of a cover.
@@ -291,51 +333,252 @@ impl Cover {
     }
 }
 
-/// Recursive tautology check on a cube list.
-fn tautology_rec(cubes: &[Cube], width: usize) -> bool {
-    // Shortcut: any full cube (within the remaining space) is a tautology.
-    if cubes.iter().any(Cube::is_full) {
-        return true;
+/// The containment kernel: one tautology test over flat words.
+///
+/// A cofactor is its cubes laid end to end in a scratch `Vec<u64>`, each
+/// cube as its care words followed by its value words. A split pushes a
+/// child's cubes after its parent's and truncates them on return, so once
+/// the per-thread scratch has grown a test allocates nothing.
+///
+/// The heuristics are those of the recursive cube-list test it replaced:
+/// split on the lowest literal all cubes share; otherwise branch on the
+/// variable most cubes mention, the lowest one on ties, positive half
+/// first. A half with a full cube is a tautology and an empty half is
+/// not. The answer is a boolean, so a caller cannot tell the two apart.
+mod kernel {
+    use std::cell::RefCell;
+
+    struct Scratch {
+        /// The cubes of every cofactor on the recursion path.
+        words: Vec<u64>,
+        /// Per-variable literal counts of one branch choice, zero between
+        /// uses.
+        counts: Vec<u32>,
     }
-    if cubes.is_empty() {
-        return false;
+
+    thread_local! {
+        static SCRATCH: RefCell<Scratch> = const {
+            RefCell::new(Scratch {
+                words: Vec::new(),
+                counts: Vec::new(),
+            })
+        };
     }
-    // Quick necessary condition: 2^free vertices must be coverable; cheap
-    // version — if all cubes share a literal, not a tautology.
-    let mut common_care = cubes[0].care().clone();
-    for c in &cubes[1..] {
-        common_care.intersect_with(c.care());
+
+    /// Tests whether the cubes `fill` pushes — at least one, none full,
+    /// each as `[care…, val…]` over `width` variables — form a tautology.
+    pub(super) fn tautology(width: usize, fill: impl FnOnce(&mut Vec<u64>)) -> bool {
+        SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            scratch.words.clear();
+            fill(&mut scratch.words);
+            if scratch.counts.len() < width {
+                scratch.counts.resize(width, 0);
+            }
+            let answer = tautology_at(&mut scratch.words, &mut scratch.counts, 0, width);
+            scratch.words.clear();
+            answer
+        })
     }
-    if let Some(var) = common_care.first_one() {
-        // All cubes have a literal on `var`; tautology only if both halves
-        // are covered — but every cube lies in one half, so check each half.
-        let pos: Vec<Cube> = cubes
-            .iter()
-            .filter(|c| c.val().get(var))
-            .filter_map(|c| c.cofactor(&Cube::literal(width, var, true)))
-            .collect();
-        let neg: Vec<Cube> = cubes
-            .iter()
-            .filter(|c| !c.val().get(var))
-            .filter_map(|c| c.cofactor(&Cube::literal(width, var, false)))
-            .collect();
-        return tautology_rec(&pos, width) && tautology_rec(&neg, width);
+
+    /// The test of the cofactor stored from `start` to the end of `words`.
+    fn tautology_at(words: &mut Vec<u64>, counts: &mut [u32], start: usize, width: usize) -> bool {
+        let nw = width.div_ceil(64);
+        let end = words.len();
+        let var = common_literal(&words[start..end], nw)
+            .unwrap_or_else(|| branch_var(&words[start..end], nw, counts));
+        super::note_split(var);
+        half(words, counts, start, width, var, true)
+            && half(words, counts, start, width, var, false)
     }
-    // Select the most frequently used variable to branch on.
-    let var = select_branch_var(cubes, width);
-    let Some(var) = var else {
-        // No cube has any literal: some cube exists and is full — handled
-        // above, so this is unreachable; be safe anyway.
-        return !cubes.is_empty();
-    };
-    let lit_t = Cube::literal(width, var, true);
-    let lit_f = Cube::literal(width, var, false);
-    let pos: Vec<Cube> = cubes.iter().filter_map(|c| c.cofactor(&lit_t)).collect();
-    if !tautology_rec(&pos, width) {
-        return false;
+
+    /// The lowest variable every cube has a literal on.
+    fn common_literal(cubes: &[u64], nw: usize) -> Option<usize> {
+        (0..nw).find_map(|w| {
+            let common = cubes.chunks_exact(2 * nw).fold(!0u64, |acc, c| acc & c[w]);
+            (common != 0).then(|| w * 64 + common.trailing_zeros() as usize)
+        })
     }
-    let neg: Vec<Cube> = cubes.iter().filter_map(|c| c.cofactor(&lit_f)).collect();
-    tautology_rec(&neg, width)
+
+    /// The variable with a literal in the most cubes, the lowest on ties.
+    fn branch_var(cubes: &[u64], nw: usize, counts: &mut [u32]) -> usize {
+        for c in cubes.chunks_exact(2 * nw) {
+            for (w, &care) in c[..nw].iter().enumerate() {
+                let mut bits = care;
+                while bits != 0 {
+                    counts[w * 64 + bits.trailing_zeros() as usize] += 1;
+                    bits &= bits - 1;
+                }
+            }
+        }
+        // Scan every counted variable in ascending order, resetting its
+        // count; a strictly larger count wins, so ties keep the lowest.
+        let mut best = (0u32, usize::MAX);
+        for w in 0..nw {
+            let mut bits = cubes.chunks_exact(2 * nw).fold(0u64, |acc, c| acc | c[w]);
+            while bits != 0 {
+                let var = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let count = std::mem::take(&mut counts[var]);
+                if count > best.0 {
+                    best = (count, var);
+                }
+            }
+        }
+        best.1
+    }
+
+    /// Pushes the cofactor of the cubes from `start` by `var = polarity`
+    /// after them, tests it and truncates it again.
+    fn half(
+        words: &mut Vec<u64>,
+        counts: &mut [u32],
+        start: usize,
+        width: usize,
+        var: usize,
+        polarity: bool,
+    ) -> bool {
+        let nw = width.div_ceil(64);
+        let stride = 2 * nw;
+        let (w, bit) = (var / 64, 1u64 << (var % 64));
+        let child = words.len();
+        let mut full = false;
+        let mut c = start;
+        while c < child {
+            let (care, val) = (words[c + w], words[c + nw + w]);
+            if care & bit == 0 || (val & bit != 0) == polarity {
+                words.extend_from_within(c..c + stride);
+                let pushed = words.len() - stride;
+                words[pushed + w] &= !bit;
+                words[pushed + nw + w] &= !bit;
+                if words[pushed..pushed + nw].iter().all(|&x| x == 0) {
+                    full = true;
+                    break;
+                }
+            }
+            c += stride;
+        }
+        let answer = full || (words.len() > child && tautology_at(words, counts, child, width));
+        words.truncate(child);
+        answer
+    }
+}
+
+/// Records a split of the containment kernel or its reference, so the
+/// tests can compare the two split by split.
+#[cfg(test)]
+fn note_split(var: usize) {
+    tests::SPLITS.with(|splits| splits.borrow_mut().push(var));
+}
+
+#[cfg(not(test))]
+#[inline(always)]
+fn note_split(_var: usize) {}
+
+/// The recursive cube-list tautology test the kernel replaced, kept as its
+/// reference (builds with debug assertions only).
+#[cfg(debug_assertions)]
+mod reference {
+    use super::{note_split, select_branch_var};
+    use crate::cube::Cube;
+
+    /// Recursive tautology check on a cube list.
+    pub(super) fn tautology_rec(cubes: &[Cube], width: usize) -> bool {
+        // Shortcut: any full cube (within the remaining space) is a tautology.
+        if cubes.iter().any(Cube::is_full) {
+            return true;
+        }
+        if cubes.is_empty() {
+            return false;
+        }
+        // Quick necessary condition: 2^free vertices must be coverable; cheap
+        // version — if all cubes share a literal, not a tautology.
+        let mut common_care = cubes[0].care().clone();
+        for c in &cubes[1..] {
+            common_care.intersect_with(c.care());
+        }
+        if let Some(var) = common_care.first_one() {
+            note_split(var);
+            // All cubes have a literal on `var`; tautology only if both halves
+            // are covered — but every cube lies in one half, so check each half.
+            let pos: Vec<Cube> = cubes
+                .iter()
+                .filter(|c| c.val().get(var))
+                .filter_map(|c| c.cofactor(&Cube::literal(width, var, true)))
+                .collect();
+            let neg: Vec<Cube> = cubes
+                .iter()
+                .filter(|c| !c.val().get(var))
+                .filter_map(|c| c.cofactor(&Cube::literal(width, var, false)))
+                .collect();
+            return tautology_rec(&pos, width) && tautology_rec(&neg, width);
+        }
+        // Select the most frequently used variable to branch on.
+        let var = select_branch_var(cubes, width);
+        let Some(var) = var else {
+            // No cube has any literal: some cube exists and is full — handled
+            // above, so this is unreachable; be safe anyway.
+            return !cubes.is_empty();
+        };
+        note_split(var);
+        let lit_t = Cube::literal(width, var, true);
+        let lit_f = Cube::literal(width, var, false);
+        let pos: Vec<Cube> = cubes.iter().filter_map(|c| c.cofactor(&lit_t)).collect();
+        if !tautology_rec(&pos, width) {
+            return false;
+        }
+        let neg: Vec<Cube> = cubes.iter().filter_map(|c| c.cofactor(&lit_f)).collect();
+        tautology_rec(&neg, width)
+    }
+}
+
+/// Lockstep checking of the containment kernel against its reference, for
+/// tests in other crates (builds with debug assertions only).
+#[cfg(debug_assertions)]
+#[doc(hidden)]
+pub mod lockstep {
+    use crate::cube::Cube;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    static ARMED: AtomicUsize = AtomicUsize::new(0);
+    static CHECKED: AtomicUsize = AtomicUsize::new(0);
+
+    /// While an `Armed` guard is alive, every [`crate::Cover::covers_cube`]
+    /// and [`crate::Cover::is_tautology`] in the process also runs the
+    /// reference and asserts the same answer.
+    #[must_use = "the check is armed while the guard is alive"]
+    #[derive(Debug)]
+    pub struct Armed(());
+
+    /// Arms the check until the guard drops.
+    pub fn arm() -> Armed {
+        ARMED.fetch_add(1, Ordering::Relaxed);
+        Armed(())
+    }
+
+    impl Drop for Armed {
+        fn drop(&mut self) {
+            ARMED.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The number of answers checked so far in this process.
+    pub fn checked() -> usize {
+        CHECKED.load(Ordering::Relaxed)
+    }
+
+    pub(super) fn check(answer: bool, cubes: impl FnOnce() -> Vec<Cube>, width: usize) {
+        if ARMED.load(Ordering::Relaxed) == 0 {
+            return;
+        }
+        let cubes = cubes();
+        assert_eq!(
+            answer,
+            super::reference::tautology_rec(&cubes, width),
+            "kernel and reference disagree on {cubes:?}"
+        );
+        CHECKED.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Recursive complement; returns cubes covering `space \ cubes` where the
@@ -431,9 +674,94 @@ impl FromIterator<Cube> for Cover {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
 
     fn cover(w: usize, cs: &[&str]) -> Cover {
         Cover::from_cubes(w, cs.iter().map(|s| s.parse().unwrap()))
+    }
+
+    thread_local! {
+        /// The split variables of the kernel or reference runs since the
+        /// last [`take_splits`], in order.
+        pub(super) static SPLITS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    }
+
+    fn take_splits() -> Vec<usize> {
+        SPLITS.with(|splits| std::mem::take(&mut *splits.borrow_mut()))
+    }
+
+    /// Asserts that the kernel and the reference give the same answer
+    /// after the same splits, and returns the answer.
+    fn same(what: &str, kernel: impl FnOnce() -> bool, reference: impl FnOnce() -> bool) -> bool {
+        take_splits();
+        let got = kernel();
+        let got_splits = take_splits();
+        let want = reference();
+        assert_eq!(got, want, "{what}");
+        assert_eq!(got_splits, take_splits(), "{what}: splits");
+        got
+    }
+
+    #[test]
+    fn kernel_agrees_with_the_reference_split_by_split() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let (mut tautologies, mut contained) = ([0usize; 2], [0usize; 2]);
+        for width in 1..=200usize {
+            for _ in 0..6 {
+                // A few variables spread over the width, so the cubes meet
+                // often and their literals straddle word boundaries.
+                let pool: Vec<usize> = (0..1 + next(8)).map(|_| next(width)).collect();
+                let random_cube = |literals: usize, next: &mut dyn FnMut(usize) -> usize| {
+                    let mut c = Cube::full(width);
+                    for _ in 0..literals {
+                        c.set(pool[next(pool.len())], Some(next(2) == 1));
+                    }
+                    c
+                };
+                let n = 1 + next(10);
+                let f = Cover::from_cubes(
+                    width,
+                    (0..n).map(|_| {
+                        let literals = 1 + next(4);
+                        random_cube(literals, &mut next)
+                    }),
+                );
+                // The cover with its complement is a tautology; dropping one
+                // of its cubes usually breaks that.
+                let mut whole = f.or(&f.complement());
+                let mut cut = whole.clone();
+                cut.cubes.remove(next(cut.cubes.len()));
+                whole.cubes.reverse();
+                for g in [&f, &whole, &cut] {
+                    let what = format!("width {width}: {g}");
+                    let t = same(
+                        &what,
+                        || g.is_tautology(),
+                        || reference::tautology_rec(&g.cubes, width),
+                    );
+                    tautologies[usize::from(t)] += 1;
+                    let literals = next(pool.len() + 1);
+                    let c = random_cube(literals, &mut next);
+                    let what = format!("{what} covers {c}");
+                    let cofactors: Vec<Cube> =
+                        g.cubes.iter().filter_map(|d| d.cofactor(&c)).collect();
+                    let covered = same(
+                        &what,
+                        || g.covers_cube(&c),
+                        || reference::tautology_rec(&cofactors, width),
+                    );
+                    contained[usize::from(covered)] += 1;
+                }
+            }
+        }
+        assert!(tautologies.iter().all(|&n| n > 1000), "{tautologies:?}");
+        assert!(contained.iter().all(|&n| n > 1000), "{contained:?}");
     }
 
     #[test]

@@ -40,6 +40,9 @@ mod minimizer;
 
 pub use bdd::{Bdd, BddRef, BDD_FALSE, BDD_TRUE};
 pub use bits::{hash_word_slice, Bits, IterOnes};
+#[cfg(debug_assertions)]
+#[doc(hidden)]
+pub use cover::lockstep;
 pub use cover::Cover;
 pub use cube::{Cube, CubeVal, ParseCubeError, Vertices};
 pub use espresso::{

@@ -13,8 +13,9 @@
 //!   interleaved (QPS) subgraph.
 
 use crate::context::{SignalCovers, StructuralContext};
-use si_boolean::{Bits, Cover};
+use si_boolean::{Bits, Cover, Cube};
 use si_petri::{PlaceId, TransId};
+use std::cell::{Cell, OnceCell};
 
 /// Which half of the excitation function a cover implements.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -101,6 +102,19 @@ pub fn check_cluster(
     off: &Cover,
     backward_dc: &Cover,
 ) -> CheckResult {
+    check_cluster_in(&Frames::new(ctx, sc), own, cover, off, backward_dc)
+}
+
+/// [`check_cluster`] with the frames of a signal's transitions shared
+/// across calls.
+pub(crate) fn check_cluster_in(
+    frames: &Frames<'_, '_>,
+    own: &[TransId],
+    cover: &Cover,
+    off: &Cover,
+    backward_dc: &Cover,
+) -> CheckResult {
+    let sc = frames.sc;
     // Correctness: on-set inclusion.
     for &t in own {
         if !cover.covers(&sc.er[&t]) {
@@ -118,11 +132,127 @@ pub fn check_cluster(
     }
     // Monotonicity per owned transition.
     for &t in own {
-        if let Some(u) = MonotonicityFrame::new(ctx, sc, t).violation(cover) {
+        if let Some(u) = frames.violation(t, cover, &mut frames.answers(t)) {
             return CheckResult::NonMonotonic(u);
         }
     }
     CheckResult::Ok
+}
+
+/// The [`MonotonicityFrame`]s of one signal's transitions, each built on
+/// first use and then shared by every check of the signal's covers. The
+/// Property 16 checks made through them are added to the
+/// `synth.monotonicity_checks` counter when they drop.
+pub(crate) struct Frames<'s, 'c> {
+    pub(crate) ctx: &'s StructuralContext<'c>,
+    pub(crate) sc: &'s SignalCovers,
+    /// Per transition index.
+    built: Vec<OnceCell<MonotonicityFrame>>,
+    checks: Cell<u64>,
+}
+
+impl<'s, 'c> Frames<'s, 'c> {
+    pub(crate) fn new(ctx: &'s StructuralContext<'c>, sc: &'s SignalCovers) -> Self {
+        let transitions = ctx.stg.net().transition_count();
+        Frames {
+            ctx,
+            sc,
+            built: (0..transitions).map(|_| OnceCell::new()).collect(),
+            checks: Cell::new(0),
+        }
+    }
+
+    fn frame(&self, t: TransId) -> &MonotonicityFrame {
+        self.built[t.index()].get_or_init(|| MonotonicityFrame::new(self.ctx, self.sc, t))
+    }
+
+    /// Fresh answers for `t`'s frame: nothing known about any cover.
+    pub(crate) fn answers(&self, t: TransId) -> SlotAnswers {
+        SlotAnswers::unknown(self.frame(t).adjusted.len())
+    }
+
+    /// [`MonotonicityFrame::violation_with`] on `t`'s frame.
+    pub(crate) fn violation(
+        &self,
+        t: TransId,
+        cover: &Cover,
+        answers: &mut SlotAnswers,
+    ) -> Option<TransId> {
+        self.checks.set(self.checks.get() + 1);
+        self.frame(t).violation_with(cover, answers)
+    }
+}
+
+impl Drop for Frames<'_, '_> {
+    fn drop(&mut self) {
+        si_obs::counter_add("synth.monotonicity_checks", self.checks.get());
+    }
+}
+
+/// What one cover is known to do to each slot of a [`MonotonicityFrame`]:
+/// whether it contains the slot's adjusted cover and whether it meets it.
+/// A check fills the answers in as it tests the slots, so each slot is
+/// tested at most once per cover.
+#[derive(Clone, Debug)]
+pub(crate) struct SlotAnswers {
+    contains: Vec<Known>,
+    /// The slots the cover meets.
+    meets: Bits,
+    /// The slots the cover misses.
+    misses: Bits,
+    /// The slots the cover missed before its cube `grown` grew: only that
+    /// cube can meet them now.
+    missed_before_growth: Bits,
+    /// The cube the cover grew by, for `missed_before_growth` and the
+    /// [`Known::NoBeforeGrowth`] entries of `contains`.
+    grown: Option<usize>,
+}
+
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+enum Known {
+    Unknown,
+    No,
+    Yes,
+    /// The answer was no before the cover's cube `grown` grew, so it is
+    /// still no unless that cube meets the slot.
+    NoBeforeGrowth,
+}
+
+impl SlotAnswers {
+    fn unknown(slots: usize) -> Self {
+        SlotAnswers {
+            contains: vec![Known::Unknown; slots],
+            meets: Bits::zeros(slots),
+            misses: Bits::zeros(slots),
+            missed_before_growth: Bits::zeros(slots),
+            grown: None,
+        }
+    }
+
+    /// Sets these answers to what `before`, the answers of some cover,
+    /// tells about that cover with its cube `cube` grown (by dropping
+    /// literals). The grown cover is a superset, so a slot it contained
+    /// or met stays so. A slot it did not contain or meet can change only
+    /// where the grown cube meets the slot. Everything else is unknown.
+    pub(crate) fn grown_from(&mut self, before: &SlotAnswers, cube: usize) {
+        for (now, &was) in self.contains.iter_mut().zip(&before.contains) {
+            *now = match was {
+                Known::Yes => Known::Yes,
+                Known::No => Known::NoBeforeGrowth,
+                Known::Unknown | Known::NoBeforeGrowth => Known::Unknown,
+            };
+        }
+        self.meets.copy_from(&before.meets);
+        self.missed_before_growth.copy_from(&before.misses);
+        self.misses.clear();
+        self.grown = Some(cube);
+    }
+
+    /// The grown cube of a grown cover.
+    fn grown<'c>(&self, cover: &'c Cover) -> &'c Cube {
+        let grown = self.grown.expect("a grown cover names its grown cube");
+        &cover.cubes()[grown]
+    }
 }
 
 /// The cover-independent half of the Property 16 check for one
@@ -150,7 +280,7 @@ struct FdCandidate {
     /// Slots of the interleaved post-places with a non-empty cover.
     turnoff: Vec<usize>,
     /// Slots of every interleaved place reachable from the postset.
-    reached: Vec<usize>,
+    reached: Bits,
 }
 
 impl MonotonicityFrame {
@@ -208,17 +338,16 @@ impl MonotonicityFrame {
             if turnoff.is_empty() {
                 continue;
             }
-            let mut reached = Vec::new();
-            let mut seen = vec![false; adjusted.len()];
+            let mut reached = Bits::zeros(adjusted.len());
             let mut frontier: Vec<usize> = interleaved_post(u).collect();
             while let Some(s) = frontier.pop() {
-                if std::mem::replace(&mut seen[s], true) {
+                if reached.get(s) {
                     continue;
                 }
-                reached.push(s);
+                reached.set(s, true);
                 for &v in net.post_p(places[s]) {
                     if il_trans.get(v.index()) {
-                        frontier.extend(interleaved_post(v).filter(|&q| !seen[q]));
+                        frontier.extend(interleaved_post(v).filter(|&q| !reached.get(q)));
                     }
                 }
             }
@@ -240,17 +369,66 @@ impl MonotonicityFrame {
     /// The candidates are tried in transition order, as the walk tries
     /// them; a candidate fails as soon as any reached place meets the
     /// cover, so the order in which its places are visited cannot change
-    /// the verdict.
+    /// the verdict. Each slot is tested at most once per call, however
+    /// many candidates share it.
     pub fn violation(&self, cover: &Cover) -> Option<TransId> {
+        self.violation_with(cover, &mut SlotAnswers::unknown(self.adjusted.len()))
+    }
+
+    /// [`MonotonicityFrame::violation`] given `answers`, what is known
+    /// about `cover`'s slots, which the call completes as it tests them.
+    pub(crate) fn violation_with(
+        &self,
+        cover: &Cover,
+        answers: &mut SlotAnswers,
+    ) -> Option<TransId> {
         self.candidates
             .iter()
             .find(|c| {
-                c.turnoff.iter().any(|&s| !cover.covers(&self.adjusted[s]))
-                    && c.reached
-                        .iter()
-                        .any(|&s| cover.intersects(&self.adjusted[s]))
+                self.meets_any(cover, answers, &c.reached)
+                    && c.turnoff.iter().any(|&s| !self.contains(cover, answers, s))
             })
             .map(|c| c.transition)
+    }
+
+    fn contains(&self, cover: &Cover, answers: &mut SlotAnswers, s: usize) -> bool {
+        let contains = match answers.contains[s] {
+            Known::Yes => return true,
+            Known::No => return false,
+            Known::NoBeforeGrowth if !self.adjusted[s].intersects_cube(answers.grown(cover)) => {
+                false
+            }
+            Known::Unknown | Known::NoBeforeGrowth => cover.covers(&self.adjusted[s]),
+        };
+        answers.contains[s] = if contains { Known::Yes } else { Known::No };
+        contains
+    }
+
+    /// Whether `cover` meets the adjusted cover of any slot in `slots`,
+    /// testing the slots whose answer is not known yet in ascending order.
+    fn meets_any(&self, cover: &Cover, answers: &mut SlotAnswers, slots: &Bits) -> bool {
+        if slots.intersects(&answers.meets) {
+            return true;
+        }
+        for (w, &word) in slots.as_words().iter().enumerate() {
+            let known = answers.meets.as_words()[w] | answers.misses.as_words()[w];
+            let mut open = word & !known;
+            while open != 0 {
+                let s = w * 64 + open.trailing_zeros() as usize;
+                open &= open - 1;
+                let meets = if answers.missed_before_growth.get(s) {
+                    self.adjusted[s].intersects_cube(answers.grown(cover))
+                } else {
+                    cover.intersects(&self.adjusted[s])
+                };
+                if meets {
+                    answers.meets.set(s, true);
+                    return true;
+                }
+                answers.misses.set(s, true);
+            }
+        }
+        false
     }
 }
 
@@ -425,6 +603,100 @@ y- x+
         None
     }
 
+    /// The frame's check as it stood before the slot answers: one
+    /// containment test per (candidate, turn-off slot) pair and one
+    /// intersection test per (candidate, reached slot) pair. It is the
+    /// reference that pins [`MonotonicityFrame::violation_with`].
+    fn unshared_violation(frame: &MonotonicityFrame, cover: &Cover) -> Option<TransId> {
+        frame
+            .candidates
+            .iter()
+            .find(|c| {
+                c.turnoff.iter().any(|&s| !cover.covers(&frame.adjusted[s]))
+                    && c.reached
+                        .iter_ones()
+                        .any(|s| cover.intersects(&frame.adjusted[s]))
+            })
+            .map(|c| c.transition)
+    }
+
+    #[test]
+    fn slot_answers_agree_with_the_unshared_violation() {
+        use si_stg::generators::{
+            burst, clatch, muller_pipeline, philosophers, selector, sequencer,
+        };
+        let mut stgs = benchmarks::synthesizable_suite();
+        for n in 2..=4 {
+            stgs.extend([
+                sequencer(n),
+                selector(n),
+                burst(n),
+                philosophers(n),
+                clatch(n),
+                muller_pipeline(n),
+            ]);
+        }
+        stgs.extend([sequencer(40), selector(40)]);
+        let (mut monotonic, mut violations, mut grown, mut joined_violations) = (0, 0, 0, 0);
+        for stg in &stgs {
+            let ctx = StructuralContext::build(stg).unwrap();
+            // On the large specs, every tenth signal and the first 24
+            // drops of each cover keep the debug build's run short.
+            let signals = stg.synthesized_signals();
+            let sample = if signals.len() > 20 { 10 } else { 1 };
+            for signal in signals.into_iter().step_by(sample) {
+                let sc = ctx.signal_covers(signal);
+                for &t in sc.rising.iter().chain(&sc.falling) {
+                    let frame = MonotonicityFrame::new(&ctx, &sc, t);
+                    let same = |cover: &Cover, answers: &mut SlotAnswers| {
+                        let want = unshared_violation(&frame, cover);
+                        let what = format!("{}: {} against {cover}", stg.name(), t.index());
+                        assert_eq!(frame.violation_with(cover, answers), want, "{what}");
+                        assert_eq!(frame.violation(cover), want, "{what}: fresh");
+                        want
+                    };
+                    // The ER grown literal by literal as the greedy
+                    // expansion grows it, each candidate from the answers
+                    // of the cover it grew from, each violation-free one
+                    // accepted; then, from fresh answers, the ER joined
+                    // with the QR and with each slot's adjusted cover.
+                    let mut cover = sc.er[&t].clone();
+                    let mut known = SlotAnswers::unknown(frame.adjusted.len());
+                    same(&cover, &mut known);
+                    let mut trial = known.clone();
+                    for i in 0..cover.cube_count() {
+                        let literals: Vec<usize> = cover.cubes()[i].care().iter_ones().collect();
+                        for var in literals.into_iter().take(24) {
+                            let mut cubes = cover.cubes().to_vec();
+                            cubes[i].set(var, None);
+                            let cand = Cover::from_cubes(cover.width(), cubes);
+                            trial.grown_from(&known, i);
+                            grown += 1;
+                            if same(&cand, &mut trial).is_some() {
+                                violations += 1;
+                            } else {
+                                monotonic += 1;
+                                cover = cand;
+                                std::mem::swap(&mut known, &mut trial);
+                            }
+                        }
+                    }
+                    let fresh = || SlotAnswers::unknown(frame.adjusted.len());
+                    same(&sc.er[&t].or(&sc.qr[&t]), &mut fresh());
+                    for s in 0..frame.adjusted.len() {
+                        if same(&sc.er[&t].or(&frame.adjusted[s]), &mut fresh()).is_some() {
+                            joined_violations += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            monotonic > 1000 && violations > 100 && grown > 2000 && joined_violations > 100,
+            "{monotonic} / {violations} / {grown} / {joined_violations}"
+        );
+    }
+
     #[test]
     fn frame_agrees_with_the_walk() {
         use si_stg::generators::{
@@ -494,7 +766,9 @@ y- x+
         t: TransId,
         cover: &Cover,
     ) -> bool {
-        let got = MonotonicityFrame::new(ctx, sc, t).violation(cover);
+        let frame = MonotonicityFrame::new(ctx, sc, t);
+        let got = frame.violation(cover);
+        assert_eq!(got, unshared_violation(&frame, cover));
         assert_eq!(
             got,
             walk_violation(ctx, sc, t, cover),

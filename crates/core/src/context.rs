@@ -129,6 +129,15 @@ pub struct SignalCovers {
     pub gqr_zero: Cover,
 }
 
+/// The unions one refinement round has built, over its fixed snapshot.
+struct RoundUnions {
+    /// The union of the snapshot covers of each set of places built so
+    /// far, keyed by the set.
+    built: HashMap<Bits, Cover>,
+    /// The (place, component) pairs tested.
+    pairs: u64,
+}
+
 /// Everything the structural flow knows about an STG.
 #[derive(Debug)]
 pub struct StructuralContext<'a> {
@@ -149,9 +158,16 @@ pub struct StructuralContext<'a> {
 }
 
 impl<'a> StructuralContext<'a> {
-    /// Builds the context: consistency, cubes, SM-cover, QPS; then runs the
+    /// Builds the context: consistency, SM-cover, cubes, QPS; then runs the
     /// refinement loop while structural conflicts shrink and derives the
     /// CSC verdict.
+    ///
+    /// The SM-cover is searched right after the consistency analysis and
+    /// before the cubes are computed, so a net that is not SM-coverable
+    /// does not pay for its cubes. Computing the cubes cannot fail, so the
+    /// error precedence is that of the analyses' order: an inconsistent
+    /// STG reports [`SynthesisError::Inconsistent`] whether or not it is
+    /// SM-coverable.
     ///
     /// # Errors
     ///
@@ -162,6 +178,10 @@ impl<'a> StructuralContext<'a> {
         let analysis = {
             let _span = si_obs::span("context.consistency");
             StgAnalysis::analyze(stg).map_err(SynthesisError::Inconsistent)?
+        };
+        let sms = {
+            let _span = si_obs::span("context.sm_cover");
+            sm_cover(stg.net()).map_err(SynthesisError::NotSmCoverable)?
         };
         let (cubes, place_cover, qps) = {
             let _span = si_obs::span("context.cubes");
@@ -184,10 +204,6 @@ impl<'a> StructuralContext<'a> {
                 }
             }
             (cubes, place_cover, qps)
-        };
-        let sms = {
-            let _span = si_obs::span("context.sm_cover");
-            sm_cover(stg.net()).map_err(SynthesisError::NotSmCoverable)?
         };
 
         let mut ctx = StructuralContext {
@@ -229,19 +245,40 @@ impl<'a> StructuralContext<'a> {
     /// places in every SM-component that does not contain it. Sound by
     /// Property 7 — every reachable marking of `MR(p)` marks exactly one
     /// concurrent place of each such component.
-    fn refined_from_snapshot(&self, snapshot: &[Cover], p: PlaceId) -> Cover {
+    ///
+    /// A component lists its places in ascending order, so the union
+    /// depends only on the set of its places concurrent with `p`:
+    /// `unions` keeps each one the round has built, keyed by that set, for
+    /// every later (place, component) pair with the same set.
+    fn refined_from_snapshot(
+        &self,
+        snapshot: &[Cover],
+        unions: &mut RoundUnions,
+        p: PlaceId,
+    ) -> Cover {
         let mut refined = snapshot[p.index()].clone();
         for sm in &self.sm_cover {
             if sm.contains_place(p) {
                 continue;
             }
-            let union = Cover::union(
-                self.stg.signal_count(),
+            unions.pairs += 1;
+            let concurrent = Bits::from_ones(
+                snapshot.len(),
                 sm.places()
                     .iter()
                     .filter(|&&q| self.analysis.cr.places(p, q))
-                    .map(|q| &snapshot[q.index()]),
+                    .map(|q| q.index()),
             );
+            let union = match unions.built.get(&concurrent) {
+                Some(union) => union,
+                None => {
+                    let union = Cover::union(
+                        self.stg.signal_count(),
+                        concurrent.iter_ones().map(|q| &snapshot[q]),
+                    );
+                    unions.built.entry(concurrent).or_insert(union)
+                }
+            };
             if union.is_empty() {
                 // No concurrent place: p can never be marked together
                 // with this component — impossible for live nets, so
@@ -255,7 +292,7 @@ impl<'a> StructuralContext<'a> {
                 continue;
             }
             let candidate = {
-                let mut c = refined.and(&union);
+                let mut c = refined.and(union);
                 c.remove_single_cube_contained();
                 c
             };
@@ -277,8 +314,12 @@ impl<'a> StructuralContext<'a> {
     fn refine_round(&mut self) -> bool {
         let mut changed = false;
         let snapshot = self.place_cover.clone();
+        let mut unions = RoundUnions {
+            built: HashMap::new(),
+            pairs: 0,
+        };
         for p in self.stg.net().places() {
-            let refined = self.refined_from_snapshot(&snapshot, p);
+            let refined = self.refined_from_snapshot(&snapshot, &mut unions, p);
             // Keep the compact original whenever the refinement is merely a
             // re-expression: storing an equivalent multi-cube form would
             // slow every downstream cover operation for no precision gain.
@@ -287,6 +328,8 @@ impl<'a> StructuralContext<'a> {
                 self.place_cover[p.index()] = refined;
             }
         }
+        si_obs::counter_add("context.refine_pairs", unions.pairs);
+        si_obs::counter_add("context.refine_unions", unions.built.len() as u64);
         changed
     }
 
@@ -563,6 +606,113 @@ mod tests {
             CscVerdict::Unknown { places } => assert!(!places.is_empty()),
             v => panic!("raw VME must not pass the CSC check, got {v:?}"),
         }
+    }
+
+    /// The Fig. 11 refinement of one place as it stood before the rounds
+    /// shared their unions: one union and one containment test per
+    /// (place, component) pair. It is the reference that pins the shared
+    /// rounds cover for cover.
+    fn unshared_refined(ctx: &StructuralContext<'_>, snapshot: &[Cover], p: PlaceId) -> Cover {
+        let mut refined = snapshot[p.index()].clone();
+        for sm in &ctx.sm_cover {
+            if sm.contains_place(p) {
+                continue;
+            }
+            let union = Cover::union(
+                ctx.stg.signal_count(),
+                sm.places()
+                    .iter()
+                    .filter(|&&q| ctx.analysis.cr.places(p, q))
+                    .map(|q| &snapshot[q.index()]),
+            );
+            if union.is_empty() || union.covers(&refined) {
+                continue;
+            }
+            let mut candidate = refined.and(&union);
+            candidate.remove_single_cube_contained();
+            if candidate.cube_count() > REFINED_CUBE_CAP {
+                break;
+            }
+            refined = candidate;
+        }
+        refined
+    }
+
+    /// Runs refinement rounds on `stg`'s context from its initial covers,
+    /// each against the unshared reference round, and asserts after every
+    /// round that both changed the same covers to the same cubes. Returns
+    /// the number of rounds that changed a cover, or `None` when the
+    /// context cannot be built.
+    fn rounds_agree(stg: &Stg) -> Option<usize> {
+        let mut ctx = StructuralContext::build(stg).ok()?;
+        let nsig = stg.signal_count();
+        ctx.place_cover = ctx
+            .cubes
+            .cubes
+            .iter()
+            .map(|c| Cover::from_cubes(nsig, [c.clone()]))
+            .collect();
+        let mut changed_rounds = 0;
+        for round in 0..MAX_REFINE_ROUNDS {
+            let snapshot = ctx.place_cover.clone();
+            let mut want = snapshot.clone();
+            for p in stg.net().places() {
+                let refined = unshared_refined(&ctx, &snapshot, p);
+                if !refined.equivalent(&snapshot[p.index()]) {
+                    want[p.index()] = refined;
+                }
+            }
+            let changed = ctx.refine_round();
+            assert_eq!(changed, want != snapshot, "{} round {round}", stg.name());
+            assert_eq!(ctx.place_cover, want, "{} round {round}", stg.name());
+            if !changed {
+                break;
+            }
+            changed_rounds += 1;
+        }
+        Some(changed_rounds)
+    }
+
+    #[test]
+    fn shared_unions_refine_like_the_unshared_rounds() {
+        use si_stg::generators::{
+            burst, clatch, muller_pipeline, philosophers, selector, sequencer, vme_burst, vme_chain,
+        };
+        let mut stgs = benchmarks::synthesizable_suite();
+        stgs.push(benchmarks::vme_read_raw());
+        for n in 2..=4 {
+            stgs.extend([
+                sequencer(n),
+                selector(n),
+                burst(n),
+                philosophers(n),
+                clatch(n),
+                muller_pipeline(n),
+            ]);
+        }
+        let mut changed = 0;
+        for stg in &stgs {
+            changed += rounds_agree(stg).expect("the suite and the families build");
+        }
+        // The candidate contexts of a CSC search: each plan's STG, in the
+        // order the search scores them.
+        let mut candidates = 0;
+        for stg in (1..=8).map(vme_chain).chain((1..=3).map(vme_burst)) {
+            let base = si_csc::StructuralContext::build(&stg).expect("the input builds");
+            let cores = si_csc::conflict_cores(&base);
+            let tiers = si_csc::CandidateTiers::new(&base, &cores);
+            for plan in tiers.plans().take(96) {
+                let candidate = si_csc::apply_insertion(&stg, "csc0", &plan);
+                if let Some(rounds) = rounds_agree(&candidate) {
+                    changed += rounds;
+                    candidates += 1;
+                }
+            }
+        }
+        assert!(
+            candidates > 500 && changed > candidates,
+            "{candidates} / {changed}"
+        );
     }
 
     #[test]

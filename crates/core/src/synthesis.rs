@@ -13,10 +13,10 @@
 //! | M3 | collapsing of memory elements (gC / gated latch) | App. D |
 //! | M4 | backward region expansions | App. E |
 
-use crate::checks::{check_cluster, off_set_cover, CoverRole, MonotonicityFrame};
+use crate::checks::{check_cluster_in, off_set_cover, CoverRole, Frames, SlotAnswers};
 use crate::circuit::{Circuit, ImplKind, SignalImplementation};
 use crate::context::{CscVerdict, SignalCovers, StructuralContext, SynthesisError};
-use si_boolean::{Cover, Cube, MinimizeResult, Minimizer};
+use si_boolean::{Bits, Cover, Cube, MinimizeResult, Minimizer};
 use si_petri::TransId;
 use si_stg::{SignalId, Stg};
 
@@ -337,7 +337,7 @@ pub fn realize_clusters(
 }
 
 /// Re-checks cached clusters against the **current** context: every
-/// cluster must still pass [`check_cluster`] (ER inclusion, off-set
+/// cluster must still pass [`crate::checks::check_cluster`] (ER inclusion, off-set
 /// exclusion modulo the backward don't-cares, monotonicity) and the
 /// cluster partition must still match the signal's transitions. This is
 /// what makes cross-session reuse sound independent of how the cache is
@@ -377,6 +377,7 @@ pub fn revalidate_clusters(
         }
         Architecture::ExcitationFunction | Architecture::PerRegion => {
             let per_region = options.architecture == Architecture::PerRegion;
+            let frames = Frames::new(ctx, &sc);
             let set_union = cluster_union(w, &clusters.set);
             let reset_union = cluster_union(w, &clusters.reset);
             for (side, role, opposite) in [
@@ -390,7 +391,7 @@ pub fn revalidate_clusters(
                     } else {
                         Cover::empty(w)
                     };
-                    if !check_cluster(ctx, &sc, own, cover, &off, &bdc).is_ok() {
+                    if !check_cluster_in(&frames, own, cover, &off, &bdc).is_ok() {
                         return false;
                     }
                 }
@@ -485,6 +486,8 @@ fn excitation_clusters(
 ) -> Result<SignalClusters, SynthesisError> {
     let stages = &options.stages;
     let w = ctx.stg.signal_count();
+    // Every check and expansion of the signal shares its frames.
+    let frames = Frames::new(ctx, sc);
 
     // Initial clusters. In the per-region architecture, transitions whose
     // ER covers intersect cannot obey the one-hot discipline as separate
@@ -521,7 +524,7 @@ fn excitation_clusters(
     ] {
         for (own, cover) in clusters.iter() {
             let off = cluster_off(ctx, sc, role, own, per_region);
-            let r = check_cluster(ctx, sc, own, cover, &off, &Cover::empty(w));
+            let r = check_cluster_in(&frames, own, cover, &off, &Cover::empty(w));
             if !r.is_ok() {
                 return Err(SynthesisError::CoverCheckFailed {
                     signal: sc.signal,
@@ -539,7 +542,7 @@ fn excitation_clusters(
         ] {
             for (own, cover) in clusters.iter_mut() {
                 let off = cluster_off(ctx, sc, role, own, per_region);
-                *cover = expand_cluster_cover(ctx, sc, own, cover, &off, &Cover::empty(w));
+                *cover = expand_cluster_cover(&frames, own, cover, &off, &Cover::empty(w));
             }
         }
     }
@@ -550,7 +553,7 @@ fn excitation_clusters(
             (&mut set_clusters, CoverRole::Set),
             (&mut reset_clusters, CoverRole::Reset),
         ] {
-            merge_clusters(ctx, sc, role, clusters);
+            merge_clusters(&frames, role, clusters);
         }
     }
 
@@ -568,7 +571,7 @@ fn excitation_clusters(
                     continue;
                 }
                 let off = cluster_off(ctx, sc, role, own, per_region);
-                *cover = expand_cluster_cover(ctx, sc, own, cover, &off, &bdc);
+                *cover = expand_cluster_cover(&frames, own, cover, &off, &bdc);
             }
         }
     }
@@ -685,42 +688,62 @@ fn cluster_off(
 }
 
 /// Greedy literal expansion plus irredundancy under the structural checks.
+///
+/// Each expansion candidate is the accepted cover with one cube grown by a
+/// dropped literal, so it starts from the accepted cover's slot answers
+/// ([`SlotAnswers::grown_from`]), and a drop that met the off-set is not
+/// tried again: the cube only grows. An irredundancy candidate drops a
+/// cube, so it starts from fresh answers.
 fn expand_cluster_cover(
-    ctx: &StructuralContext<'_>,
-    sc: &SignalCovers,
+    frames: &Frames<'_, '_>,
     own: &[TransId],
     cover0: &Cover,
     off: &Cover,
     backward_dc: &Cover,
 ) -> Cover {
+    let sc = frames.sc;
     let w = cover0.width();
     let effective_off = if backward_dc.is_empty() {
         off.clone()
     } else {
         off.sharp(backward_dc)
     };
-    let frames: Vec<MonotonicityFrame> = own
-        .iter()
-        .map(|&t| MonotonicityFrame::new(ctx, sc, t))
-        .collect();
-    let monotonic = |cover: &Cover| -> bool { frames.iter().all(|f| f.violation(cover).is_none()) };
+    // The slot answers of the accepted cover, per owned transition, and
+    // those of the candidate under test.
+    let mut known: Vec<SlotAnswers> = own.iter().map(|&t| frames.answers(t)).collect();
+    let mut trial = known.clone();
+    // The (cube, literal) drops that met the off-set, at `cube * w + var`.
+    let mut meets_off = Bits::zeros(cover0.cube_count() * w);
 
     let mut cover = cover0.clone();
     loop {
         let mut improved = false;
         'outer: for i in 0..cover.cube_count() {
             let cube = cover.cubes()[i].clone();
-            for var in cube.care().iter_ones().collect::<Vec<_>>() {
+            for var in cube.care().iter_ones() {
+                if meets_off.get(i * w + var) {
+                    continue;
+                }
                 let mut cand = cube.clone();
                 cand.set(var, None);
                 if effective_off.intersects_cube(&cand) {
+                    meets_off.set(i * w + var, true);
                     continue;
                 }
                 let mut cubes = cover.cubes().to_vec();
                 cubes[i] = cand;
                 let cand_cover = Cover::from_cubes(w, cubes);
-                if monotonic(&cand_cover) {
+                let monotonic =
+                    own.iter()
+                        .zip(&known)
+                        .zip(&mut trial)
+                        .all(|((&t, before), answers)| {
+                            answers.grown_from(before, i);
+                            frames.violation(t, &cand_cover, answers).is_none()
+                        });
+                if monotonic {
                     cover = cand_cover;
+                    std::mem::swap(&mut known, &mut trial);
                     improved = true;
                     break 'outer;
                 }
@@ -740,7 +763,10 @@ fn expand_cluster_cover(
         let mut cubes = cover.cubes().to_vec();
         cubes.remove(i);
         let cand = Cover::from_cubes(w, cubes);
-        let ok = own.iter().all(|&t| cand.covers(&sc.er[&t])) && monotonic(&cand);
+        let ok = own.iter().all(|&t| cand.covers(&sc.er[&t]))
+            && own
+                .iter()
+                .all(|&t| frames.violation(t, &cand, &mut frames.answers(t)).is_none());
         if ok {
             cover = cand;
         } else {
@@ -753,11 +779,11 @@ fn expand_cluster_cover(
 /// Greedy pairwise merging of same-direction clusters while the result
 /// passes the checks and shrinks the literal count (Appendix A/C).
 fn merge_clusters(
-    ctx: &StructuralContext<'_>,
-    sc: &SignalCovers,
+    frames: &Frames<'_, '_>,
     role: CoverRole,
     clusters: &mut Vec<(Vec<TransId>, Cover)>,
 ) {
+    let (ctx, sc) = (frames.ctx, frames.sc);
     let w = ctx.stg.signal_count();
     loop {
         let mut best: Option<(usize, usize, Cover, usize)> = None;
@@ -768,8 +794,8 @@ fn merge_clusters(
                 own.sort_unstable();
                 let off = cluster_off(ctx, sc, role, &own, true);
                 let seed = clusters[i].1.or(&clusters[j].1);
-                let merged = expand_cluster_cover(ctx, sc, &own, &seed, &off, &Cover::empty(w));
-                if !check_cluster(ctx, sc, &own, &merged, &off, &Cover::empty(w)).is_ok() {
+                let merged = expand_cluster_cover(frames, &own, &seed, &off, &Cover::empty(w));
+                if !check_cluster_in(frames, &own, &merged, &off, &Cover::empty(w)).is_ok() {
                     continue;
                 }
                 let cost_now = cluster_area(&clusters[i].1) + cluster_area(&clusters[j].1);
@@ -949,6 +975,149 @@ y- x+
                 prev = syn.literal_area;
             }
         }
+    }
+
+    /// Greedy literal expansion plus irredundancy as it stood before the
+    /// checks shared frames and slot answers and skipped the drops known
+    /// to meet the off-set: the reference that pins
+    /// `expand_cluster_cover`.
+    fn unshared_expand(
+        ctx: &StructuralContext<'_>,
+        sc: &SignalCovers,
+        own: &[TransId],
+        cover0: &Cover,
+        off: &Cover,
+        backward_dc: &Cover,
+    ) -> Cover {
+        let w = cover0.width();
+        let effective_off = if backward_dc.is_empty() {
+            off.clone()
+        } else {
+            off.sharp(backward_dc)
+        };
+        let frames: Vec<crate::checks::MonotonicityFrame> = own
+            .iter()
+            .map(|&t| crate::checks::MonotonicityFrame::new(ctx, sc, t))
+            .collect();
+        let monotonic = |cover: &Cover| frames.iter().all(|f| f.violation(cover).is_none());
+        let mut cover = cover0.clone();
+        loop {
+            let mut improved = false;
+            'outer: for i in 0..cover.cube_count() {
+                let cube = cover.cubes()[i].clone();
+                for var in cube.care().iter_ones() {
+                    let mut cand = cube.clone();
+                    cand.set(var, None);
+                    if effective_off.intersects_cube(&cand) {
+                        continue;
+                    }
+                    let mut cubes = cover.cubes().to_vec();
+                    cubes[i] = cand;
+                    let cand_cover = Cover::from_cubes(w, cubes);
+                    if monotonic(&cand_cover) {
+                        cover = cand_cover;
+                        improved = true;
+                        break 'outer;
+                    }
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        cover.remove_single_cube_contained();
+        let mut i = 0;
+        while cover.cube_count() > 1 && i < cover.cube_count() {
+            let mut cubes = cover.cubes().to_vec();
+            cubes.remove(i);
+            let cand = Cover::from_cubes(w, cubes);
+            if own.iter().all(|&t| cand.covers(&sc.er[&t])) && monotonic(&cand) {
+                cover = cand;
+            } else {
+                i += 1;
+            }
+        }
+        cover
+    }
+
+    #[test]
+    fn expansion_agrees_with_the_unshared_reference() {
+        use si_stg::generators::{
+            burst, clatch, muller_pipeline, philosophers, selector, sequencer,
+        };
+        let mut stgs = benchmarks::synthesizable_suite();
+        for n in 2..=4 {
+            stgs.extend([
+                sequencer(n),
+                selector(n),
+                burst(n),
+                philosophers(n),
+                clatch(n),
+                muller_pipeline(n),
+            ]);
+        }
+        stgs.extend([sequencer(12), selector(12)]);
+        let (mut expansions, mut multi_cube) = (0, 0);
+        for stg in &stgs {
+            let ctx = StructuralContext::build(stg).unwrap();
+            let w = stg.signal_count();
+            let none = Cover::empty(w);
+            for signal in stg.synthesized_signals() {
+                let sc = ctx.signal_covers(signal);
+                let frames = Frames::new(&ctx, &sc);
+                for role in [CoverRole::Set, CoverRole::Reset] {
+                    let (own_dir, opposite) =
+                        (role.own_transitions(&sc), role.opposite_transitions(&sc));
+                    let opposite_union = Cover::union(w, opposite.iter().map(|t| &sc.er[t]));
+                    // The excitation-function cluster, every per-region
+                    // single and every merged pair, as M0, M1 and M4 meet
+                    // them.
+                    let mut clusters = vec![(own_dir.to_vec(), false)];
+                    for (k, &t) in own_dir.iter().enumerate() {
+                        clusters.push((vec![t], true));
+                        for &u in &own_dir[k + 1..] {
+                            clusters.push((vec![t, u], true));
+                        }
+                    }
+                    for (own, per_region) in clusters {
+                        // From the ERs, and from the ERs joined with the
+                        // QRs, whose cubes the irredundancy pass may drop.
+                        let er = Cover::union(w, own.iter().map(|t| &sc.er[t]));
+                        let qr = Cover::union(w, own.iter().map(|t| &sc.qr[t]));
+                        let off = cluster_off(&ctx, &sc, role, &own, per_region);
+                        let bdc = backward_dc(&ctx, &sc, role, &own, &opposite_union);
+                        for (cover0, dc) in [(&er, &none), (&er, &bdc), (&er.or(&qr), &none)] {
+                            let got = expand_cluster_cover(&frames, &own, cover0, &off, dc);
+                            let want = unshared_expand(&ctx, &sc, &own, cover0, &off, dc);
+                            assert_eq!(got, want, "{}: {own:?} from {cover0}", stg.name());
+                            expansions += 1;
+                            if cover0.cube_count() > 1 {
+                                multi_cube += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            expansions > 500 && multi_cube > 100,
+            "{expansions} / {multi_cube}"
+        );
+    }
+
+    /// Every containment test of one sequencer(20) synthesis answered by
+    /// the kernel and its reference alike.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn containment_kernel_agrees_with_the_reference_on_a_synthesis() {
+        let _armed = si_boolean::lockstep::arm();
+        let before = si_boolean::lockstep::checked();
+        let syn = synthesize(
+            &si_stg::generators::sequencer(20),
+            &SynthesisOptions::default(),
+        );
+        assert_eq!(syn.expect("sequencer(20) synthesizes").literal_area, 20);
+        assert!(si_boolean::lockstep::checked() - before > 10_000);
     }
 
     #[test]

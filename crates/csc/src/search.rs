@@ -573,6 +573,20 @@ mod tests {
         let _ = plan;
     }
 
+    /// Every containment test of one vme_burst(3) resolve, candidate
+    /// contexts and oracle included, answered by the kernel and its
+    /// reference alike.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn containment_kernel_agrees_with_the_reference_on_a_resolve() {
+        let _armed = si_boolean::lockstep::arm();
+        let before = si_boolean::lockstep::checked();
+        let stg = si_stg::generators::vme_burst(3);
+        let outcome = resolve(&stg, &CscOptions::default());
+        assert!(outcome.resolution.is_some());
+        assert!(si_boolean::lockstep::checked() - before > 10_000);
+    }
+
     #[test]
     fn csc_clean_stg_returned_unchanged() {
         let stg = si_stg::benchmarks::burst2();

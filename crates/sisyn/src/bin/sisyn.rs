@@ -264,9 +264,10 @@ fn emit(args: &Args, content: &str) -> std::io::Result<()> {
 /// Prints a command's report: its human summary on stdout (stderr when
 /// `--json` owns stdout), its notes on stderr, then under `--json` the
 /// report object — with the collected profile as a `"profile"` field
-/// under `--profile=json`. The report is the last thing a command
-/// prints, so every phase span below the CLI's own has closed by then.
-fn finish(args: &Args, report: &dyn Report) -> ExitCode {
+/// under `--profile=json`. The op's span `op_span` closes before the
+/// report object is rendered, so the profile holds the op's own calls
+/// and time as well as those of every phase below it.
+fn finish(args: &Args, report: &dyn Report, op_span: si_obs::SpanGuard) -> ExitCode {
     let summary = report.summary();
     if args.json {
         eprint!("{summary}");
@@ -274,6 +275,7 @@ fn finish(args: &Args, report: &dyn Report) -> ExitCode {
         print!("{summary}");
     }
     eprint!("{}", report.notes());
+    drop(op_span);
     if args.json {
         let mut json = report.json();
         if args.profile == Some(ProfileFormat::Json) {
@@ -333,7 +335,7 @@ fn cli_span(command: &str) -> &'static str {
 }
 
 fn run(args: &Args) -> ExitCode {
-    let _span = si_obs::span(cli_span(&args.command));
+    let span = si_obs::span(cli_span(&args.command));
     let text = match sisyn::serve::cli::read_input(&args.input) {
         Ok(t) => t,
         Err(e) => {
@@ -354,7 +356,7 @@ fn run(args: &Args) -> ExitCode {
             return usage();
         }
         return match parse_proto(&text) {
-            Ok(sys) => finish(args, &report::Deadlock::build(&sys, options)),
+            Ok(sys) => finish(args, &report::Deadlock::build(&sys, options), span),
             Err(e) => {
                 eprintln!("parse error: {e}");
                 ExitCode::FAILURE
@@ -389,15 +391,21 @@ fn run(args: &Args) -> ExitCode {
         "check" => finish(
             args,
             &report::Check::build(&options.engine(&stg, Op::Check)),
+            span,
         ),
         "synth" => {
             let engine = options.engine(&stg, Op::Synth);
             let report = report::Synth::build(&stg, options, engine.synthesize());
-            let code = finish(args, &report);
-            if let Some(syn) = report.synthesis() {
-                let _ = emit(args, &to_verilog(&stg, &syn.circuit));
-                if let Some(n) = args.waveform {
-                    let (outcome, trace) = record_walk(&stg, &syn.circuit, n, 1);
+            // The netlist and the waveform are built inside the op's span
+            // and printed after its report.
+            let netlist = report.synthesis().map(|syn| {
+                let walk = args.waveform.map(|n| record_walk(&stg, &syn.circuit, n, 1));
+                (to_verilog(&stg, &syn.circuit), walk)
+            });
+            let code = finish(args, &report, span);
+            if let Some((verilog, walk)) = netlist {
+                let _ = emit(args, &verilog);
+                if let Some((outcome, trace)) = walk {
                     eprintln!("simulation: {outcome:?}");
                     eprint!("{}", sisyn::stg::render_waveform(&stg, &trace));
                 }
@@ -412,13 +420,15 @@ fn run(args: &Args) -> ExitCode {
             finish(
                 args,
                 &report::Verify::build(&engine, options, engine.synthesize()),
+                span,
             )
         }
         "resolve" => {
             let report = report::Resolve::build(&options.engine(&stg, Op::Resolve), options);
-            let code = finish(args, &report);
-            if let Some(resolved) = report.resolved() {
-                let _ = emit(args, &write_g(resolved));
+            let resolved = report.resolved().map(write_g);
+            let code = finish(args, &report, span);
+            if let Some(resolved) = resolved {
+                let _ = emit(args, &resolved);
             }
             code
         }
