@@ -476,8 +476,8 @@ fn note_split(var: usize) {
 fn note_split(_var: usize) {}
 
 /// The recursive cube-list tautology test the kernel replaced, kept as its
-/// reference (builds with debug assertions only).
-#[cfg(debug_assertions)]
+/// reference (tests and builds with debug assertions only).
+#[cfg(any(test, debug_assertions))]
 mod reference {
     use super::{note_split, select_branch_var};
     use crate::cube::Cube;

@@ -195,36 +195,53 @@ impl Drop for Frames<'_, '_> {
 /// tested at most once per cover.
 #[derive(Clone, Debug)]
 pub(crate) struct SlotAnswers {
-    contains: Vec<Known>,
-    /// The slots the cover meets.
-    meets: Bits,
-    /// The slots the cover misses.
-    misses: Bits,
-    /// The slots the cover missed before its cube `grown` grew: only that
-    /// cube can meet them now.
-    missed_before_growth: Bits,
-    /// The cube the cover grew by, for `missed_before_growth` and the
-    /// [`Known::NoBeforeGrowth`] entries of `contains`.
+    contains: Answers,
+    meets: Answers,
+    /// The cube the cover grew by, for the `no_before_growth` slots.
     grown: Option<usize>,
 }
 
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum Known {
-    Unknown,
-    No,
-    Yes,
-    /// The answer was no before the cover's cube `grown` grew, so it is
-    /// still no unless that cube meets the slot.
-    NoBeforeGrowth,
+/// The slots one question about a cover has been answered for.
+#[derive(Clone, Debug)]
+struct Answers {
+    yes: Bits,
+    no: Bits,
+    /// The slots answered no before the cover's cube `grown` grew: still
+    /// no unless that cube meets the slot.
+    no_before_growth: Bits,
+}
+
+impl Answers {
+    fn unknown(slots: usize) -> Self {
+        Answers {
+            yes: Bits::zeros(slots),
+            no: Bits::zeros(slots),
+            no_before_growth: Bits::zeros(slots),
+        }
+    }
+
+    fn record(&mut self, s: usize, answer: bool) -> bool {
+        if answer {
+            self.yes.set(s, true);
+        } else {
+            self.no.set(s, true);
+        }
+        answer
+    }
+
+    /// See [`SlotAnswers::grown_from`].
+    fn grown_from(&mut self, before: &Answers) {
+        self.yes.copy_from(&before.yes);
+        self.no_before_growth.copy_from(&before.no);
+        self.no.clear();
+    }
 }
 
 impl SlotAnswers {
     fn unknown(slots: usize) -> Self {
         SlotAnswers {
-            contains: vec![Known::Unknown; slots],
-            meets: Bits::zeros(slots),
-            misses: Bits::zeros(slots),
-            missed_before_growth: Bits::zeros(slots),
+            contains: Answers::unknown(slots),
+            meets: Answers::unknown(slots),
             grown: None,
         }
     }
@@ -235,16 +252,8 @@ impl SlotAnswers {
     /// or met stays so. A slot it did not contain or meet can change only
     /// where the grown cube meets the slot. Everything else is unknown.
     pub(crate) fn grown_from(&mut self, before: &SlotAnswers, cube: usize) {
-        for (now, &was) in self.contains.iter_mut().zip(&before.contains) {
-            *now = match was {
-                Known::Yes => Known::Yes,
-                Known::No => Known::NoBeforeGrowth,
-                Known::Unknown | Known::NoBeforeGrowth => Known::Unknown,
-            };
-        }
-        self.meets.copy_from(&before.meets);
-        self.missed_before_growth.copy_from(&before.misses);
-        self.misses.clear();
+        self.contains.grown_from(&before.contains);
+        self.meets.grown_from(&before.meets);
         self.grown = Some(cube);
     }
 
@@ -392,40 +401,39 @@ impl MonotonicityFrame {
     }
 
     fn contains(&self, cover: &Cover, answers: &mut SlotAnswers, s: usize) -> bool {
-        let contains = match answers.contains[s] {
-            Known::Yes => return true,
-            Known::No => return false,
-            Known::NoBeforeGrowth if !self.adjusted[s].intersects_cube(answers.grown(cover)) => {
-                false
-            }
-            Known::Unknown | Known::NoBeforeGrowth => cover.covers(&self.adjusted[s]),
+        let known = &answers.contains;
+        if known.yes.get(s) || known.no.get(s) {
+            return known.yes.get(s);
+        }
+        let adjusted = &self.adjusted[s];
+        let contains = if known.no_before_growth.get(s) {
+            adjusted.intersects_cube(answers.grown(cover)) && cover.covers(adjusted)
+        } else {
+            cover.covers(adjusted)
         };
-        answers.contains[s] = if contains { Known::Yes } else { Known::No };
-        contains
+        answers.contains.record(s, contains)
     }
 
     /// Whether `cover` meets the adjusted cover of any slot in `slots`,
     /// testing the slots whose answer is not known yet in ascending order.
     fn meets_any(&self, cover: &Cover, answers: &mut SlotAnswers, slots: &Bits) -> bool {
-        if slots.intersects(&answers.meets) {
+        if slots.intersects(&answers.meets.yes) {
             return true;
         }
         for (w, &word) in slots.as_words().iter().enumerate() {
-            let known = answers.meets.as_words()[w] | answers.misses.as_words()[w];
+            let known = answers.meets.yes.as_words()[w] | answers.meets.no.as_words()[w];
             let mut open = word & !known;
             while open != 0 {
                 let s = w * 64 + open.trailing_zeros() as usize;
                 open &= open - 1;
-                let meets = if answers.missed_before_growth.get(s) {
+                let meets = if answers.meets.no_before_growth.get(s) {
                     self.adjusted[s].intersects_cube(answers.grown(cover))
                 } else {
                     cover.intersects(&self.adjusted[s])
                 };
-                if meets {
-                    answers.meets.set(s, true);
+                if answers.meets.record(s, meets) {
                     return true;
                 }
-                answers.misses.set(s, true);
             }
         }
         false
