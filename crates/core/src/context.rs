@@ -269,16 +269,12 @@ impl<'a> StructuralContext<'a> {
                     .filter(|&&q| self.analysis.cr.places(p, q))
                     .map(|q| q.index()),
             );
-            let union = match unions.built.get(&concurrent) {
-                Some(union) => union,
-                None => {
-                    let union = Cover::union(
-                        self.stg.signal_count(),
-                        concurrent.iter_ones().map(|q| &snapshot[q]),
-                    );
-                    unions.built.entry(concurrent).or_insert(union)
-                }
-            };
+            let union = unions.built.entry(concurrent).or_insert_with_key(|set| {
+                Cover::union(
+                    self.stg.signal_count(),
+                    set.iter_ones().map(|q| &snapshot[q]),
+                )
+            });
             if union.is_empty() {
                 // No concurrent place: p can never be marked together
                 // with this component — impossible for live nets, so
