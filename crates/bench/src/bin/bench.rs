@@ -14,9 +14,9 @@
 //!   two-level minimizer backends (espresso / exact / bdd / auto) on the
 //!   complex-gate synthesis of the large set;
 //! * `product_exploration` — the spec×circuit conformance product on the
-//!   generic explorers (`si_petri::space`): wall time and states/s of the
-//!   sequential vs sharded exploration on the large set (the probe graph
-//!   is cached per engine, so only the product walk is timed);
+//!   generic explorer (`si_petri::space`): wall time and states/s on the
+//!   large set (the probe graph is cached per engine, so only the product
+//!   walk is timed);
 //! * `csc_resolution` — the CSC resolve subsystem on the conflicted
 //!   `vme_read_raw` / `vme_chain(n)` / `vme_burst(n)` workloads at one
 //!   worker thread: end-to-end wall time of the pre-subsystem blind
@@ -30,9 +30,8 @@
 //!   beyond-the-cap workload the explicit engine cannot finish;
 //! * `protocol_deadlock` — the CFSM deadlock checker
 //!   (`si_proto::check_deadlock_with`) on the clean `ring(n)` and the
-//!   deadlocking `dining(n)` families: wall time, states/s and speedup of
-//!   the sequential vs sharded exploration at 1/2/4/8 shards (the check
-//!   is exhaustive, so every engine walks the identical state space);
+//!   deadlocking `dining(n)` families: wall time and states/s of the
+//!   exhaustive check;
 //! * `artifact_cache` — the serve layer's content-addressed response
 //!   cache (`si_serve::Service`) on the large-set synth workloads: cold
 //!   latency (full structural synthesis into a fresh store) vs warm
@@ -220,68 +219,48 @@ struct ProductEntry {
     name: String,
     /// Product states of the (conformant) synthesized circuit.
     product_states: usize,
-    /// Shard count -> best-of wall time of the product exploration
-    /// (`[0]` is the sequential explorer).
-    times: Vec<(usize, Duration)>,
+    /// Best-of wall time of the product exploration.
+    time: Duration,
 }
 
 /// Times the conformance product of each large-set member's synthesized
-/// circuit on the sequential and sharded explorers. Each engine caches
-/// its probe graph before the timed loop, so the measurement isolates the
-/// product walk itself.
-fn measure_product_exploration(cfg: &Config) -> (Vec<usize>, Vec<ProductEntry>) {
+/// circuit. The engine caches its probe graph before the timed loop, so
+/// the measurement isolates the product walk itself.
+fn measure_product_exploration(cfg: &Config) -> Vec<ProductEntry> {
     use si_verify::EngineVerify;
-    let counts: Vec<usize> = if cfg.smoke {
-        vec![1, 2]
-    } else {
-        vec![1, 2, 4, 8]
-    };
-    debug_assert_eq!(counts[0], 1, "the sweep leads with the sequential explorer");
     let mut entries = Vec::new();
     for stg in large_set() {
         let Ok(syn) = synthesize(&stg, &SynthesisOptions::default()) else {
             eprintln!("product/{}: skipped (not synthesizable)", stg.name());
             continue;
         };
-        let mut times = Vec::new();
-        let mut product_states = 0usize;
-        let mut skipped = false;
-        for &k in &counts {
-            let engine = si_core::Engine::new(&stg).cap(cfg.cap).shards(k);
-            if engine.reachability().is_err() {
-                eprintln!("product/{}: skipped (probe over cap)", stg.name());
-                skipped = true;
-                break;
-            }
-            let Ok(first) = engine.check_conformance(&syn.circuit) else {
-                eprintln!("product/{}: skipped (exploration error)", stg.name());
-                skipped = true;
-                break;
-            };
-            if !first.is_ok() {
-                eprintln!("product/{}: skipped (inconclusive or failing)", stg.name());
-                skipped = true;
-                break;
-            }
-            product_states = first.states_explored;
-            let d = best_of(cfg.iters.min(3), || engine.check_conformance(&syn.circuit));
-            times.push((k, d));
-        }
-        if skipped || times.is_empty() {
+        let engine = si_core::Engine::new(&stg).cap(cfg.cap);
+        if engine.reachability().is_err() {
+            eprintln!("product/{}: skipped (probe over cap)", stg.name());
             continue;
         }
-        eprint!("product/{} ({product_states} states):", stg.name());
-        for &(k, d) in &times {
-            eprint!(" {k}={}", fmt_duration(d));
+        let Ok(first) = engine.check_conformance(&syn.circuit) else {
+            eprintln!("product/{}: skipped (exploration error)", stg.name());
+            continue;
+        };
+        if !first.is_ok() {
+            eprintln!("product/{}: skipped (inconclusive or failing)", stg.name());
+            continue;
         }
-        eprintln!();
+        let time = best_of(cfg.iters.min(3), || engine.check_conformance(&syn.circuit));
+        eprintln!(
+            "product/{} ({} states): {}",
+            stg.name(),
+            first.states_explored,
+            fmt_duration(time)
+        );
         entries.push(ProductEntry {
             name: stg.name().to_string(),
-            product_states,
-            times,
+            product_states: first.states_explored,
+            time,
         });
     }
-    (counts, entries)
+    entries
 }
 
 /// One workload of the CSC-resolution section.
@@ -584,23 +563,14 @@ struct ProtoEntry {
     /// Global states the exhaustive deadlock check explored.
     states: usize,
     violations: usize,
-    /// Shard count -> best-of wall time of the full check (`[0]` is the
-    /// sequential explorer).
-    times: Vec<(usize, Duration)>,
+    /// Best-of wall time of the full check.
+    time: Duration,
 }
 
 /// Times the CFSM deadlock checker (`si_proto::check_deadlock_with`) on
-/// the clean `ring(n)` family and the deadlocking `dining(n)` family, at
-/// the same shard counts as the other exploration sections. The check is
-/// exhaustive either way (violations do not stop the sweep), so sharded
-/// and sequential runs walk the identical state space.
-fn measure_protocol_deadlock(cfg: &Config) -> (Vec<usize>, Vec<ProtoEntry>) {
-    let counts: Vec<usize> = if cfg.smoke {
-        vec![1, 2]
-    } else {
-        vec![1, 2, 4, 8]
-    };
-    debug_assert_eq!(counts[0], 1, "the sweep leads with the sequential explorer");
+/// the clean `ring(n)` family and the deadlocking `dining(n)` family. The
+/// check is exhaustive either way (violations do not stop the search).
+fn measure_protocol_deadlock(cfg: &Config) -> Vec<ProtoEntry> {
     let workloads: Vec<si_proto::ProtoSystem> = if cfg.smoke {
         vec![si_proto::ring(4), si_proto::dining(3)]
     } else {
@@ -615,50 +585,47 @@ fn measure_protocol_deadlock(cfg: &Config) -> (Vec<usize>, Vec<ProtoEntry>) {
     };
     let mut entries = Vec::new();
     for sys in &workloads {
-        let check = |shards: usize| {
-            let mut reach = si_petri::ReachOptions::with_cap(cfg.cap);
-            reach.shards = shards;
-            si_proto::check_deadlock_with(sys, reach).expect("no worker panics")
+        let check = || {
+            let Ok(report) =
+                si_proto::check_deadlock_with(sys, si_petri::ReachOptions::with_cap(cfg.cap));
+            report
         };
-        // The first sequential run doubles as the cap probe and supplies
-        // the verdict columns.
+        // The first run doubles as the cap probe and supplies the verdict
+        // columns.
         let t0 = Instant::now();
-        let probe = check(1);
-        let first_seq = t0.elapsed();
+        let probe = check();
+        let first = t0.elapsed();
         if probe.interrupted.is_some() {
             eprintln!("proto/{}: skipped (over the cap)", sys.name());
             continue;
         }
-        let iters = cfg.iters.min(3);
-        let mut times = Vec::new();
-        for &k in &counts {
-            let extra = if k == 1 { iters - 1 } else { iters };
-            let mut d = best_of(extra, || check(k));
-            if k == 1 {
-                d = d.min(first_seq);
-            }
-            times.push((k, d));
-        }
-        eprint!(
-            "proto/{} ({} states, {} violations):",
+        let time = best_of(cfg.iters.min(3) - 1, check).min(first);
+        eprintln!(
+            "proto/{} ({} states, {} violations): {}",
             sys.name(),
             probe.states_explored,
-            probe.violations.len()
+            probe.violations.len(),
+            fmt_duration(time)
         );
-        for &(k, d) in &times {
-            eprint!(" {k}={}", fmt_duration(d));
-        }
-        eprintln!();
         entries.push(ProtoEntry {
             name: sys.name().to_string(),
             modules: sys.modules().len(),
             channels: sys.channels().len(),
             states: probe.states_explored,
             violations: probe.violations.len(),
-            times,
+            time,
         });
     }
-    (counts, entries)
+    entries
+}
+
+/// States per second of `states` explored in `d`, `null` for a zero time.
+fn json_rate(states: usize, d: Duration) -> String {
+    if d.is_zero() {
+        "null".to_string()
+    } else {
+        format!("{:.0}", states as f64 / d.as_secs_f64())
+    }
 }
 
 fn json_ms(d: Option<Duration>) -> String {
@@ -701,16 +668,16 @@ fn main() {
     }
 
     let minimizer_entries = measure_minimizer_backends(&cfg);
-    let (product_counts, product_entries) = measure_product_exploration(&cfg);
+    let product_entries = measure_product_exploration(&cfg);
     let (csc_cap, csc_budget, csc_entries) = measure_csc_resolution(&cfg);
     let symbolic_entries = measure_symbolic_reachability(&cfg);
-    let (proto_counts, proto_entries) = measure_protocol_deadlock(&cfg);
+    let proto_entries = measure_protocol_deadlock(&cfg);
     let cache_entries = measure_artifact_cache(&cfg);
     let overhead_entries = measure_tracing_overhead(&cfg);
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"sisyn/bench-substrates/v10\",");
+    let _ = writeln!(json, "  \"schema\": \"sisyn/bench-substrates/v11\",");
     let _ = writeln!(json, "  \"iters\": {},", cfg.iters);
     let _ = writeln!(json, "  \"state_cap\": {},", cfg.cap);
     let _ = writeln!(
@@ -816,63 +783,20 @@ fn main() {
     }
     let _ = writeln!(json, "    ]");
     let _ = writeln!(json, "  }},");
-    // Product-exploration section: the conformance product on the generic
-    // sequential vs sharded explorers, large set.
+    // Product-exploration section: the conformance product on the
+    // generic explorer, large set.
     let _ = writeln!(json, "  \"product_exploration\": {{");
     let _ = writeln!(json, "    \"state_cap\": {},", cfg.cap);
-    let _ = writeln!(
-        json,
-        "    \"shard_counts\": [{}],",
-        product_counts
-            .iter()
-            .map(|k| k.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(
-        json,
-        "    \"hardware_threads\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
     let _ = writeln!(json, "    \"entries\": [");
     for (i, e) in product_entries.iter().enumerate() {
         let _ = writeln!(json, "      {{");
         let _ = writeln!(json, "        \"name\": \"{}\",", e.name);
         let _ = writeln!(json, "        \"product_states\": {},", e.product_states);
+        let _ = writeln!(json, "        \"conform_ms\": {},", json_ms(Some(e.time)));
         let _ = writeln!(
             json,
-            "        \"conform_ms\": {{{}}},",
-            e.times
-                .iter()
-                .map(|&(k, d)| format!("\"{k}\": {}", json_ms(Some(d))))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let _ = writeln!(
-            json,
-            "        \"states_per_s\": {{{}}},",
-            e.times
-                .iter()
-                .map(|&(k, d)| {
-                    let rate = if d.is_zero() {
-                        "null".to_string()
-                    } else {
-                        format!("{:.0}", e.product_states as f64 / d.as_secs_f64())
-                    };
-                    format!("\"{k}\": {rate}")
-                })
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let seq = e.times[0].1;
-        let _ = writeln!(
-            json,
-            "        \"speedup_vs_seq\": {{{}}}",
-            e.times[1..]
-                .iter()
-                .map(|&(k, d)| format!("\"{k}\": {}", json_speedup(Some(seq), Some(d))))
-                .collect::<Vec<_>>()
-                .join(", ")
+            "        \"states_per_s\": {}",
+            json_rate(e.product_states, e.time)
         );
         let _ = writeln!(
             json,
@@ -984,24 +908,10 @@ fn main() {
     }
     let _ = writeln!(json, "    ]");
     let _ = writeln!(json, "  }},");
-    // Protocol-deadlock section: the CFSM deadlock checker on the generic
-    // sequential vs sharded explorers, ring/dining families.
+    // Protocol-deadlock section: the CFSM deadlock checker on the
+    // generic explorer, ring/dining families.
     let _ = writeln!(json, "  \"protocol_deadlock\": {{");
     let _ = writeln!(json, "    \"state_cap\": {},", cfg.cap);
-    let _ = writeln!(
-        json,
-        "    \"shard_counts\": [{}],",
-        proto_counts
-            .iter()
-            .map(|k| k.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(
-        json,
-        "    \"hardware_threads\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
     let _ = writeln!(json, "    \"entries\": [");
     for (i, e) in proto_entries.iter().enumerate() {
         let _ = writeln!(json, "      {{");
@@ -1010,40 +920,11 @@ fn main() {
         let _ = writeln!(json, "        \"channels\": {},", e.channels);
         let _ = writeln!(json, "        \"states\": {},", e.states);
         let _ = writeln!(json, "        \"violations\": {},", e.violations);
+        let _ = writeln!(json, "        \"check_ms\": {},", json_ms(Some(e.time)));
         let _ = writeln!(
             json,
-            "        \"check_ms\": {{{}}},",
-            e.times
-                .iter()
-                .map(|&(k, d)| format!("\"{k}\": {}", json_ms(Some(d))))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let _ = writeln!(
-            json,
-            "        \"states_per_s\": {{{}}},",
-            e.times
-                .iter()
-                .map(|&(k, d)| {
-                    let rate = if d.is_zero() {
-                        "null".to_string()
-                    } else {
-                        format!("{:.0}", e.states as f64 / d.as_secs_f64())
-                    };
-                    format!("\"{k}\": {rate}")
-                })
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let seq = e.times[0].1;
-        let _ = writeln!(
-            json,
-            "        \"speedup_vs_seq\": {{{}}}",
-            e.times[1..]
-                .iter()
-                .map(|&(k, d)| format!("\"{k}\": {}", json_speedup(Some(seq), Some(d))))
-                .collect::<Vec<_>>()
-                .join(", ")
+            "        \"states_per_s\": {}",
+            json_rate(e.states, e.time)
         );
         let _ = writeln!(
             json,

@@ -10,7 +10,7 @@
 //! once**, on first use, whatever order the pipeline methods are called in:
 //!
 //! ```text
-//!              Engine::new(&stg).cap(..).shards(..).minimizer(..)
+//!              Engine::new(&stg).cap(..).timeout(..).minimizer(..)
 //!                                  │
 //!          ┌───────────────────────┼───────────────────────────┐
 //!          ▼ (lazy, cached)        ▼ (lazy, cached)            ▼ (lazy, cached)
@@ -214,16 +214,6 @@ impl<'a> Engine<'a> {
     /// gracefully, like [`Engine::deadline`].
     pub fn cancel(mut self, token: si_petri::CancelToken) -> Self {
         self.reach.budget.cancel = Some(token);
-        self
-    }
-
-    /// Sets the shard-worker count of the session's verdict searches (see
-    /// [`ReachOptions::shards`]): through `si-verify`'s `EngineVerify`
-    /// methods, the speed-independence violation search and the
-    /// conformance product exploration. The reachability graph is built
-    /// sequentially at any count.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.reach = self.reach.shards(shards);
         self
     }
 

@@ -81,8 +81,7 @@ pub fn synthesize_state_based(
 
 /// Like [`synthesize_state_based`] but with explicit [`ReachOptions`]:
 /// the budget governs the reachability build (the dominant cost of the
-/// baseline on the scalable benchmark families). The build is sequential,
-/// so `reach.shards` does not change it.
+/// baseline on the scalable benchmark families).
 ///
 /// # Errors
 ///

@@ -1,8 +1,8 @@
 //! Deterministic fault injection, panic tolerance and the workspace's
 //! worker pool.
 //!
-//! The worker pools of this workspace (the sharded state-space explorer,
-//! per-signal synthesis, CSC candidate scoring) promise to survive a
+//! The worker pools of this workspace (per-signal synthesis, CSC
+//! candidate scoring, the serve job queue) promise to survive a
 //! panicking worker: the panic is caught, converted into a structured
 //! error, and the process stays alive. This crate provides that promise:
 //!
@@ -18,12 +18,12 @@
 //!   only under the `failpoints` feature (off by default; release builds
 //!   carry no injection code). Tests [`arm`] a site with a
 //!   [`FaultAction`] and the next matching [`fail_point!`] hit fires it:
-//!   panic, stall, or trigger (a boolean the site uses to simulate a
-//!   condition such as "the cap bursts at state *k*").
+//!   panic, or trigger (a boolean the site uses to simulate a condition
+//!   such as "the budget bursts at iteration *k*").
 //!
 //! Injection is deterministic: sites are keyed by name plus an optional
-//! `u64` value (worker index, state count, candidate index), so a test
-//! arms exactly the hit it means. Armed faults fire once and disarm.
+//! `u64` value (signal index, iteration count, candidate index), so a
+//! test arms exactly the hit it means. Armed faults fire once and disarm.
 //!
 //! # Examples
 //!
@@ -44,7 +44,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
 
 /// What an armed failpoint does when hit.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,11 +51,9 @@ pub enum FaultAction {
     /// Panic inside the hitting thread (exercises `catch_unwind` +
     /// poison recovery in the surrounding pool).
     Panic,
-    /// Sleep for the given duration (exercises termination counters and
-    /// queue-stall tolerance).
-    Stall(Duration),
     /// Make the site's [`fail_trigger!`] expression return `true` (the
-    /// site decides what that simulates — e.g. a cap burst at state `k`).
+    /// site decides what that simulates — e.g. a budget burst at
+    /// iteration `k`).
     Trigger,
 }
 
@@ -123,10 +120,6 @@ pub fn hit(site: &str, value: u64) -> bool {
     };
     match action {
         FaultAction::Panic => panic!("injected fault at failpoint {site} (value {value})"),
-        FaultAction::Stall(d) => {
-            std::thread::sleep(d);
-            false
-        }
         FaultAction::Trigger => true,
     }
 }
@@ -140,7 +133,7 @@ pub fn armed_count() -> usize {
 /// Poison-tolerant mutex acquisition: a panic in another thread while it
 /// held the lock poisons the mutex, but the data of every pool in this
 /// workspace stays valid across a worker panic (first-error-wins slots,
-/// append-only batches guarded by length checks), so the poison flag is
+/// per-index result slots), so the poison flag is
 /// cleared rather than propagated — one panicking worker must not turn
 /// every subsequent lock into a second panic.
 pub fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -220,7 +213,7 @@ pub fn par_map<T: Send>(
 ///
 /// `fail_point!("site")` hits with value `0`;
 /// `fail_point!("site", v)` hits with value `v` (any `as u64` castable
-/// expression — worker index, state count, candidate index).
+/// expression — signal index, job sequence number, candidate index).
 #[macro_export]
 macro_rules! fail_point {
     ($site:expr) => {
@@ -240,7 +233,7 @@ macro_rules! fail_point {
 
 /// Like [`fail_point!`] but evaluates to `true` iff an armed
 /// [`FaultAction::Trigger`] fired — for sites that *simulate a
-/// condition* (e.g. "the state cap bursts at state `k`") rather than
+/// condition* (e.g. "the budget bursts at iteration `k`") rather than
 /// crash. Without the `failpoints` feature this is a constant `false`.
 #[macro_export]
 macro_rules! fail_trigger {

@@ -1,11 +1,10 @@
 //! The deterministic fault-injection suite: drives the real worker pools
-//! of the workspace — the sharded state-space explorer, per-signal
-//! synthesis, CSC candidate scoring, the serve job queue and
-//! artifact store — with faults armed at
-//! their named failpoints, and asserts the robustness contract: every
-//! injected panic surfaces as a structured `WorkerPanicked` (process
-//! intact), stalls never deadlock the termination counter, and a
-//! simulated cap burst degrades into the ordinary cap verdict.
+//! of the workspace — per-signal synthesis, CSC candidate scoring, the
+//! serve job queue and artifact store — and the symbolic fixpoint with
+//! faults armed at their named failpoints, and asserts the robustness
+//! contract: every injected panic surfaces as a structured error (process
+//! intact, pool reusable), and a simulated budget burst degrades into the
+//! ordinary partial verdict.
 //!
 //! Requires the `failpoints` feature (CI runs
 //! `cargo test -p si-fault --features failpoints`); without it the
@@ -14,12 +13,10 @@
 
 use si_csc::EngineResolve;
 use si_fault::{arm, armed_count, relock, reset, FaultAction};
-use si_petri::space::{explore_with, Exploration, ExploreError, ExploreOptions, MarkingSpace};
-use si_petri::{InterruptReason, ReachError, ReachOptions, ReachabilityGraph, SymbolicReach};
+use si_petri::{InterruptReason, ReachabilityGraph, SymbolicReach};
 use si_serve::json::{self, Value};
 use si_serve::{ArtifactStore, JobQueue, Service};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 /// The failpoint registry is process-global, so the injection tests must
 /// not interleave: each takes this lock for its whole body. `relock`
@@ -27,139 +24,6 @@ use std::time::Duration;
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     relock(&LOCK)
-}
-
-/// Explores the marking space of clatch(6) at `shards` workers (1 runs
-/// the sequential explorer).
-fn explore_clatch6(shards: usize) -> Result<Exploration<ReachError>, ExploreError<ReachError>> {
-    let stg = si_stg::generators::clatch(6);
-    explore_with(
-        &MarkingSpace::new(stg.net()),
-        ExploreOptions::with_cap(1_000_000).shards(shards),
-    )
-}
-
-/// The interned states of an exploration, sorted (ids differ between the
-/// explorers; the state set does not).
-fn sorted_keys(e: &Exploration<ReachError>) -> Vec<Vec<u64>> {
-    let mut keys: Vec<Vec<u64>> = (0..e.interned() as u32)
-        .map(|s| e.key(s).to_vec())
-        .collect();
-    keys.sort_unstable();
-    keys
-}
-
-#[test]
-fn shard_worker_panic_becomes_structured_error() {
-    let _guard = serial();
-    // Every shard of the explorer must convert a dying worker into the
-    // structured error naming it, with the process intact.
-    for shard in 0..4u64 {
-        reset();
-        arm("shard::worker", Some(shard), FaultAction::Panic);
-        match explore_clatch6(4).unwrap_err() {
-            ExploreError::WorkerPanicked { shard: s, message } => {
-                assert_eq!(s, shard as usize);
-                assert!(message.contains("injected fault"), "got: {message}");
-            }
-            other => panic!("expected WorkerPanicked, got {other:?}"),
-        }
-        assert_eq!(armed_count(), 0, "the armed fault must have fired");
-    }
-    // The pool is reusable after the panic: a clean rerun succeeds and
-    // finds the sequential explorer's states.
-    let seq = explore_clatch6(1).unwrap();
-    let par = explore_clatch6(4).unwrap();
-    assert_eq!(par.interrupted, None);
-    assert_eq!(seq.states, par.states);
-    assert_eq!(sorted_keys(&seq), sorted_keys(&par));
-    reset();
-}
-
-#[test]
-fn first_worker_panic_wins_and_only_one_is_reported() {
-    let _guard = serial();
-    reset();
-    arm("shard::worker", Some(1), FaultAction::Panic);
-    arm("shard::worker", Some(2), FaultAction::Panic);
-    match explore_clatch6(4).unwrap_err() {
-        ExploreError::WorkerPanicked { shard, .. } => {
-            assert!(
-                shard == 1 || shard == 2,
-                "reported shard {shard} was never armed"
-            );
-        }
-        other => panic!("expected WorkerPanicked, got {other:?}"),
-    }
-    reset();
-}
-
-#[test]
-fn flush_stall_does_not_deadlock_and_every_state_is_found() {
-    let _guard = serial();
-    reset();
-    // Delay one cross-shard publish: the in-flight counter must keep the
-    // receiver spinning until the batch lands, and the run must still
-    // find every state of the sequential exploration.
-    arm(
-        "shard::flush",
-        None,
-        FaultAction::Stall(Duration::from_millis(50)),
-    );
-    let par = explore_clatch6(4).unwrap();
-    let seq = explore_clatch6(1).unwrap();
-    assert_eq!(par.interrupted, None);
-    assert_eq!(seq.states, par.states);
-    assert_eq!(sorted_keys(&seq), sorted_keys(&par));
-    assert_eq!(armed_count(), 0, "the stall must have fired");
-    reset();
-}
-
-#[test]
-fn injected_cap_burst_degrades_into_the_ordinary_cap_verdict() {
-    let _guard = serial();
-    reset();
-    // Simulate the global state counter bursting at the 4th interned
-    // state (value = count before the add): the run winds down exactly
-    // like a genuine cap hit, not a crash.
-    arm("shard::accept", Some(3), FaultAction::Trigger);
-    let burst = explore_clatch6(4).unwrap();
-    assert_eq!(burst.interrupted, Some(InterruptReason::CapExceeded));
-    assert_eq!(armed_count(), 0, "the trigger must have fired");
-    // And the burst leaves no residue: the next run is exhaustive.
-    let par = explore_clatch6(4).unwrap();
-    assert_eq!(par.interrupted, None);
-    assert_eq!(par.states, explore_clatch6(1).unwrap().states);
-    reset();
-}
-
-#[test]
-fn protocol_step_panic_surfaces_without_poisoning_the_pool() {
-    let _guard = serial();
-    reset();
-    let sys = si_proto::dining(6);
-    // Kill the first successor expansion a shard worker performs: the
-    // deadlock checker must hand back the structured worker error, not
-    // tear the process down.
-    arm("proto::step", None, FaultAction::Panic);
-    let mut reach = ReachOptions::with_cap(1_000_000);
-    reach.shards = 4;
-    let si_proto::ProtoError::WorkerPanicked { shard, message } =
-        si_proto::check_deadlock_with(&sys, reach).unwrap_err();
-    assert!(shard < 4, "reported shard {shard} out of range");
-    assert!(message.contains("injected fault"), "got: {message}");
-    assert_eq!(armed_count(), 0, "the armed fault must have fired");
-    // The pool is reusable after the casualty: the clean sharded rerun
-    // reproduces the sequential report — same deadlock, same witness
-    // target, same state count.
-    let mut reach = ReachOptions::with_cap(1_000_000);
-    reach.shards = 4;
-    let par = si_proto::check_deadlock_with(&sys, reach).unwrap();
-    let seq = si_proto::check_deadlock(&sys).unwrap();
-    assert_eq!(par.violations, seq.violations);
-    assert_eq!(par.states_explored, seq.states_explored);
-    assert!(!par.is_ok(), "dining(6) deadlocks");
-    reset();
 }
 
 #[test]
@@ -186,6 +50,29 @@ fn synthesis_worker_panic_names_the_signal_and_the_pool_survives() {
     // reusable: the same synthesis succeeds on the next call.
     let syn = si_core::synthesize(&stg, &si_core::SynthesisOptions::default()).unwrap();
     assert!(syn.literal_area > 0);
+    reset();
+}
+
+#[test]
+fn first_worker_panic_wins_and_only_one_is_reported() {
+    let _guard = serial();
+    reset();
+    let stg = si_stg::generators::muller_pipeline(4);
+    let signals = stg.synthesized_signals();
+    assert!(signals.len() >= 3, "need three signals in the batch");
+    // Kill the workers of the third and the second signal: both panics
+    // fire, and the error names the earlier-listed signal alone.
+    arm("synthesis::signal", Some(2), FaultAction::Panic);
+    arm("synthesis::signal", Some(1), FaultAction::Panic);
+    let err = si_core::synthesize(&stg, &si_core::SynthesisOptions::default()).unwrap_err();
+    match err {
+        si_core::SynthesisError::WorkerPanicked { signal, detail } => {
+            assert_eq!(signal, signals[1]);
+            assert!(detail.contains("(value 1)"), "got: {detail}");
+        }
+        other => panic!("expected WorkerPanicked, got {other}"),
+    }
+    assert_eq!(armed_count(), 0, "both armed faults must have fired");
     reset();
 }
 

@@ -322,27 +322,19 @@ mod tests {
 
     #[test]
     fn deadline_expired_before_the_start_reads_at_least_the_timeout() {
-        use crate::space::{explore_with, ExploreOptions, MarkingSpace};
+        use crate::space::{explore, ExploreOptions, MarkingSpace};
         let net = toggles(12);
         let space = MarkingSpace::new(&net);
         let timeout = Duration::from_millis(3);
-        for shards in [1, 2] {
-            let budget = Budget::unbounded().timeout(timeout);
-            std::thread::sleep(timeout + Duration::from_millis(1));
-            let opts = ExploreOptions::with_cap(usize::MAX)
-                .budget(budget)
-                .shards(shards);
-            let i = explore_with(&space, opts)
-                .expect("no fatal violation")
-                .interrupt()
-                .expect("the deadline interrupts the exploration");
-            assert_eq!(
-                i.reason,
-                InterruptReason::DeadlineExpired,
-                "{shards} shards"
-            );
-            assert!(i.elapsed >= timeout, "{shards} shards: {:?}", i.elapsed);
-        }
+        let budget = Budget::unbounded().timeout(timeout);
+        std::thread::sleep(timeout + Duration::from_millis(1));
+        let opts = ExploreOptions::with_cap(usize::MAX).budget(budget);
+        let i = explore(&space, opts)
+            .expect("no fatal violation")
+            .interrupt()
+            .expect("the deadline interrupts the exploration");
+        assert_eq!(i.reason, InterruptReason::DeadlineExpired);
+        assert!(i.elapsed >= timeout, "explicit: {:?}", i.elapsed);
         let budget = Budget::unbounded().timeout(timeout);
         std::thread::sleep(timeout + Duration::from_millis(1));
         let sym = crate::SymbolicReach::build_with(&net, &budget).expect("safe net");

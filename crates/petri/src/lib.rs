@@ -9,13 +9,12 @@
 //!   firing rule, plus free-choice / state-machine / marked-graph checks;
 //! * [`space`] — the generic state-space layer: the [`space::StateSpace`]
 //!   abstraction (packed states + lazy successors + a verdict hook) with
-//!   **one** sequential explorer ([`space::explore`]) behind every
-//!   traversal in the workspace, and **one** sharded multi-threaded
-//!   explorer ([`shard::explore_sharded`]) for the verdict searches —
-//!   speed-independence verification, conformance and deadlock checking;
+//!   **one** explorer ([`space::explore`]) behind every traversal in the
+//!   workspace — graph builds, speed-independence verification,
+//!   conformance and deadlock checking;
 //! * [`ReachabilityGraph`] — the explicit state space (the thing the paper
-//!   avoids; used as baseline and oracle), built by the sequential
-//!   explorer over the trivial marking space;
+//!   avoids; used as baseline and oracle), built by the explorer over the
+//!   trivial marking space;
 //! * [`SymbolicReach`] — the BDD reachability backend: markings as BDD
 //!   variables, per-transition relation BDDs from the [`FiringView`]
 //!   masks, the reachable set by symbolic image iteration — cardinality,
@@ -60,7 +59,6 @@ mod net;
 mod reach;
 mod reduce;
 mod redundant;
-pub mod shard;
 mod siphon;
 mod sm;
 pub mod space;

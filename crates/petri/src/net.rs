@@ -486,8 +486,7 @@ impl PetriNet {
     }
 
     /// Builds the [`FiringView`] of this net: the per-transition masks
-    /// flattened into contiguous word arrays, ready for sharing across
-    /// worker threads.
+    /// flattened into contiguous word arrays.
     pub fn firing_view(&self) -> FiringView {
         let nt = self.transition_count();
         let nw = self.initial.as_words().len();
@@ -535,16 +534,14 @@ impl PetriNet {
     }
 }
 
-/// A `Send + Sync` snapshot of a net's firing rule, flattened for the
-/// exploration hot loops.
+/// A snapshot of a net's firing rule, flattened for the exploration hot
+/// loops.
 ///
 /// The per-transition preset / postset / gain masks are stored as three
 /// contiguous `u64` arrays (`transition_count × words` each), so an enable
 /// scan streams straight through memory with no per-transition heap pointer
-/// to chase — and, because the view owns plain `Vec<u64>`s, a single
-/// instance can be shared by reference across the worker threads of the
-/// sharded reachability engine. Markings are handled as raw `&[u64]` word
-/// slices (the representation behind [`Marking::as_words`]).
+/// to chase. Markings are handled as raw `&[u64]` word slices (the
+/// representation behind [`Marking::as_words`]).
 #[derive(Clone, Debug)]
 pub struct FiringView {
     nw: usize,

@@ -27,42 +27,29 @@ use std::time::{Duration, Instant};
 /// maps to [`ReachError::StateCapExceeded`], the soft dimensions
 /// (deadline, cancellation, byte ceiling) to [`ReachError::Interrupted`]
 /// — a reachability *graph* is an all-or-nothing artifact, so budget
-/// exhaustion is an error here even though the underlying explorers
-/// return partial results (verdict-style clients consume those).
-/// `shards` is the worker count of the searches that run on the sharded
-/// explorer of [`crate::shard`] — the speed-independence violation
-/// search, the conformance product and the CFSM deadlock check; `1` runs
-/// them sequentially. A reachability graph is always built by the
-/// sequential explorer, whatever the count. Worker counts are powers of
-/// two ≤ 64: the [`Self::shards`] setter and [`Self::auto`] normalize.
+/// exhaustion is an error here even though the underlying explorer
+/// returns partial results (verdict-style clients consume those).
 ///
 /// # Examples
 ///
 /// ```
 /// use si_petri::ReachOptions;
 ///
-/// let seq = ReachOptions::with_cap(10_000);
-/// assert_eq!(seq.shards, 1);
-/// assert_eq!(seq.cap(), 10_000);
-/// let par = ReachOptions::with_cap(10_000).shards(4);
-/// assert_eq!(par.shards, 4);
-/// assert!(ReachOptions::auto(10_000).shards >= 1);
+/// let reach = ReachOptions::with_cap(10_000);
+/// assert_eq!(reach.cap(), 10_000);
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ReachOptions {
     /// Resource budget of the exploration (state cap, byte ceiling,
     /// deadline, cancellation).
     pub budget: Budget,
-    /// Number of exploration shards (= worker threads when > 1).
-    pub shards: usize,
 }
 
 impl ReachOptions {
-    /// Sequential exploration with the given state cap.
+    /// Exploration with the given state cap.
     pub fn with_cap(cap: usize) -> Self {
         ReachOptions {
             budget: Budget::with_cap(cap),
-            shards: 1,
         }
     }
 
@@ -93,34 +80,6 @@ impl ReachOptions {
     pub fn cancel(mut self, token: CancelToken) -> Self {
         self.budget.cancel = Some(token);
         self
-    }
-
-    /// Sets the shard count, normalized to what the engine actually runs:
-    /// values < 1 become 1, everything else is rounded up to a power of
-    /// two and capped at 64.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1).next_power_of_two().min(64);
-        self
-    }
-
-    /// Picks the shard count from the machine's available parallelism:
-    /// sequential on a single-core box, otherwise the hardware-thread
-    /// count rounded **down** to a power of two (capped at 64) — idle
-    /// shard workers busy-wait, so oversubscribing the machine would slow
-    /// the workers doing real exploration. The stored `shards` value is
-    /// already normalized, so it equals the worker count the sharded
-    /// engine will actually run.
-    pub fn auto(cap: usize) -> Self {
-        let n = si_fault::hardware_threads();
-        let down = if n.is_power_of_two() {
-            n
-        } else {
-            n.next_power_of_two() / 2
-        };
-        ReachOptions {
-            budget: Budget::with_cap(cap),
-            shards: down.min(64),
-        }
     }
 }
 
@@ -161,14 +120,6 @@ pub enum ReachError {
         /// The transition whose firing violated safeness.
         transition: TransId,
     },
-    /// A worker thread of the sharded engine panicked; the panic was
-    /// caught at the worker boundary and the process is intact.
-    WorkerPanicked {
-        /// Index of the shard whose worker panicked.
-        shard: usize,
-        /// The panic message.
-        message: String,
-    },
 }
 
 impl ReachError {
@@ -203,9 +154,6 @@ impl std::fmt::Display for ReachError {
             ReachError::NotSafe { transition } => {
                 write!(f, "net is not safe: firing {transition} duplicates a token")
             }
-            ReachError::WorkerPanicked { shard, message } => {
-                write!(f, "exploration worker {shard} panicked: {message}")
-            }
         }
     }
 }
@@ -218,14 +166,10 @@ impl std::error::Error for ReachError {}
 /// probe compares contiguous words — no per-marking heap pointer to chase,
 /// no clones, no `Hasher` machinery. The table stores `u32` state indices
 /// probed by a multiplicative hash of the words.
-///
-/// Crate-visible: the sharded explorer ([`crate::shard`]) gives each
-/// worker thread one private interner, so the ids it hands out are
-/// *shard-local* there and only become global at the merge.
 #[derive(Clone, Debug)]
 pub(crate) struct MarkingInterner {
     /// Flat key storage: marking `s` is `words[s*nwords .. (s+1)*nwords]`.
-    pub(crate) words: Vec<u64>,
+    words: Vec<u64>,
     /// Words per marking.
     nwords: usize,
     /// Slot -> `(hash tag << 32) | state index`, `u64::MAX` = empty.
@@ -262,7 +206,7 @@ impl MarkingInterner {
     }
 
     /// Approximate heap bytes held (key arena + slot table) — feeds the
-    /// explorers' byte-budget accounting.
+    /// explorer's byte-budget accounting.
     pub(crate) fn approx_bytes(&self) -> usize {
         (self.words.len() + self.slots.len()) * 8
     }
@@ -428,8 +372,8 @@ impl ReachabilityGraph {
         }
     }
 
-    /// Packs a marking-space [`crate::space::Exploration`] (sequential
-    /// engine, edge recording on) into the CSR/interned representation.
+    /// Packs a marking-space [`crate::space::Exploration`] (edge
+    /// recording on) into the CSR/interned representation.
     fn from_exploration(
         net: &PetriNet,
         expl: crate::space::Exploration<ReachError>,
@@ -453,8 +397,8 @@ impl ReachabilityGraph {
         ))
     }
 
-    /// Explores the state space under `budget` with the sequential
-    /// word-parallel explorer ([`crate::space::explore`]).
+    /// Explores the state space under `budget` with the word-parallel
+    /// explorer ([`crate::space::explore`]).
     ///
     /// # Errors
     ///
@@ -474,18 +418,7 @@ impl ReachabilityGraph {
         } else {
             explore(&MarkingSpace::new(net), opts)
         };
-        Self::from_exploration(net, expl.map_err(Self::unwrap_explore_error)?)
-    }
-
-    /// Flattens the generic explorer error into [`ReachError`] (whose
-    /// fatal-violation payload *is* a `ReachError`).
-    fn unwrap_explore_error(e: crate::space::ExploreError<ReachError>) -> ReachError {
-        match e {
-            crate::space::ExploreError::Fatal(e) => e,
-            crate::space::ExploreError::WorkerPanicked { shard, message } => {
-                ReachError::WorkerPanicked { shard, message }
-            }
-        }
+        Self::from_exploration(net, expl?)
     }
 
     /// Process-wide number of reachability-graph constructions completed so

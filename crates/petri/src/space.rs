@@ -1,5 +1,5 @@
-//! The generic state-space layer: one lazy-successor abstraction, one
-//! sequential explorer and one sharded explorer behind every traversal.
+//! The generic state-space layer: one lazy-successor abstraction and one
+//! sequential explorer behind every traversal.
 //!
 //! Reachability-graph construction, speed-independence verification and
 //! product-automaton conformance checking are all the same computation —
@@ -11,44 +11,39 @@
 //!   an [`initial`](StateSpace::initial) state, a lazy
 //!   [`for_each_successor`](StateSpace::for_each_successor) function and a
 //!   [`Verdict`]-producing [`inspect`](StateSpace::inspect) hook;
-//! * [`explore`] — the sequential explorer (LIFO frontier + marking-style
-//!   interner, the exact discipline of the word-parallel reachability
-//!   engine);
-//! * [`crate::shard::explore_sharded`] — the hash-partitioned parallel
-//!   explorer (one interner shard + worker thread per partition, batched
-//!   cross-shard queues, in-flight-counter termination) of the verdict
-//!   searches, whose reports name none of its state ids;
-//! * [`ExploreOptions`] / [`Exploration`] — one knob set (cap, shard
-//!   count, violation budget, edge recording, witness reconstruction) and
-//!   one result shape for every client.
+//! * [`explore`] — the explorer (LIFO frontier + marking-style interner,
+//!   the exact discipline of the word-parallel reachability engine);
+//! * [`ExploreOptions`] / [`Exploration`] — one knob set (budget, violation
+//!   budget, edge recording, witness reconstruction) and one result shape
+//!   for every client.
 //!
 //! ```text
-//!    spaces                     explorers                clients
+//!    spaces                     explorer                 clients
 //!   ┌───────────────┐     ┌──────────────────────┐    ┌──────────────────┐
-//!   │ MarkingSpace  │────▶│ explore (sequential) │───▶│ ReachabilityGraph│
-//!   │ (firing rule) │  ┌─▶│                      │    │ ::build          │
-//!   ├───────────────┤  │  ├──────────────────────┤    ├──────────────────┤
-//!   │ SI-verify     │──┤  │ shard::              │───▶│ EngineVerify::   │
-//!   │ (rg walk)     │  │  │   explore_sharded    │    │   verify         │
-//!   ├───────────────┤  │  │ (hash-partitioned,   │    ├──────────────────┤
-//!   │ spec×circuit  │──┤  │  N workers)          │    │ conform::        │
-//!   │ product       │  │  └──────────────────────┘    │   check_*        │
-//!   ├───────────────┤  │                              ├──────────────────┤
-//!   │ CFSM channel  │──┘                              │ si_proto::       │
-//!   │ protocols     │                                 │   check_deadlock │
+//!   │ MarkingSpace  │────▶│ explore              │───▶│ ReachabilityGraph│
+//!   │ (firing rule) │  ┌─▶│ (LIFO frontier,      │    │ ::build          │
+//!   ├───────────────┤  │  │  interned states)    │    ├──────────────────┤
+//!   │ SI-verify     │──┤  │                      │───▶│ EngineVerify::   │
+//!   │ (rg walk)     │  │  │                      │    │   verify         │
+//!   ├───────────────┤  │  │                      │    ├──────────────────┤
+//!   │ spec×circuit  │──┤  │                      │───▶│ conform::        │
+//!   │ product       │  │  │                      │    │   check_*        │
+//!   ├───────────────┤  │  │                      │    ├──────────────────┤
+//!   │ CFSM channel  │──┘  │                      │───▶│ si_proto::       │
+//!   │ protocols     │     └──────────────────────┘    │   check_deadlock │
 //!   └───────────────┘                                 └──────────────────┘
 //! ```
 //!
 //! The abstraction is not Petri-net shaped: `si_proto::ProtoSpace` packs
 //! communicating finite-state machines (module control states + channel
-//! slots) into the same word format and gets sequential + sharded
-//! deadlock checking from these explorers unchanged.
+//! slots) into the same word format and gets deadlock checking from this
+//! explorer unchanged.
 //!
-//! Both explorers intern states in one flat word arena, support a state
-//! cap, stop early once the violation budget is spent, and can reconstruct
-//! a firing-sequence **witness** (the label path from the initial state to
-//! any discovered state) — which is how verification and conformance
-//! reports grow counterexample traces for free.
+//! The explorer interns states in one flat word arena, supports a state
+//! cap, stops early once the violation budget is spent, and can
+//! reconstruct a firing-sequence **witness** (the label path from the
+//! initial state to any discovered state) — which is how verification and
+//! conformance reports grow counterexample traces for free.
 
 use crate::budget::{Budget, Interrupt, InterruptReason};
 use crate::net::{FiringView, PetriNet, TransId};
@@ -56,9 +51,8 @@ use crate::reach::{MarkingInterner, ReachError, StateId};
 use si_boolean::hash_word_slice;
 use std::time::{Duration, Instant};
 
-/// How often (in explored states) the sequential explorer consults the
-/// soft budget limits (deadline / cancellation / bytes). The sharded
-/// explorer piggybacks on its own per-64-states checkpoint.
+/// How often (in explored states) the explorer consults the soft budget
+/// limits (deadline / cancellation / bytes).
 const GOVERN_STRIDE: usize = 256;
 
 /// Outcome of inspecting one state.
@@ -78,11 +72,9 @@ pub trait SpaceVisitor<V> {
     /// A successor reached by firing `label`. Returns `false` when the
     /// space must stop enumerating — implementations of
     /// [`StateSpace::for_each_successor`] must return `Ok(())`
-    /// immediately in that case. The sequential explorer buffers each
-    /// successor and interns them once the state is expanded, so it
-    /// returns `false` only after a [`Self::violation`] whose flush of
-    /// that buffer hit the cap; the sharded explorer returns `false` once
-    /// a successor it interned burst the cap.
+    /// immediately in that case. The explorer buffers each successor and
+    /// interns them once the state is expanded, so it returns `false` only
+    /// after a [`Self::violation`] whose flush of that buffer hit the cap.
     fn successor(&mut self, label: u32, next: &[u64]) -> bool;
 
     /// A non-fatal violation observed at the current state (or on one of
@@ -92,20 +84,18 @@ pub trait SpaceVisitor<V> {
 
 /// A lazily-defined state space over packed `u64`-word states.
 ///
-/// Implementations define *what* the states and successors are; the
-/// explorers of this module define *how* the space is walked. A space must
-/// be [`Sync`]: the sharded explorer shares it by reference across worker
-/// threads.
+/// Implementations define *what* the states and successors are;
+/// [`explore`] defines *how* the space is walked.
 ///
 /// States are fixed-width word vectors ([`Self::words`] words each): the
-/// explorers intern them in a flat arena exactly like reachability
+/// explorer interns them in a flat arena exactly like reachability
 /// markings, so a space never sees its own visited set — it only maps a
 /// state to its successors (and violations).
-pub trait StateSpace: Sync {
+pub trait StateSpace {
     /// The violation payload this space can report — speed-independence
     /// violations, conformance failures, or [`ReachError`] for the plain
     /// marking space.
-    type Violation: Send;
+    type Violation;
 
     /// Words per packed state.
     fn words(&self) -> usize;
@@ -116,7 +106,7 @@ pub trait StateSpace: Sync {
     /// Per-state verdict hook, called once when a state is explored,
     /// before its successors are enumerated. Report the details of each
     /// violation through `sink`, and return [`Verdict::Violation`] iff
-    /// any was reported: the explorers then re-check the violation budget
+    /// any was reported: the explorer then re-checks the violation budget
     /// immediately, so a spent budget (e.g.
     /// [`ExploreOptions::max_violations`]`(1)`) skips even this state's
     /// successor expansion.
@@ -158,16 +148,12 @@ pub struct ExploreOptions {
     /// *interrupts* the exploration — the partial result is returned,
     /// tagged with [`Exploration::interrupted`].
     pub budget: Budget,
-    /// Number of exploration shards (= worker threads when > 1); see
-    /// [`crate::ReachOptions::shards`] for normalization.
-    pub shards: usize,
     /// Stop exploring new states once this many violations were collected
     /// (`usize::MAX` = exhaustive). `1` is the early-exit-on-first-
     /// violation mode.
     pub max_violations: usize,
     /// Record the full labelled successor adjacency — needed by
     /// reachability-graph construction, wasted on verdict-only clients.
-    /// Only the sequential explorer records it.
     pub record_edges: bool,
     /// Record each state's discovering edge so
     /// [`Exploration::witness`] can reconstruct a firing sequence from
@@ -176,12 +162,11 @@ pub struct ExploreOptions {
 }
 
 impl ExploreOptions {
-    /// Exhaustive exploration with the given state cap, sequential, no
-    /// edge recording, no witnesses.
+    /// Exhaustive exploration with the given state cap, no edge
+    /// recording, no witnesses.
     pub fn with_cap(cap: usize) -> Self {
         ExploreOptions {
             budget: Budget::with_cap(cap),
-            shards: 1,
             max_violations: usize::MAX,
             record_edges: false,
             witness: false,
@@ -191,13 +176,6 @@ impl ExploreOptions {
     /// Replaces the whole resource budget.
     pub fn budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Sets the shard count (normalized like
-    /// [`crate::ReachOptions::shards`]).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1).next_power_of_two().min(64);
         self
     }
 
@@ -222,15 +200,7 @@ impl ExploreOptions {
 
 impl From<crate::ReachOptions> for ExploreOptions {
     fn from(r: crate::ReachOptions) -> Self {
-        let shards = r.shards;
-        ExploreOptions {
-            budget: r.budget,
-            shards: 1,
-            max_violations: usize::MAX,
-            record_edges: false,
-            witness: false,
-        }
-        .shards(shards)
+        ExploreOptions::with_cap(r.cap()).budget(r.budget)
     }
 }
 
@@ -240,55 +210,20 @@ impl From<&crate::ReachOptions> for ExploreOptions {
     }
 }
 
-/// Packed-state storage of an [`Exploration`]: the sequential explorer
-/// keeps its interner (hash table + arena), the sharded explorer a flat
-/// merged arena.
-#[derive(Debug)]
-pub(crate) enum Store {
-    /// The sequential explorer's interner, table intact.
-    Map(MarkingInterner),
-    /// Flat arena of `len` states, `nw` words each (sharded merge).
-    Flat {
-        /// Words per state.
-        nw: usize,
-        /// State `s` is `words[s*nw .. (s+1)*nw]`.
-        words: Vec<u64>,
-        /// Number of states.
-        len: usize,
-    },
-}
-
-impl Store {
-    fn len(&self) -> usize {
-        match self {
-            Store::Map(i) => i.len(),
-            Store::Flat { len, .. } => *len,
-        }
-    }
-
-    fn key(&self, s: usize) -> &[u64] {
-        match self {
-            Store::Map(i) => i.key(s),
-            Store::Flat { nw, words, .. } => &words[s * nw..(s + 1) * nw],
-        }
-    }
-}
-
 /// Sentinel parent of the initial state.
-pub(crate) const NO_PARENT: u32 = u32::MAX;
+const NO_PARENT: u32 = u32::MAX;
 
 /// Result of a generic exploration — everything any client needs:
 /// the interned states, the optional adjacency, the violations (tagged
 /// with the state they were observed at) and the parent links for
 /// witness reconstruction.
 ///
-/// State ids are dense `u32`s; id `0` is **not** guaranteed to be the
-/// initial state under the sharded explorer — use [`Self::root`].
+/// State ids are dense `u32`s in discovery order; id `0` is the initial
+/// state.
 #[derive(Debug)]
 pub struct Exploration<V> {
-    pub(crate) store: Store,
-    /// Id of the initial state.
-    pub(crate) root: u32,
+    /// The interned states: state `s` is key `s`.
+    interner: MarkingInterner,
     /// Successor edges `(label, dst)` when
     /// [`ExploreOptions::record_edges`]; state `s` owns
     /// `succ_edges[succ_ranges[s].0 .. succ_ranges[s].1]`.
@@ -296,12 +231,11 @@ pub struct Exploration<V> {
     /// Per-state `(start, end)` ranges into [`Self::succ_edges`].
     pub(crate) succ_ranges: Vec<(u32, u32)>,
     /// Per-state discovering edge `(parent, label)` when
-    /// [`ExploreOptions::witness`]; the root's parent is [`NO_PARENT`].
+    /// [`ExploreOptions::witness`]; the initial state's parent is
+    /// [`NO_PARENT`].
     pub(crate) parents: Vec<(u32, u32)>,
     /// Violations in discovery order, tagged with the id of the state
-    /// they were observed at. Exhaustive explorations report a
-    /// deterministic *set* at any shard count; the order is deterministic
-    /// only sequentially.
+    /// they were observed at.
     pub violations: Vec<(u32, V)>,
     /// `Some(reason)` when the exploration stopped because a
     /// [`Budget`] dimension ran out (cap, deadline, cancellation,
@@ -320,7 +254,7 @@ pub struct Exploration<V> {
 impl<V> Exploration<V> {
     /// The packed words of state `s`.
     pub fn key(&self, s: u32) -> &[u64] {
-        self.store.key(s as usize)
+        self.interner.key(s as usize)
     }
 
     /// The interruption, if any, paired with the number of states the
@@ -340,26 +274,17 @@ impl<V> Exploration<V> {
         self.interrupted == Some(InterruptReason::CapExceeded)
     }
 
-    /// Id of the initial state.
-    pub fn root(&self) -> u32 {
-        self.root
-    }
-
     /// Number of states interned (on a capped run this can exceed
     /// [`Self::states`] by the one state that burst the cap).
     pub fn interned(&self) -> usize {
-        self.store.len()
+        self.interner.len()
     }
 
-    /// Decomposes a sequential exploration into its interner and recorded
-    /// adjacency — the packing path of
-    /// [`crate::ReachabilityGraph::build`].
+    /// Decomposes an exploration into its interner and recorded adjacency
+    /// — the packing path of [`crate::ReachabilityGraph::build`].
     #[allow(clippy::type_complexity)]
     pub(crate) fn into_interned_parts(self) -> (MarkingInterner, Vec<(u32, u32)>, Vec<(u32, u32)>) {
-        match self.store {
-            Store::Map(i) => (i, self.succ_edges, self.succ_ranges),
-            Store::Flat { .. } => unreachable!("sequential explorations keep their interner"),
-        }
+        (self.interner, self.succ_edges, self.succ_ranges)
     }
 
     /// The firing sequence (label path) from the initial state to `s`,
@@ -370,12 +295,12 @@ impl<V> Exploration<V> {
     /// Panics if the exploration ran without [`ExploreOptions::witness`].
     pub fn witness(&self, s: u32) -> Vec<u32> {
         assert!(
-            !self.parents.is_empty() || self.store.len() == 0,
+            !self.parents.is_empty() || self.interner.len() == 0,
             "exploration ran without witness recording"
         );
         let mut labels = Vec::new();
         let mut cur = s;
-        while cur != self.root {
+        while cur != 0 {
             let (p, l) = self.parents[cur as usize];
             debug_assert_ne!(p, NO_PARENT, "unreachable state in witness chain");
             labels.push(l);
@@ -386,70 +311,20 @@ impl<V> Exploration<V> {
     }
 }
 
-/// How a generic exploration can fail *fatally* (as opposed to being
-/// interrupted by its budget, which yields a partial [`Exploration`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ExploreError<V> {
-    /// A fatal violation returned by [`StateSpace::for_each_successor`]
-    /// (one that invalidates the whole exploration, like a safeness
-    /// violation of the underlying net).
-    Fatal(V),
-    /// A worker thread of the sharded explorer panicked. The panic was
-    /// caught at the worker boundary — the remaining workers wound down
-    /// and the process is intact; only this exploration is lost.
-    WorkerPanicked {
-        /// Index of the shard whose worker panicked.
-        shard: usize,
-        /// The panic message.
-        message: String,
-    },
-}
-
-impl<V: std::fmt::Display> std::fmt::Display for ExploreError<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExploreError::Fatal(v) => v.fmt(f),
-            ExploreError::WorkerPanicked { shard, message } => {
-                write!(f, "exploration worker {shard} panicked: {message}")
-            }
-        }
-    }
-}
-
-/// Explores `space` with the engine selected by `opts`: sequential for
-/// `shards <= 1`, the sharded multi-threaded explorer of [`crate::shard`]
-/// otherwise.
+/// The explorer: LIFO frontier over an interned flat-arena visited set —
+/// the exact discipline (and state numbering) of the word-parallel
+/// reachability engine, for any [`StateSpace`].
 ///
 /// # Errors
 ///
-/// [`ExploreError::Fatal`] with the first fatal violation returned by
-/// [`StateSpace::for_each_successor`], or
-/// [`ExploreError::WorkerPanicked`] when a sharded worker panicked.
-pub fn explore_with<S: StateSpace>(
-    space: &S,
-    opts: ExploreOptions,
-) -> Result<Exploration<S::Violation>, ExploreError<S::Violation>> {
-    if opts.shards <= 1 {
-        explore(space, opts)
-    } else {
-        crate::shard::explore_sharded(space, opts)
-    }
-}
-
-/// The generic **sequential** explorer: LIFO frontier over an interned
-/// flat-arena visited set — the exact discipline (and state numbering) of
-/// the word-parallel reachability engine, for any [`StateSpace`].
-///
-/// # Errors
-///
-/// [`ExploreError::Fatal`] with the first fatal violation returned by
+/// The first fatal violation returned by
 /// [`StateSpace::for_each_successor`]. Budget exhaustion (cap, deadline,
 /// cancellation, bytes) is **not** an error: the partial exploration is
 /// returned, tagged [`Exploration::interrupted`].
 pub fn explore<S: StateSpace>(
     space: &S,
     opts: ExploreOptions,
-) -> Result<Exploration<S::Violation>, ExploreError<S::Violation>> {
+) -> Result<Exploration<S::Violation>, S::Violation> {
     let _span = si_obs::span("explore.sequential");
     let t0 = Instant::now();
     let nw = space.words();
@@ -526,7 +401,7 @@ pub fn explore<S: StateSpace>(
         // A flush that hit the cap stands for the one-at-a-time sink
         // stopping the space there, before it reached its error.
         if let (Err(e), None) = (expanded, sink.interrupted) {
-            return Err(ExploreError::Fatal(e));
+            return Err(e);
         }
         if opts.record_edges {
             sink.succ_ranges[s as usize] = (start, sink.succ_edges.len() as u32);
@@ -539,8 +414,7 @@ pub fn explore<S: StateSpace>(
         si_obs::counter_add("explore.edges", sink.succ_edges.len() as u64);
     }
     Ok(Exploration {
-        store: Store::Map(sink.interner),
-        root: 0,
+        interner: sink.interner,
         succ_edges: sink.succ_edges,
         succ_ranges: sink.succ_ranges,
         parents: sink.parents,
@@ -551,7 +425,7 @@ pub fn explore<S: StateSpace>(
     })
 }
 
-/// The sequential explorer's visitor: interns successors, records
+/// The explorer's visitor: interns successors, records
 /// edges/parents, collects violations, enforces the cap.
 ///
 /// It expands, then interns: [`SpaceVisitor::successor`] buffers the
@@ -802,7 +676,6 @@ mod tests {
         assert_eq!(e.states, 2);
         assert!(!e.cap_exceeded());
         assert_eq!(e.interrupt(), None);
-        assert_eq!(e.root(), 0);
         // State 1 (p1) discovered from state 0 by t0.
         assert_eq!(e.witness(1), vec![0]);
         assert_eq!(e.witness(0), Vec::<u32>::new());
@@ -876,18 +749,6 @@ mod tests {
         assert!(first.states < all.states);
     }
 
-    #[test]
-    fn sharded_dispatch_matches_sequential_verdicts() {
-        let seq = explore_with(&OddFlagger, ExploreOptions::with_cap(1000)).unwrap();
-        let par = explore_with(&OddFlagger, ExploreOptions::with_cap(1000).shards(4)).unwrap();
-        assert_eq!(seq.states, par.states);
-        let mut a: Vec<u64> = seq.violations.iter().map(|&(_, v)| v).collect();
-        let mut b: Vec<u64> = par.violations.iter().map(|&(_, v)| v).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
     /// The one-successor-at-a-time sink that [`SequentialSink`] replaced,
     /// kept as the oracle of its expand-then-intern batching: every
     /// successor is interned the moment the space reports it, and the cap
@@ -946,7 +807,7 @@ mod tests {
         pub(super) fn explore<S: StateSpace>(
             space: &S,
             opts: ExploreOptions,
-        ) -> Result<Exploration<S::Violation>, ExploreError<S::Violation>> {
+        ) -> Result<Exploration<S::Violation>, S::Violation> {
             assert!(!opts.budget.has_soft_limits());
             let nw = space.words();
             let mut interner = MarkingInterner::new(nw);
@@ -987,16 +848,13 @@ mod tests {
                     break;
                 }
                 let start = sink.succ_edges.len() as u32;
-                space
-                    .for_each_successor(&cur, &mut scratch, &mut sink)
-                    .map_err(ExploreError::Fatal)?;
+                space.for_each_successor(&cur, &mut scratch, &mut sink)?;
                 if opts.record_edges {
                     sink.succ_ranges[s as usize] = (start, sink.succ_edges.len() as u32);
                 }
             }
             Ok(Exploration {
-                store: Store::Map(sink.interner),
-                root: 0,
+                interner: sink.interner,
                 succ_edges: sink.succ_edges,
                 succ_ranges: sink.succ_ranges,
                 parents: sink.parents,
@@ -1134,8 +992,8 @@ mod tests {
     }
 
     fn assert_same<V: PartialEq + std::fmt::Debug>(
-        batched: &Result<Exploration<V>, ExploreError<V>>,
-        reference: &Result<Exploration<V>, ExploreError<V>>,
+        batched: &Result<Exploration<V>, V>,
+        reference: &Result<Exploration<V>, V>,
         ctx: &str,
     ) {
         match (batched, reference) {

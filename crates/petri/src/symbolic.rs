@@ -77,7 +77,7 @@ use si_fault::fail_trigger;
 use std::time::Instant;
 
 /// Approximate bytes per live BDD node — the same order-of-magnitude
-/// accounting the explicit explorers use for their arenas. A node takes
+/// accounting the explicit explorer uses for its arena. A node takes
 /// 12 bytes in the arena (up to 24 with the `Vec`'s spare capacity) and
 /// 8 to 16 bytes of unique-table slots (a `u32` per slot, the table
 /// between a quarter and a half full). The computed table is capped at

@@ -1,17 +1,17 @@
 //! Property tests of exploration governance: cooperative cancellation
 //! fired at a random point of the walk always yields a *clean* partial
 //! exploration (no panic, no deadlock, a tagged reason, a plausible state
-//! count) at every engine width, and the state count of a cap-bounded
+//! count) at every marking width, and the state count of a cap-bounded
 //! exploration is monotone in the cap.
 
 use proptest::prelude::*;
-use si_petri::space::{explore_with, ExploreOptions, MarkingSpace, SpaceVisitor, StateSpace};
+use si_petri::space::{explore, ExploreOptions, MarkingSpace, SpaceVisitor, StateSpace};
 use si_petri::{Budget, CancelToken, InterruptReason, PetriNet, ReachError, SymbolicReach};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// `n` disjoint two-place rings, each with its own token: safe, live, and
 /// exactly `2^n` reachable markings — a state space whose size is known
-/// in closed form at any shard count.
+/// in closed form at any width.
 fn rings(n: usize) -> PetriNet {
     let mut b = PetriNet::builder();
     for i in 0..n {
@@ -64,16 +64,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Cancelling at a random expansion leaves a clean partial result:
-    /// the explorers return `Ok`, tag the interruption (or finish — the
+    /// the explorer returns `Ok`, tags the interruption (or finishes — the
     /// checks are amortized, so a late cancel can lose the race against
-    /// termination), and never report more states than exist.
+    /// termination), and never reports more states than exist. The rings
+    /// span one-word markings and, at 40 rings (80 places), two-word ones.
     #[test]
     fn cancellation_mid_walk_is_clean_at_every_width(
         k in 1usize..512,
-        shards in prop_oneof![Just(1usize), Just(2usize), Just(4usize), Just(8usize)],
+        n in prop_oneof![Just(9usize), Just(12usize), Just(40usize)],
     ) {
-        let net = rings(9); // 512 states
-        let total = 512usize;
+        let net = rings(n);
+        let total = 1usize << n; // at least 512 > k: the cancel fires
         let token = CancelToken::new();
         let space = CancelAt {
             inner: MarkingSpace::new(&net),
@@ -82,9 +83,8 @@ proptest! {
             expansions: AtomicUsize::new(0),
         };
         let opts = ExploreOptions::with_cap(usize::MAX)
-            .budget(Budget::unbounded().cancel(token.clone()))
-            .shards(shards);
-        let expl = explore_with(&space, opts).expect("cancellation is not an error");
+            .budget(Budget::unbounded().cancel(token.clone()));
+        let expl = explore(&space, opts).expect("cancellation is not an error");
         prop_assert!(expl.violations.is_empty());
         match expl.interrupted {
             Some(reason) => {
@@ -102,7 +102,7 @@ proptest! {
         prop_assert!(token.is_cancelled());
     }
 
-    /// The explored-state count of a cap-bounded sequential exploration
+    /// The explored-state count of a cap-bounded exploration
     /// is exactly `min(total, cap)` — and therefore monotone in the cap.
     #[test]
     fn capped_state_counts_are_monotone_in_the_budget(
@@ -114,7 +114,7 @@ proptest! {
         let (lo, hi) = (c1.min(c2), c1.max(c2));
         let run = |cap: usize| {
             let space = MarkingSpace::new(&net);
-            explore_with(&space, ExploreOptions::with_cap(cap)).unwrap()
+            explore(&space, ExploreOptions::with_cap(cap)).unwrap()
         };
         let el = run(lo);
         let eh = run(hi);

@@ -4,9 +4,7 @@
 //! reference implementations on random live, safe, free-choice nets.
 
 use proptest::prelude::*;
-use si_petri::shard::explore_sharded;
-use si_petri::space::{ExploreOptions, MarkingSpace};
-use si_petri::{ConcurrencyRelation, InterruptReason, PetriNet, ReachError, ReachabilityGraph};
+use si_petri::{ConcurrencyRelation, PetriNet, ReachabilityGraph};
 
 /// Expansion step applied to a random place of a ring (same grammar as the
 /// structural property tests: the result stays live/safe/free-choice).
@@ -172,26 +170,6 @@ proptest! {
                     prop_assert_eq!(fast.transitions(a, b), naive.transitions(a, b), "{} {}", a, b);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn sharded_cap_errors_agree(exps in arb_expansions()) {
-        // The graph build's cap error and the sharded explorer's cap
-        // interrupt bite at the same state count.
-        let net = build_net(&exps);
-        let full = ReachabilityGraph::build(&net, 20_000).unwrap();
-        if full.state_count() > 1 {
-            let cap = full.state_count() - 1;
-            let seq = ReachabilityGraph::build(&net, cap);
-            let par = explore_sharded(
-                &MarkingSpace::new(&net),
-                ExploreOptions::with_cap(cap).shards(4),
-            )
-            .unwrap();
-            prop_assert_eq!(seq.unwrap_err(), ReachError::StateCapExceeded { cap });
-            prop_assert_eq!(par.interrupted, Some(InterruptReason::CapExceeded));
-            prop_assert_eq!(par.states, cap);
         }
     }
 

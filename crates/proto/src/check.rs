@@ -1,49 +1,21 @@
-//! One-shot deadlock checking: explore the product space (sequentially or
-//! sharded), collect a canonical violation list, and extract a replayable
-//! action-sequence witness for the first violation.
+//! One-shot deadlock checking: explore the product space, collect a
+//! canonical violation list, and extract a replayable action-sequence
+//! witness for the first violation.
 //!
 //! [`check_deadlock`] / [`check_deadlock_with`] are the `Engine`-style
 //! free functions behind `sisyn deadlock`. The returned
-//! [`DeadlockReport`] is **shard-invariant**: violations are re-keyed by
-//! decoded state content (interner ids differ across shard counts) and
-//! sorted, so the report — verdict, counts, violation list and the
-//! witness target — is bit-identical at any shard count, which the
-//! property suite pins at 1/2/4/8 shards.
+//! [`DeadlockReport`] lists violations by decoded state content, sorted,
+//! so its order reads off the states themselves rather than the order
+//! the explorer met them in.
 
 use crate::model::ProtoSystem;
 use crate::space::{GlobalState, ProtoSpace, ProtoViolation};
-use si_petri::space::{explore_with, ExploreError, ExploreOptions};
+use si_petri::space::{explore, ExploreOptions};
 use si_petri::{Interrupt, ReachOptions};
-use std::fmt;
+use std::convert::Infallible;
 
 /// Default state cap of the one-shot checkers (matches reachability).
 pub const DEFAULT_CAP: usize = 4_000_000;
-
-/// How a deadlock check can fail (as opposed to *finding* violations,
-/// which is a successful check with a non-empty report).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ProtoError {
-    /// A worker thread of the sharded explorer panicked; the panic was
-    /// isolated at the worker boundary and the pool is intact.
-    WorkerPanicked {
-        /// Index of the shard whose worker panicked.
-        shard: usize,
-        /// The panic message.
-        message: String,
-    },
-}
-
-impl fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProtoError::WorkerPanicked { shard, message } => {
-                write!(f, "exploration worker {shard} panicked: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ProtoError {}
 
 /// One violation of the report, tagged with the decoded state it was
 /// observed at.
@@ -58,8 +30,7 @@ pub struct ReportedViolation {
 /// Result of a deadlock check.
 #[derive(Clone, Debug)]
 pub struct DeadlockReport {
-    /// All violations, sorted canonically by `(state, violation)` — the
-    /// same list at any shard count.
+    /// All violations, sorted canonically by `(state, violation)`.
     pub violations: Vec<ReportedViolation>,
     /// States explored.
     pub states_explored: usize,
@@ -113,42 +84,36 @@ impl DeadlockReport {
 }
 
 /// Checks `sys` for deadlocks, dangling sends and channel overflows with
-/// the default cap, sequentially.
+/// the default cap.
 ///
 /// # Errors
 ///
-/// [`ProtoError`] — see [`check_deadlock_with`].
-pub fn check_deadlock(sys: &ProtoSystem) -> Result<DeadlockReport, ProtoError> {
+/// None: see [`check_deadlock_with`].
+pub fn check_deadlock(sys: &ProtoSystem) -> Result<DeadlockReport, Infallible> {
     check_deadlock_with(sys, ReachOptions::with_cap(DEFAULT_CAP))
 }
 
-/// Checks `sys` under explicit resource options (budget, shard count).
+/// Checks `sys` under explicit resource options (the budget).
 ///
-/// The exploration is exhaustive (no early exit on first violation) so
-/// the violation *set* is deterministic at any shard count; the report
-/// then canonicalizes order by decoded state content.
+/// The exploration is exhaustive (no early exit on first violation); the
+/// report orders the violations by decoded state content.
 ///
 /// # Errors
 ///
-/// [`ProtoError::WorkerPanicked`] when a sharded worker panicked (the
-/// panic is isolated; the process and thread pool are intact). The
-/// product space has no fatal violations.
+/// None: the product space has no fatal violations, and budget
+/// exhaustion returns a partial report tagged
+/// [`DeadlockReport::interrupted`].
 pub fn check_deadlock_with(
     sys: &ProtoSystem,
     reach: ReachOptions,
-) -> Result<DeadlockReport, ProtoError> {
+) -> Result<DeadlockReport, Infallible> {
     let space = ProtoSpace::new(sys);
     let opts = ExploreOptions::from(reach).witness();
-    let expl = explore_with(&space, opts).map_err(|e| match e {
-        ExploreError::WorkerPanicked { shard, message } => {
-            ProtoError::WorkerPanicked { shard, message }
-        }
-        // `ProtoSpace::for_each_successor` never returns `Err`.
-        ExploreError::Fatal(v) => unreachable!("proto space has no fatal violations: {v:?}"),
-    })?;
+    // `ProtoSpace::for_each_successor` never returns `Err`.
+    let expl = explore(&space, opts)
+        .unwrap_or_else(|v| unreachable!("proto space has no fatal violations: {v:?}"));
 
-    // Re-key violations by decoded state content and sort: interner ids
-    // are shard-dependent, the states themselves are not.
+    // Re-key violations by decoded state content and sort.
     let mut tagged: Vec<(ReportedViolation, u32)> = expl
         .violations
         .iter()
@@ -226,19 +191,5 @@ mod tests {
         let report = check_deadlock_with(&sys, reach).unwrap();
         assert!(report.interrupted.is_some());
         assert!(!report.is_conclusive() || !report.is_ok());
-    }
-
-    #[test]
-    fn sharded_report_matches_sequential() {
-        let sys = dining(4);
-        let seq = check_deadlock(&sys).unwrap();
-        for shards in [2, 4] {
-            let mut reach = ReachOptions::with_cap(DEFAULT_CAP);
-            reach.shards = shards;
-            let sharded = check_deadlock_with(&sys, reach).unwrap();
-            assert_eq!(sharded.violations, seq.violations, "shards={shards}");
-            assert_eq!(sharded.states_explored, seq.states_explored);
-            assert_eq!(sharded.is_ok(), seq.is_ok());
-        }
     }
 }

@@ -6,15 +6,14 @@
 //! action-sequence witnesses.
 //!
 //! The crate is the second user-facing workload of the engine (after
-//! circuit synthesis/verification): the same sequential and sharded
-//! explorers, budgets, partial verdicts and witness machinery run a
-//! protocol product space they were never specialized for.
+//! circuit synthesis/verification): the same explorer, budgets, partial
+//! verdicts and witness machinery run a protocol product space they were
+//! never specialized for.
 //!
 //! ```text
 //!  .proto text ──parse_proto──▶ ProtoSystem ──ProtoSpace::new──▶ StateSpace
 //!  generators ─┘ (validated,     │                                  │
-//!  ring/dining…   canonical)     │                        explore_with (seq
-//!                                │                         or sharded, under
+//!  ring/dining…   canonical)     │                        explore (under
 //!                                ▼                         a Budget)
 //!                      check_deadlock[_with] ◀────────── Exploration
 //!                                │                         (violations +
@@ -46,7 +45,7 @@ pub mod model;
 pub mod parse;
 pub mod space;
 
-pub use check::{check_deadlock, check_deadlock_with, DeadlockReport, ProtoError, DEFAULT_CAP};
+pub use check::{check_deadlock, check_deadlock_with, DeadlockReport, DEFAULT_CAP};
 pub use generators::{dining, fork_join, pipeline, ring};
 pub use model::{
     ActionKind, Channel, ChannelId, ChannelKind, LocalTransition, ModelError, Module, ModuleId,

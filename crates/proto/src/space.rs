@@ -1,7 +1,7 @@
 //! `ProtoSpace`: the product state space of a CFSM system as a
-//! [`si_petri::space::StateSpace`], so the shared sequential and sharded
-//! explorers (and their budgets, witnesses and partial verdicts) run
-//! protocol deadlock detection unchanged.
+//! [`si_petri::space::StateSpace`], so the shared explorer (and its
+//! budgets, witnesses and partial verdicts) runs protocol deadlock
+//! detection unchanged.
 //!
 //! A product state packs, into `u64` words, each module's local control
 //! state (a bit field sized to the module's state count, never straddling
@@ -30,7 +30,6 @@
 //!   successor, keeping the space finite).
 
 use crate::model::{ActionKind, ChannelId, ChannelKind, ModuleId, ProtoSystem};
-use si_fault::fail_point;
 use si_petri::space::{SpaceVisitor, StateSpace, Verdict};
 use std::fmt;
 
@@ -623,7 +622,6 @@ impl StateSpace for ProtoSpace<'_> {
         scratch: &mut [u64],
         visit: &mut Vis,
     ) -> Result<(), ProtoViolation> {
-        fail_point!("proto::step", state[0]);
         self.for_each_enabled(state, |label| {
             if self.fire(label, state, scratch) {
                 visit.successor(label as u32, scratch)

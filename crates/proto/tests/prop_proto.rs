@@ -1,66 +1,54 @@
-//! Property suite pinning the protocol checker's shard invariance: the
-//! deadlock report — verdict, canonically-sorted violation list and
-//! explored-state count — must be **identical** at 1/2/4/8 shards, on
-//! every generator family and on random CFSM systems, and every reported
-//! witness must replay through [`ProtoSpace::replay`] to the state of
-//! the canonically-first violation. The text format is pinned alongside:
-//! `parse_proto(write_proto(sys))` reproduces the canonical form.
+//! Property suite of the protocol checker: on every generator family and
+//! on random CFSM systems, every reported witness must replay through
+//! [`ProtoSpace::replay`] to the state of the canonically-first
+//! violation, and the text format must round-trip:
+//! `parse_proto(write_proto(sys))` reproduces the canonical form and the
+//! same report.
 
 use proptest::prelude::*;
-use si_petri::{Budget, ReachOptions};
+use si_petri::ReachOptions;
 use si_proto::{
     check_deadlock_with, dining, fork_join, parse_proto, pipeline, ring, write_proto, ChannelKind,
     DeadlockReport, ProtoSpace, ProtoSystem,
 };
 
 /// Cap far above every system this suite builds: explorations must
-/// finish, because partial (interrupted) reports are not shard-portable.
+/// finish, so every report is conclusive.
 const CAP: usize = 500_000;
 
-fn check_at(sys: &ProtoSystem, shards: usize) -> DeadlockReport {
-    let mut reach = ReachOptions::with_cap(CAP);
-    reach.shards = shards;
-    check_deadlock_with(sys, reach).expect("no worker panics")
+fn check(sys: &ProtoSystem) -> DeadlockReport {
+    let Ok(report) = check_deadlock_with(sys, ReachOptions::with_cap(CAP));
+    report
 }
 
-/// The pinned property: sequential and sharded runs agree exactly, and
-/// witnesses replay.
-fn assert_shard_invariant(sys: &ProtoSystem) {
-    let seq = check_at(sys, 1);
+/// The pinned property: the check finishes, and its witness replays to
+/// the state of the first violation, which exhibits that violation.
+fn assert_witness_replays(sys: &ProtoSystem) {
+    let report = check(sys);
     assert!(
-        seq.interrupted.is_none(),
+        report.interrupted.is_none(),
         "{}: suite systems must fit the cap",
         sys.name()
     );
-    let space = ProtoSpace::new(sys);
-    for shards in [2usize, 4, 8] {
-        let sh = check_at(sys, shards);
+    assert!(report.is_conclusive());
+    assert_eq!(
+        report.trace_labels.is_some(),
+        !report.is_ok(),
+        "{}",
+        sys.name()
+    );
+    if let Some(labels) = &report.trace_labels {
+        let space = ProtoSpace::new(sys);
+        let state = space.replay(labels).expect("witness must replay");
         assert_eq!(
-            sh.violations,
-            seq.violations,
-            "{}: violation list at {shards} shards",
+            space.decode(&state),
+            report.violations[0].state,
+            "{}: witness target",
             sys.name()
         );
-        assert_eq!(
-            sh.states_explored,
-            seq.states_explored,
-            "{}: state count at {shards} shards",
-            sys.name()
-        );
-        assert_eq!(sh.is_ok(), seq.is_ok());
-        assert_eq!(sh.is_conclusive(), seq.is_conclusive());
-        if let Some(labels) = &sh.trace_labels {
-            let state = space.replay(labels).expect("witness must replay");
-            assert_eq!(
-                space.decode(&state),
-                sh.violations[0].state,
-                "{}: witness target at {shards} shards",
-                sys.name()
-            );
-            assert!(space
-                .violations_at(&state)
-                .contains(&sh.violations[0].violation));
-        }
+        assert!(space
+            .violations_at(&state)
+            .contains(&report.violations[0].violation));
     }
 }
 
@@ -71,15 +59,15 @@ fn assert_text_roundtrip(sys: &ProtoSystem) {
     let again = parse_proto(&text).unwrap_or_else(|e| panic!("{}: reparse: {e}", sys.name()));
     assert_eq!(write_proto(&again), text, "{}: canonical form", sys.name());
     assert_eq!(
-        check_at(&again, 1).violations,
-        check_at(sys, 1).violations,
+        check(&again).violations,
+        check(sys).violations,
         "{}: report after round-trip",
         sys.name()
     );
 }
 
 #[test]
-fn generator_families_are_shard_invariant() {
+fn generator_families_witnesses_replay() {
     for sys in [
         ring(2),
         ring(5),
@@ -92,21 +80,8 @@ fn generator_families_are_shard_invariant() {
         dining(3),
         dining(5),
     ] {
-        assert_shard_invariant(&sys);
+        assert_witness_replays(&sys);
         assert_text_roundtrip(&sys);
-    }
-}
-
-#[test]
-fn zero_deadline_reports_inconclusive_at_any_shard_count() {
-    let sys = dining(5);
-    for shards in [1usize, 4] {
-        let mut reach = ReachOptions::with_cap(CAP)
-            .budget(Budget::with_cap(CAP).timeout(std::time::Duration::ZERO));
-        reach.shards = shards;
-        let report = check_deadlock_with(&sys, reach).expect("no worker panics");
-        assert!(report.interrupted.is_some(), "shards={shards}");
-        assert!(report.is_ok() || report.is_conclusive());
     }
 }
 
@@ -200,11 +175,10 @@ fn build_system(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Random CFSM systems: sharded reports are bit-identical to the
-    /// sequential oracle and witnesses replay.
+    /// Random CFSM systems: witnesses replay.
     #[test]
-    fn random_systems_are_shard_invariant(sys in arb_system()) {
-        assert_shard_invariant(&sys);
+    fn random_systems_witnesses_replay(sys in arb_system()) {
+        assert_witness_replays(&sys);
     }
 
     /// Random systems survive the canonical-text round trip.

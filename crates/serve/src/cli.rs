@@ -144,6 +144,10 @@ pub fn submit_main(args: &[String]) -> u8 {
                 Some(p) => output = Some(p.clone()),
                 None => return submit_usage(),
             },
+            flag if flag.starts_with("--") => {
+                eprintln!("unknown flag {flag:?}");
+                return submit_usage();
+            }
             _ if op.is_none() => op = Some(a.clone()),
             _ if spec_path.is_none() => spec_path = Some(a.clone()),
             other => {

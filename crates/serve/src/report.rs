@@ -27,7 +27,7 @@ use si_core::{
 };
 use si_csc::{CscOptions, EngineResolve, ResolveOutcome, Strategy};
 use si_petri::{check_live_safe_fc, CancelToken, ReachError, ReachOptions, StructuralCheck};
-use si_proto::{check_deadlock_with, DeadlockReport, ProtoError, ProtoSystem};
+use si_proto::{check_deadlock_with, DeadlockReport, ProtoSystem};
 use si_stg::{ConsistencyError, Stg};
 use si_verify::{ConformanceReport, EngineVerify, VerificationReport};
 
@@ -116,8 +116,6 @@ pub struct JobOptions {
     pub minimizer: MinimizerChoice,
     /// `--cap`: one cap for every oracle; `None` keeps the per-op default.
     pub cap: Option<usize>,
-    /// `--shards`: explorer shard workers (1 = sequential).
-    pub shards: usize,
     /// `--budget`: resolve's candidate-search budget.
     pub budget: usize,
     /// `--strategy`: resolve's candidate-selection strategy.
@@ -138,7 +136,6 @@ impl Default for JobOptions {
             stages: MinimizeStages::full(),
             minimizer: MinimizerChoice::Espresso,
             cap: None,
-            shards: 1,
             budget: 100_000,
             strategy: Strategy::Greedy,
             backend: Backend::Explicit,
@@ -152,17 +149,16 @@ impl Default for JobOptions {
 /// usage lines.
 pub const OPTION_USAGE: &str = "[--arch complex|excitation|per-region] \
     [--stages 0..4|full|none] [--minimizer espresso|exact|bdd|auto] [--cap N] \
-    [--shards N|auto] [--budget N] [--strategy greedy|beam] \
-    [--backend explicit|symbolic|auto] [--timeout DUR]";
+    [--budget N] [--strategy greedy|beam] [--backend explicit|symbolic|auto] \
+    [--timeout DUR]";
 
 /// The option names: the CLI flags without their `--`, and the request
 /// keys — except that a request spells `timeout` as `timeout_ms`.
-const OPTION_NAMES: [&str; 9] = [
+const OPTION_NAMES: [&str; 8] = [
     "arch",
     "stages",
     "minimizer",
     "cap",
-    "shards",
     "budget",
     "strategy",
     "backend",
@@ -171,9 +167,9 @@ const OPTION_NAMES: [&str; 9] = [
 
 impl JobOptions {
     /// Sets option `name` from its text — the one validation rule of
-    /// every surface. Numbers are non-negative integers (`cap` and
-    /// `shards` positive, `shards` also `auto`); `stages` is `0`..`4`,
-    /// `full` or `none`; `timeout` is a duration ([`parse_duration`]).
+    /// every surface. Numbers are non-negative integers (`cap`
+    /// positive); `stages` is `0`..`4`, `full` or `none`; `timeout` is a
+    /// duration ([`parse_duration`]).
     ///
     /// # Errors
     ///
@@ -198,8 +194,6 @@ impl JobOptions {
             }
             "minimizer" => self.minimizer = value.parse()?,
             "cap" => self.cap = Some(positive()?),
-            "shards" if value == "auto" => self.shards = ReachOptions::auto(1).shards,
-            "shards" => self.shards = positive()?,
             "budget" => self.budget = value.parse().map_err(|_| bad("an integer"))?,
             "strategy" => self.strategy = value.parse()?,
             "backend" => {
@@ -273,7 +267,6 @@ impl JobOptions {
             .field("stages", stages)
             .field("minimizer", self.minimizer.name())
             .field_opt("cap", self.cap)
-            .field("shards", self.shards)
             .field("budget", self.budget)
             .field("strategy", self.strategy.name())
             .field("backend", self.backend.as_str())
@@ -281,10 +274,9 @@ impl JobOptions {
     }
 
     /// The reachability options of `op`'s oracles: its default cap unless
-    /// `cap` is set, sharded, under the timeout and the cancel token.
+    /// `cap` is set, under the timeout and the cancel token.
     pub fn reach(&self, op: Op) -> ReachOptions {
         let mut reach = ReachOptions::with_cap(self.cap.unwrap_or(op.default_cap()));
-        reach = reach.shards(self.shards);
         if let Some(d) = self.timeout {
             reach = reach.timeout(d);
         }
@@ -349,7 +341,6 @@ impl Error {
                 states_explored,
                 elapsed_ms,
             } => (reason.as_str(), *states_explored, *elapsed_ms),
-            ReachError::WorkerPanicked { .. } => ("worker-panicked", 0, 0),
             ReachError::NotSafe { .. } => ("not-safe", 0, 0),
         };
         Error {
@@ -862,8 +853,7 @@ impl Report for Verify<'_> {
             let _ = writeln!(
                 out,
                 "conformance inconclusive ({}): no failure in the {} product states explored — \
-                 pass a larger `--cap N` / `--timeout DUR` to raise the budget (and \
-                 `--shards auto` to explore the product in parallel)",
+                 pass a larger `--cap N` / `--timeout DUR` to raise the budget",
                 i.reason, i.states_explored
             );
         }
@@ -922,7 +912,7 @@ pub struct Resolve<'a> {
 
 impl<'a> Resolve<'a> {
     /// Searches for a CSC-resolving insertion in the session's STG:
-    /// `cap`/`shards`/`timeout` govern each candidate's acceptance
+    /// `cap`/`timeout` govern each candidate's acceptance
     /// oracle, `budget` bounds the candidate search.
     pub fn build(engine: &Engine<'a>, options: &JobOptions) -> Self {
         let csc = CscOptions::default()
@@ -1057,30 +1047,21 @@ impl Report for Resolve<'_> {
 #[derive(Debug)]
 pub struct Deadlock<'a> {
     sys: &'a ProtoSystem,
-    outcome: Result<DeadlockReport, ProtoError>,
+    report: DeadlockReport,
 }
 
 impl<'a> Deadlock<'a> {
     /// Checks `sys` for deadlocks, dangling sends and overflows on the
     /// explicit explorer.
     pub fn build(sys: &'a ProtoSystem, options: &JobOptions) -> Self {
-        Deadlock {
-            sys,
-            outcome: check_deadlock_with(sys, options.reach(Op::Deadlock)),
-        }
+        let Ok(report) = check_deadlock_with(sys, options.reach(Op::Deadlock));
+        Deadlock { sys, report }
     }
 }
 
 impl Report for Deadlock<'_> {
     fn json(&self) -> Object {
-        let (sys, model) = (self.sys, self.sys.name());
-        let r = match &self.outcome {
-            Ok(r) => r,
-            Err(e) => {
-                let error = Error::new("worker-panicked", e.to_string(), 0);
-                return head(Op::Deadlock, false, Some(false), model).field("error", error.json());
-            }
-        };
+        let (sys, model, r) = (self.sys, self.sys.name(), &self.report);
         // A clean-but-interrupted run carries the same structured error
         // object as the other inconclusive reports.
         let error = r.interrupted.filter(|_| r.is_ok()).map(|i| {
@@ -1108,9 +1089,7 @@ impl Report for Deadlock<'_> {
 
     /// One summary line, then the counterexample as an action sequence.
     fn summary(&self) -> String {
-        let (sys, Ok(r)) = (self.sys, &self.outcome) else {
-            return String::new();
-        };
+        let (sys, r) = (self.sys, &self.report);
         let mut out = format!(
             "model {}: {} modules, {} channels\ndeadlock check: {} ({} deadlock(s), {} dangling \
              send(s), {} overflow(s) in {} states)\n",
@@ -1146,26 +1125,18 @@ impl Report for Deadlock<'_> {
             let _ = writeln!(
                 out,
                 "inconclusive ({}): no violation in the {} states explored — raise `--cap N` / \
-                 `--timeout DUR` for a definitive verdict (and `--shards auto` to explore in \
-                 parallel)",
+                 `--timeout DUR` for a definitive verdict",
                 i.reason, i.states_explored
             );
         }
         out
     }
 
-    fn notes(&self) -> String {
-        match &self.outcome {
-            Err(e) => format!("deadlock check failed: {e}\n"),
-            Ok(_) => String::new(),
-        }
-    }
-
     fn exit_code(&self) -> u8 {
-        match &self.outcome {
-            Ok(r) if r.is_ok() && !r.is_conclusive() => EXIT_INCONCLUSIVE,
-            Ok(r) if r.is_ok() => 0,
-            _ => EXIT_FAILED,
+        match (self.report.is_ok(), self.report.is_conclusive()) {
+            (true, false) => EXIT_INCONCLUSIVE,
+            (true, true) => 0,
+            (false, _) => EXIT_FAILED,
         }
     }
 }
@@ -1185,7 +1156,6 @@ mod tests {
             ("stages", "9"),
             ("stages", "2.5"),
             ("cap", "0"),
-            ("shards", "0"),
             ("budget", "2.7"),
             ("timeout", "soon"),
             ("arch", "gates"),
@@ -1206,7 +1176,6 @@ mod tests {
             ("stages", "3"),
             ("minimizer", "exact"),
             ("cap", "500"),
-            ("shards", "2"),
             ("budget", "7"),
             ("strategy", "beam"),
             ("backend", "symbolic"),

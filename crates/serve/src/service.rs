@@ -19,9 +19,9 @@
 //! | `cover:<fp>`     | one signal's derived clusters (wire form)      |
 //!
 //! `<job>` hashes (op, canonical spec, the options that determine the
-//! *outcome*); resource knobs — `cap`, `shards`, `timeout_ms` — are
-//! deliberately excluded, and only conclusive responses are cached, so a
-//! budget-starved run never poisons the cache for a better-funded rerun.
+//! *outcome*); resource knobs — `cap` and `timeout_ms` — are deliberately
+//! excluded, and only conclusive responses are cached, so a budget-starved
+//! run never poisons the cache for a better-funded rerun.
 //! `<fp>` is [`si_core::signal_fingerprint`]: a per-signal digest of the
 //! structural covers, so a one-signal edit re-derives only the covers it
 //! dirtied. Reuse stays sound independently of the digest because every
@@ -131,9 +131,9 @@ impl Request {
     }
 
     /// The job key: a digest of the canonical spec and every option that
-    /// determines the *outcome* of this op. Resource knobs (cap, shards,
-    /// timeout) are excluded — they decide whether a run finishes, not
-    /// what a finished run reports, and only conclusive runs are cached.
+    /// determines the *outcome* of this op. Resource knobs (cap, timeout)
+    /// are excluded — they decide whether a run finishes, not what a
+    /// finished run reports, and only conclusive runs are cached.
     fn job_key(&self, canonical_spec: &str) -> u64 {
         let o = &self.options;
         let mut h = Fnv64::new();

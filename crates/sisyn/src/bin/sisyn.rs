@@ -3,14 +3,17 @@
 //! ```text
 //! sisyn check   SPEC.g               consistency / CSC / liveness report
 //! sisyn synth   SPEC.g [options]     synthesize and print (or emit) the circuit
-//! sisyn verify  SPEC.g [options]     synthesize then verify speed independence
+//! sisyn verify  SPEC.g [options]     synthesize then verify speed independence;
+//!                                    a violation comes with a firing-sequence
+//!                                    counterexample leading to it ("trace"
+//!                                    in --json)
 //! sisyn resolve SPEC.g [-o OUT.g]    CSC resolution by state-signal insertion
 //! sisyn dot     SPEC.g               Graphviz rendering of the STG
 //! sisyn deadlock SPEC.proto          deadlock / dangling-send / overflow
 //!                                    check of a CFSM channel protocol
 //!                                    (see `sisyn::proto`); honours --cap,
-//!                                    --shards, --timeout, --json and
-//!                                    --backend explicit, with a replayable
+//!                                    --timeout, --json and --backend
+//!                                    explicit, with a replayable
 //!                                    action-sequence counterexample on
 //!                                    failure
 //! sisyn serve   --socket PATH        persistent synthesis server: jobs over a
@@ -51,17 +54,6 @@
 //!                      (how many insertion plans may be structurally
 //!                      evaluated). Raising --cap admits bigger
 //!                      candidates; raising --budget searches longer.
-//!   --shards N|auto    run the verdict searches with N parallel shard
-//!                      workers (see si-petri's generic sharded explorer;
-//!                      N is rounded up to a power of two, max 64); `auto`
-//!                      picks the hardware-thread count rounded down.
-//!                      Applies to the speed-independence violation
-//!                      search, the spec×circuit conformance product and
-//!                      `deadlock`; the reachability graph is always
-//!                      built sequentially. Default 1 (sequential). When
-//!                      `verify` finds a violation it prints (and emits
-//!                      in --json as "trace") a firing-sequence
-//!                      counterexample leading to it.
 //!   --budget N         resolve only: insertion-candidate search budget
 //!                      (default 100000) — how many state-signal
 //!                      insertions may be structurally evaluated,
@@ -228,6 +220,10 @@ fn parse_args(argv: &[String]) -> Result<Args, ExitCode> {
             "--waveform" => {
                 let v = it.next().ok_or_else(usage)?;
                 waveform = Some(v.parse().map_err(|_| usage())?);
+            }
+            flag if flag.starts_with("--") => {
+                eprintln!("unknown flag {flag:?}");
+                return Err(usage());
             }
             _ if input.is_none() => input = Some(a.clone()),
             other => {

@@ -68,8 +68,8 @@ pub mod prelude {
         ReachOptions, ReachabilityGraph,
     };
     pub use si_proto::{
-        check_deadlock, check_deadlock_with, parse_proto, write_proto, DeadlockReport, ProtoError,
-        ProtoSpace, ProtoSystem, ProtoViolation,
+        check_deadlock, check_deadlock_with, parse_proto, write_proto, DeadlockReport, ProtoSpace,
+        ProtoSystem, ProtoViolation,
     };
     pub use si_stg::{parse_g, stg_to_dot, write_g, SignalKind, Stg, StgAnalysis};
     pub use si_verify::{

@@ -17,18 +17,14 @@
 //! The search for violating states is a [`si_petri::space::StateSpace`]
 //! over the prebuilt reachability graph — states are graph ids, successors
 //! its edges, the [`inspect`](si_petri::space::StateSpace::inspect) hook
-//! runs both checks — driven by the workspace's generic explorers. That
-//! buys sharded parallel verification (`shards > 1` splits the walk across
-//! worker threads) and a firing-sequence **counterexample trace** to the
-//! first violation ([`VerificationReport::trace`]) from the explorer's
-//! witness machinery.
+//! runs both checks — driven by the workspace's generic explorer. That
+//! buys a firing-sequence **counterexample trace** to the first violation
+//! ([`VerificationReport::trace`]) from the explorer's witness machinery.
 
 use crate::EngineVerify;
 use si_boolean::Cover;
 use si_core::{Circuit, ImplKind};
-use si_petri::space::{
-    explore_with, ExploreError, ExploreOptions, SpaceVisitor, StateSpace, Verdict,
-};
+use si_petri::space::{explore, ExploreOptions, SpaceVisitor, StateSpace, Verdict};
 use si_petri::{Interrupt, ReachabilityGraph, StateId, TransId};
 use si_stg::{SignalId, StateEncoding, Stg};
 
@@ -79,8 +75,8 @@ impl Violation {
         }
     }
 
-    /// Total order making reports deterministic at any shard count:
-    /// by state, then violation kind, then signal, then edge target.
+    /// The order of a report's violations: by state, then violation
+    /// kind, then signal, then edge target.
     fn sort_key(&self) -> (u32, u8, u16, u32) {
         match *self {
             Violation::Functional { signal, state, .. } => (state.0, 0, signal.0, 0),
@@ -94,7 +90,7 @@ impl Violation {
 #[derive(Clone, Debug, Default)]
 pub struct VerificationReport {
     /// All found violations (empty = verified), ordered by state / kind /
-    /// signal — deterministic at any shard count.
+    /// signal.
     pub violations: Vec<Violation>,
     /// Number of reachable states examined.
     pub states_checked: usize,
@@ -156,11 +152,7 @@ pub fn verify_circuit(stg: &Stg, circuit: &Circuit) -> VerificationReport {
 /// Verifies with explicit [`si_petri::ReachOptions`]: `reach.cap` bounds
 /// the specification's state space (the call returns
 /// [`si_petri::ReachError::StateCapExceeded`] instead of hanging past it)
-/// and `reach.shards > 1` runs the violation search on the sharded
-/// multi-threaded explorer; the reachability graph is built sequentially.
-/// The report is identical at any shard count (violations are canonically
-/// ordered; only the counterexample trace may differ between equally
-/// valid witnesses).
+/// and its soft limits bound the violation search.
 ///
 /// This is a one-shot wrapper over [`si_core::Engine`]; pipelines that
 /// also synthesize or check conformance should hold an `Engine` and call
@@ -180,49 +172,38 @@ pub fn verify_circuit_with(
 /// Verification over a **prebuilt** reachability graph and encoding — the
 /// form the [`si_core::Engine`] artifact cache calls (via
 /// [`crate::EngineVerify`]) so a synth-then-verify pipeline explores the
-/// state space once. The violation search runs under `reach`'s shard
-/// count **and** soft budget (deadline, cancellation) — exhausting a soft
-/// limit returns a partial report tagged [`VerificationReport::interrupted`]
-/// instead of aborting. The budget's state *cap* is ignored here: the walk
-/// is bounded by the graph, whose construction the cap already governed.
-/// The violation list is identical at any shard count; the counterexample
-/// trace is always a valid firing sequence to `violations[0].at_state()`
-/// but may differ between runs (any witness is a witness).
-///
-/// # Errors
-///
-/// [`si_petri::ReachError::WorkerPanicked`] when a sharded explorer
-/// worker panicked (only observable with fault injection or a broken
-/// space — panics are isolated per worker and surface structurally).
+/// state space once. The violation search runs under `reach`'s soft
+/// budget (deadline, cancellation) — exhausting a soft limit returns a
+/// partial report tagged [`VerificationReport::interrupted`] instead of
+/// aborting. The budget's state *cap* is ignored here: the walk is
+/// bounded by the graph, whose construction the cap already governed.
+/// The counterexample trace is a firing sequence to
+/// `violations[0].at_state()`.
 pub(crate) fn verify_circuit_on_opts(
     stg: &Stg,
     circuit: &Circuit,
     rg: &ReachabilityGraph,
     enc: &StateEncoding,
     reach: &si_petri::ReachOptions,
-) -> Result<VerificationReport, si_petri::ReachError> {
+) -> VerificationReport {
     let _span = si_obs::span("verify.check");
     let space = VerifySpace::new(stg, circuit, rg, enc);
     let mut opts = ExploreOptions::from(reach).witness();
     opts.budget.cap = usize::MAX;
-    let mut expl = match explore_with(&space, opts) {
-        Ok(expl) => expl,
-        Err(ExploreError::WorkerPanicked { shard, message }) => {
-            return Err(si_petri::ReachError::WorkerPanicked { shard, message })
-        }
-        Err(ExploreError::Fatal(_)) => unreachable!("the verify space has no fatal violations"),
+    let Ok(mut expl) = explore(&space, opts) else {
+        unreachable!("the verify space has no fatal violations")
     };
     let mut tagged = std::mem::take(&mut expl.violations);
     tagged.sort_by_key(|(_, v)| v.sort_key());
     let trace = tagged
         .first()
         .map(|&(gid, _)| expl.witness(gid).into_iter().map(TransId).collect());
-    Ok(VerificationReport {
+    VerificationReport {
         violations: tagged.into_iter().map(|(_, v)| v).collect(),
         states_checked: expl.states,
         trace,
         interrupted: expl.interrupt(),
-    })
+    }
 }
 
 /// The speed-independence verification space: packed states are
@@ -438,54 +419,23 @@ y- x+
                 inverted: false,
             },
         };
-        for shards in [1, 4] {
-            let engine = Engine::new(&stg).cap(100_000).shards(shards);
-            let report = engine.verify(&syn.circuit).unwrap();
-            assert!(!report.is_ok());
-            let trace = report.trace.as_ref().expect("violations come with a trace");
-            // Replay the firing sequence on the net: it must be enabled at
-            // every step and end at the state of the first violation.
-            let net = stg.net();
-            let mut m = net.initial_marking();
-            for &t in trace {
-                assert!(
-                    net.is_enabled(&m, t),
-                    "{shards} shards: dead trace step {t}"
-                );
-                m = net.fire(&m, t);
-            }
-            assert_eq!(
-                engine.reachability().unwrap().state_of(&m),
-                Some(report.violations[0].at_state()),
-                "{shards} shards: trace does not reach the violating state"
-            );
+        let engine = Engine::new(&stg).cap(100_000);
+        let report = engine.verify(&syn.circuit).unwrap();
+        assert!(!report.is_ok());
+        let trace = report.trace.as_ref().expect("violations come with a trace");
+        // Replay the firing sequence on the net: it must be enabled at
+        // every step and end at the state of the first violation.
+        let net = stg.net();
+        let mut m = net.initial_marking();
+        for &t in trace {
+            assert!(net.is_enabled(&m, t), "dead trace step {t}");
+            m = net.fire(&m, t);
         }
-    }
-
-    #[test]
-    fn sharded_verification_matches_sequential() {
-        let stg = benchmarks::running_example();
-        let syn = synthesize(&stg, &SynthesisOptions::default()).unwrap();
-        // A clean circuit and a sabotaged one: violation lists must be
-        // identical at any shard count.
-        let mut broken = syn.circuit.clone();
-        broken.implementations[0].kind = ImplKind::Combinational {
-            cover: Cover::empty(stg.signal_count()),
-            inverted: false,
-        };
-        for circuit in [&syn.circuit, &broken] {
-            let verify = |shards| {
-                let engine = Engine::new(&stg).cap(100_000).shards(shards);
-                engine.verify(circuit).unwrap()
-            };
-            let seq = verify(1);
-            for shards in [2, 4, 8] {
-                let par = verify(shards);
-                assert_eq!(seq.violations, par.violations);
-                assert_eq!(seq.states_checked, par.states_checked);
-                assert_eq!(seq.is_ok(), par.is_ok());
-            }
-        }
+        assert_eq!(
+            engine.reachability().unwrap().state_of(&m),
+            Some(report.violations[0].at_state()),
+            "trace does not reach the violating state"
+        );
     }
 
     #[test]

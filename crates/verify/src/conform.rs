@@ -21,16 +21,15 @@
 //!
 //! The product is defined as a [`si_petri::space::StateSpace`] — packed
 //! states are `marking words ‖ wire-value words`, successors the product
-//! firings above — and driven by the workspace's generic explorers, so
-//! conformance gets sharded parallel exploration (`reach.shards > 1`),
-//! reachability-identical cap semantics and a firing-sequence
-//! counterexample ([`ConformanceReport::trace`]) from the same machinery
-//! as every other traversal.
+//! firings above — and driven by the workspace's generic explorer, so
+//! conformance gets reachability-identical cap semantics and a
+//! firing-sequence counterexample ([`ConformanceReport::trace`]) from the
+//! same machinery as every other traversal.
 
 use crate::engine_ext::initial_code;
 use si_boolean::Bits;
 use si_core::{Circuit, Engine};
-use si_petri::space::{explore_with, ExploreError, ExploreOptions, SpaceVisitor, StateSpace};
+use si_petri::space::{explore, ExploreOptions, SpaceVisitor, StateSpace};
 use si_petri::{FiringView, Interrupt, InterruptReason, ReachError, TransId};
 use si_stg::{SignalId, SignalKind, Stg};
 
@@ -93,7 +92,7 @@ impl ConformanceReport {
 }
 
 /// Collecting more failures than this is pointless — the verdict is long
-/// settled; the explorers stop once the budget is spent.
+/// settled; the explorer stops once the budget is spent.
 const ENOUGH_EVIDENCE: usize = 8;
 
 /// Exhaustively explores the circuit × environment product up to `cap`
@@ -112,10 +111,8 @@ pub fn check_conformance(
 
 /// Like [`check_conformance`] but with explicit [`si_petri::ReachOptions`]:
 /// the budget (state cap, deadline, cancellation) bounds the product
-/// exploration and `reach.shards > 1` runs it on the sharded
-/// multi-threaded explorer; the specification's reachability probe (which
-/// seeds the initial wire encoding) is built sequentially. The verdict is
-/// identical at any shard count.
+/// exploration and the specification's reachability probe (which seeds
+/// the initial wire encoding).
 ///
 /// Exhausting the budget is **not** an error: the report comes back
 /// partial, tagged [`ConformanceReport::interrupted`]. The probe keeps at
@@ -129,8 +126,7 @@ pub fn check_conformance(
 /// # Errors
 ///
 /// [`ReachError::NotSafe`] when the specification's net is unsafe (a
-/// broken specification, not an inconclusive exploration), and
-/// [`ReachError::WorkerPanicked`] when a sharded explorer worker panicked.
+/// broken specification, not an inconclusive exploration).
 pub fn check_conformance_with(
     stg: &Stg,
     circuit: &Circuit,
@@ -158,7 +154,7 @@ fn probe_exhausted(reason: InterruptReason) -> ConformanceReport {
 /// supplies the initial wire values ([`initial_code`], with its headroom
 /// fallback under a small session cap — the same contract as
 /// [`check_conformance_with`]); `reach`'s budget bounds the product
-/// exploration itself and `reach.shards` parallelizes it. When the probe
+/// exploration itself. When the probe
 /// runs out of budget the report turns inconclusive with zero product
 /// states.
 pub(crate) fn engine_conformance(
@@ -179,12 +175,8 @@ pub(crate) fn engine_conformance(
     let opts = ExploreOptions::from(reach)
         .max_violations(ENOUGH_EVIDENCE)
         .witness();
-    let expl = match explore_with(&space, opts) {
-        Ok(expl) => expl,
-        Err(ExploreError::WorkerPanicked { shard, message }) => {
-            return Err(ReachError::WorkerPanicked { shard, message })
-        }
-        Err(ExploreError::Fatal(_)) => unreachable!("the product space has no fatal violations"),
+    let Ok(expl) = explore(&space, opts) else {
+        unreachable!("the product space has no fatal violations")
     };
     let trace = expl
         .violations
@@ -440,40 +432,30 @@ mod tests {
                 inverted: false,
             },
         };
-        for shards in [1, 2] {
-            let report = check_conformance_with(
-                &stg,
-                &syn.circuit,
-                si_petri::ReachOptions::with_cap(100_000).shards(shards),
-            )
-            .unwrap();
-            assert!(!report.is_ok());
-            let trace = report.trace.as_ref().expect("failures come with a trace");
-            let net = stg.net();
-            let mut m = net.initial_marking();
-            let rg = si_petri::ReachabilityGraph::build(net, 100_000).unwrap();
-            let enc = si_stg::StateEncoding::compute(&stg, &rg).unwrap();
-            let mut code = enc.code(rg.state_of(&m).unwrap()).clone();
-            for &t in trace {
-                assert!(
-                    net.is_enabled(&m, t),
-                    "{shards} shards: dead trace step {t}"
-                );
-                m = net.fire(&m, t);
-                code.toggle(stg.signal_of(t).index());
+        let report = check_conformance(&stg, &syn.circuit, 100_000).unwrap();
+        assert!(!report.is_ok());
+        let trace = report.trace.as_ref().expect("failures come with a trace");
+        let net = stg.net();
+        let mut m = net.initial_marking();
+        let rg = si_petri::ReachabilityGraph::build(net, 100_000).unwrap();
+        let enc = si_stg::StateEncoding::compute(&stg, &rg).unwrap();
+        let mut code = enc.code(rg.state_of(&m).unwrap()).clone();
+        for &t in trace {
+            assert!(net.is_enabled(&m, t), "dead trace step {t}");
+            m = net.fire(&m, t);
+            code.toggle(stg.signal_of(t).index());
+        }
+        // The failure state must exhibit the first reported failure.
+        match &report.failures[0] {
+            ConformanceFailure::UnexpectedOutput { code: fc, .. } => {
+                assert_eq!(&code, fc, "trace misses the failure state");
             }
-            // The failure state must exhibit the first reported failure.
-            match &report.failures[0] {
-                ConformanceFailure::UnexpectedOutput { code: fc, .. } => {
-                    assert_eq!(&code, fc, "{shards} shards: trace misses the failure state");
-                }
-                other => {
-                    // Liveness / hazard failures are observed at the trace
-                    // end by construction; just sanity-check the state is
-                    // reachable in the spec.
-                    let _ = other;
-                    assert!(rg.state_of(&m).is_some());
-                }
+            other => {
+                // Liveness / hazard failures are observed at the trace
+                // end by construction; just sanity-check the state is
+                // reachable in the spec.
+                let _ = other;
+                assert!(rg.state_of(&m).is_some());
             }
         }
     }

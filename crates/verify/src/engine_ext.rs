@@ -37,33 +37,29 @@ use si_petri::ReachError;
 pub trait EngineVerify {
     /// Functional + monotonic-cover verification
     /// ([`crate::verify_circuit_with`] semantics) over the cached graph.
-    /// The violation search runs on the session's configured shard count
-    /// (`Engine::shards`) under the session's soft budget (deadline /
-    /// cancellation — an interrupted search returns a partial report
-    /// tagged [`VerificationReport::interrupted`]); the report is
-    /// identical at any shard count.
+    /// The violation search runs under the session's soft budget
+    /// (deadline / cancellation — an interrupted search returns a partial
+    /// report tagged [`VerificationReport::interrupted`]).
     ///
     /// # Errors
     ///
     /// Any [`ReachError`] from building the session's reachability graph
     /// — including [`ReachError::Interrupted`] when the budget ran out
-    /// mid-build — or [`ReachError::WorkerPanicked`] from the search.
+    /// mid-build.
     fn verify(&self, circuit: &Circuit) -> Result<VerificationReport, ReachError>;
 
     /// Product-automaton conformance checking
     /// ([`crate::check_conformance_with`] semantics). The session's
     /// budget bounds the product exploration (exhausting it returns a
     /// partial report tagged [`ConformanceReport::interrupted`], not an
-    /// error) and the session's shard count parallelizes it; the probe
-    /// graph falls back to the [`Engine::DEFAULT_CAP`] headroom (one-shot,
+    /// error); the probe graph falls back to the [`Engine::DEFAULT_CAP`] headroom (one-shot,
     /// outside the session cache) when the session cap is too small for
     /// the specification, so a small cap still allows partial product
     /// exploration.
     ///
     /// # Errors
     ///
-    /// [`ReachError::NotSafe`] on a broken specification and
-    /// [`ReachError::WorkerPanicked`] from the exploration.
+    /// [`ReachError::NotSafe`] on a broken specification.
     fn check_conformance(&self, circuit: &Circuit) -> Result<ConformanceReport, ReachError>;
 
     /// Random walks ([`crate::random_walks`] semantics) from the initial
@@ -88,7 +84,13 @@ impl EngineVerify for Engine<'_> {
     fn verify(&self, circuit: &Circuit) -> Result<VerificationReport, ReachError> {
         let rg = self.reachability()?;
         let enc = self.encoding()?;
-        verify_circuit_on_opts(self.stg(), circuit, rg, enc, &self.reach_options())
+        Ok(verify_circuit_on_opts(
+            self.stg(),
+            circuit,
+            rg,
+            enc,
+            &self.reach_options(),
+        ))
     }
 
     fn check_conformance(&self, circuit: &Circuit) -> Result<ConformanceReport, ReachError> {

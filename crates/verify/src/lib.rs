@@ -17,12 +17,9 @@
 //!   session, sharing its cached reachability graph and encoding.
 //!
 //! The two exhaustive checks are [`si_petri::space::StateSpace`]s driven
-//! by the workspace's generic explorers: passing `shards > 1` (via
-//! [`si_petri::ReachOptions`] or `Engine::shards`) runs the violation
-//! search and the conformance product on the sharded multi-threaded
-//! explorer, while the reachability graph both read is built
-//! sequentially. Every failing report carries a firing-sequence
-//! counterexample ([`VerificationReport::trace`],
+//! by the workspace's generic explorer, which also builds the
+//! reachability graph both read. Every failing report carries a
+//! firing-sequence counterexample ([`VerificationReport::trace`],
 //! [`ConformanceReport::trace`]).
 //!
 //! # Examples

@@ -228,23 +228,3 @@ fn dot_exports_are_wellformed() {
         assert_eq!(dot.matches('{').count(), dot.matches('}').count());
     }
 }
-
-#[test]
-fn sharded_reachability_agrees_across_the_suite() {
-    // The sharded explorer is a drop-in replacement for the sequential one
-    // in the verification oracle: `verify_circuit_with` at 4 shards gives
-    // the sequential report.
-    let stg = benchmarks::vme_read_csc();
-    let syn = synthesize(&stg, &SynthesisOptions::default()).unwrap();
-    let verify = |shards| {
-        sisyn::verify::verify_circuit_with(
-            &stg,
-            &syn.circuit,
-            ReachOptions::with_cap(1_000_000).shards(shards),
-        )
-        .unwrap()
-    };
-    let (par, seq) = (verify(4), verify(1));
-    assert!(par.is_ok());
-    assert_eq!(par.states_checked, seq.states_checked);
-}

@@ -395,10 +395,24 @@ fn symbolic_check_builds_one_analysis() {
 #[test]
 fn cli_rejects_bad_numeric_options() {
     let (_, text) = &specs()[0];
-    for bad in [["--stages", "9"], ["--stages", "2.5"], ["--budget", "2.7"]] {
-        let (code, _) = cli(&["synth", bad[0], bad[1]], text);
+    for bad in [
+        ["--stages", "9"],
+        ["--stages", "2.5"],
+        ["--budget", "2.7"],
+        ["--shards", "2"],
+    ] {
+        let (code, _, stderr) = cli_with_stderr(&["synth", bad[0], bad[1]], text);
         assert_eq!(code, 2, "{bad:?}");
+        assert!(stderr.contains(bad[0]), "{bad:?}: {stderr}");
     }
+    // An unknown flag is named, not read as the spec path.
+    let out = Command::new(env!("CARGO_BIN_EXE_sisyn"))
+        .args(["check", "--jsn"])
+        .output()
+        .expect("run sisyn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag \"--jsn\""), "{stderr}");
     let (code, _) = cli(&["synth", "--stages", "none"], text);
     assert_eq!(code, 0);
 }
@@ -406,25 +420,26 @@ fn cli_rejects_bad_numeric_options() {
 #[test]
 fn submit_rejects_bad_numeric_options() {
     // Rejected while parsing, before any connection is attempted.
+    let submit = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_sisyn"))
+            .args(["submit", "--socket", "/nonexistent/sisyn.sock"])
+            .args(args)
+            .output()
+            .expect("run sisyn submit")
+    };
     for bad in [
         ["--stages", "9"],
         ["--budget", "2.7"],
         ["--timeout-ms", "5"],
+        ["--shards", "2"],
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_sisyn"))
-            .args([
-                "submit",
-                "--socket",
-                "/nonexistent/sisyn.sock",
-                "synth",
-                "spec.g",
-            ])
-            .args(bad)
-            .stderr(Stdio::null())
-            .status()
-            .expect("run sisyn submit");
-        assert_eq!(out.code(), Some(2), "{bad:?}");
+        let out = submit(&["synth", "spec.g", bad[0], bad[1]]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: {stderr}");
+        assert!(stderr.contains(bad[0]), "{bad:?}: {stderr}");
     }
+    let out = submit(&["check", "--jsn"]);
+    assert_eq!(out.status.code(), Some(2), "check --jsn");
 }
 
 #[test]
@@ -436,4 +451,26 @@ fn serve_rejects_bad_numeric_options() {
         let body = service.execute(&request).body;
         assert!(body.contains("\"kind\": \"bad-request\""), "{bad}: {body}");
     }
+}
+
+#[test]
+fn serve_ignores_a_shards_key() {
+    // A request line as `sisyn submit` wrote it while it had `--shards`:
+    // serve ignores the key like any other key that is not an option.
+    let (_, text) = &specs()[0];
+    let request = |shards: &str| {
+        format!(
+            "{{\"op\": \"verify\", \"spec\": {}, \"arch\": \"excitation\", \"stages\": \"full\", \
+             \"minimizer\": \"espresso\", {shards}\"budget\": 100000, \"strategy\": \"greedy\", \
+             \"backend\": \"explicit\"}}",
+            escape(text)
+        )
+    };
+    let execute = |line: String| {
+        let service = Service::new(Arc::new(ArtifactStore::in_memory(16 << 20)));
+        mask(&service.execute(&line).body)
+    };
+    let with = execute(request("\"shards\": 2, "));
+    assert!(with.contains("\"ok\": true"), "{with}");
+    assert_eq!(with, execute(request("")));
 }
