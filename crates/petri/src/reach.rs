@@ -164,17 +164,29 @@ impl std::error::Error for ReachError {}
 ///
 /// Keys live in one flat `u64` arena (`nwords` words per marking), so a
 /// probe compares contiguous words — no per-marking heap pointer to chase,
-/// no clones, no `Hasher` machinery. The table stores `u32` state indices
-/// probed by a multiplicative hash of the words.
+/// no clones, no `Hasher` machinery. The table is probed by a
+/// multiplicative hash of the words, in one of two slot layouts:
+///
+/// * **tagged** ([`Self::new`]): a slot holds `(hash tag << 32) | id`, so
+///   a hit yields the key's id, after one read of the key arena;
+/// * **keyed** ([`Self::keyed`], one-word keys only): a slot holds the
+///   key word itself, so a probe never reads the arena, and a hit says
+///   only that the key is present ([`Self::insert_hashed`]).
 #[derive(Clone, Debug)]
 pub(crate) struct MarkingInterner {
     /// Flat key storage: marking `s` is `words[s*nwords .. (s+1)*nwords]`.
     words: Vec<u64>,
     /// Words per marking.
     nwords: usize,
-    /// Slot -> `(hash tag << 32) | state index`, `u64::MAX` = empty.
-    /// Power-of-two length, kept at most half full; the tag filters out
-    /// almost every colliding probe before the key words are touched.
+    /// Whether the slots hold the key words (the keyed layout).
+    keyed: bool,
+    /// Keyed layout: whether the all-ones key, which reads as an empty
+    /// slot, is interned.
+    ones: bool,
+    /// Slot -> `(hash tag << 32) | state index`, or the key word when
+    /// `keyed`; `u64::MAX` = empty. Power-of-two length, kept at most
+    /// half full; the tag filters out almost every colliding probe before
+    /// the key words are touched.
     slots: Vec<u64>,
     mask: usize,
     len: usize,
@@ -186,13 +198,25 @@ const TAG_MASK: u64 = 0xffff_ffff_0000_0000;
 use si_boolean::hash_word_slice as hash_key;
 
 impl MarkingInterner {
+    /// An empty interner of `nwords`-word keys, in the tagged layout.
     pub(crate) fn new(nwords: usize) -> Self {
         MarkingInterner {
             words: Vec::new(),
             nwords,
+            keyed: false,
+            ones: false,
             slots: vec![EMPTY_SLOT; 64],
             mask: 63,
             len: 0,
+        }
+    }
+
+    /// An empty interner of one-word keys, in the keyed layout: it
+    /// answers [`Self::insert_hashed`] but not [`Self::intern_hashed`].
+    pub(crate) fn keyed() -> Self {
+        MarkingInterner {
+            keyed: true,
+            ..Self::new(1)
         }
     }
 
@@ -212,14 +236,16 @@ impl MarkingInterner {
     }
 
     /// Looks up `key`; on a miss interns it as state `len` and returns
-    /// `(id, true)`.
+    /// `(id, true)`. Tagged layout only.
     pub(crate) fn intern(&mut self, key: &[u64]) -> (StateId, bool) {
         self.intern_hashed(key, hash_key(key))
     }
 
     /// [`Self::intern`] with the key's hash, `h == hash_key(key)`,
     /// computed by the caller. One probe sequence for both outcomes.
+    /// Tagged layout only.
     pub(crate) fn intern_hashed(&mut self, key: &[u64], h: u64) -> (StateId, bool) {
+        debug_assert!(!self.keyed, "a keyed slot holds no id");
         debug_assert_eq!(key.len(), self.nwords);
         debug_assert_eq!(h, hash_key(key));
         let tag = h & TAG_MASK;
@@ -227,14 +253,8 @@ impl MarkingInterner {
         loop {
             let e = self.slots[i];
             if e == EMPTY_SLOT {
-                let id = self.len as u32;
-                self.slots[i] = tag | id as u64;
-                self.words.extend_from_slice(key);
-                self.len += 1;
-                if self.len * 2 >= self.slots.len() {
-                    self.grow();
-                }
-                return (StateId(id), true);
+                self.slots[i] = tag | self.len as u64;
+                return (self.push(key), true);
             }
             if e & TAG_MASK == tag {
                 let s = e as u32;
@@ -246,10 +266,73 @@ impl MarkingInterner {
         }
     }
 
+    /// Interns `key`, with `h == hash_key(key)`, if it is new: returns its
+    /// id then, and `None` if it was already interned. Either layout.
+    #[inline]
+    pub(crate) fn insert_hashed(&mut self, key: &[u64], h: u64) -> Option<StateId> {
+        if !self.keyed {
+            let (id, is_new) = self.intern_hashed(key, h);
+            return is_new.then_some(id);
+        }
+        debug_assert_eq!(key.len(), 1);
+        debug_assert_eq!(h, hash_key(key));
+        let word = key[0];
+        if word == EMPTY_SLOT {
+            if self.ones {
+                return None;
+            }
+            self.ones = true;
+        } else {
+            let mut i = (h as usize) & self.mask;
+            loop {
+                let e = self.slots[i];
+                if e == word {
+                    return None;
+                }
+                if e == EMPTY_SLOT {
+                    self.slots[i] = word;
+                    break;
+                }
+                i = (i + 1) & self.mask;
+            }
+        }
+        Some(self.push(key))
+    }
+
+    /// Hints the processor to load the home slot of hash `h` into its
+    /// caches, ahead of the probe that will read it.
+    #[inline]
+    pub(crate) fn prefetch(&self, h: u64) {
+        let slot = self.slots.as_ptr().wrapping_add((h as usize) & self.mask);
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            // SAFETY: a prefetch is a hint that never faults, whatever the
+            // address; `slot` is in bounds anyway, its index masked below
+            // the table's power-of-two length.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(slot.cast()) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = slot;
+    }
+
+    /// Appends `key` to the arena as state `len`, whose slot the caller
+    /// has filled, and grows the table at half full.
+    fn push(&mut self, key: &[u64]) -> StateId {
+        let id = StateId(self.len as u32);
+        self.words.extend_from_slice(key);
+        self.len += 1;
+        if self.len * 2 >= self.slots.len() {
+            self.grow();
+        }
+        id
+    }
+
     /// Lookup without insertion, comparing candidate keys against the
     /// caller's markings (the internal key arena is freed after the build
     /// by [`Self::drop_keys`] — see there).
     fn get(&self, key: &[u64], markings: &[Marking]) -> Option<StateId> {
+        debug_assert!(!self.keyed, "a keyed slot holds no id");
         if key.len() != self.nwords {
             return None;
         }
@@ -281,18 +364,28 @@ impl MarkingInterner {
         self.words = Vec::new();
     }
 
+    /// Doubles the table and rehashes every key from the arena into it.
     fn grow(&mut self) {
         let new_len = self.slots.len() * 2;
         self.mask = new_len - 1;
         self.slots.clear();
         self.slots.resize(new_len, EMPTY_SLOT);
         for s in 0..self.len {
-            let h = hash_key(self.key(s));
+            let key = &self.words[s * self.nwords..(s + 1) * self.nwords];
+            let h = hash_key(key);
+            let e = if self.keyed {
+                key[0]
+            } else {
+                (h & TAG_MASK) | s as u64
+            };
+            if e == EMPTY_SLOT {
+                continue; // the keyed all-ones key, held by `ones`
+            }
             let mut i = (h as usize) & self.mask;
             while self.slots[i] != EMPTY_SLOT {
                 i = (i + 1) & self.mask;
             }
-            self.slots[i] = (h & TAG_MASK) | s as u64;
+            self.slots[i] = e;
         }
     }
 }
@@ -881,6 +974,41 @@ mod tests {
         let unreachable = crate::net::Marking::from_ones(5, [1]);
         assert_eq!(rg.state_of(&unreachable), None);
         assert_eq!(rg.state_of(&crate::net::Marking::zeros(3)), None);
+    }
+
+    #[test]
+    fn keyed_slots_intern_like_tagged_slots() {
+        // Random keys with repeats, through several table growths, plus
+        // the two keys a slot layout could mistake for an empty slot.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut keys: Vec<u64> = (0..3_000)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if i % 3 == 0 {
+                    x % 500
+                } else {
+                    x
+                }
+            })
+            .collect();
+        keys.splice(700..700, [u64::MAX, 0, u64::MAX]);
+        keys.splice(2_000..2_000, [0, u64::MAX]);
+        let (mut tagged, mut keyed) = (MarkingInterner::new(1), MarkingInterner::keyed());
+        let mut first_id = HashMap::new();
+        for &k in &keys {
+            let (id, is_new) = tagged.intern(&[k]);
+            assert_eq!(*first_id.entry(k).or_insert(id), id, "id of {k:#x}");
+            let inserted = keyed.insert_hashed(&[k], hash_key(&[k]));
+            assert_eq!(inserted, is_new.then_some(id), "key {k:#x}");
+        }
+        assert_eq!(keyed.len(), tagged.len());
+        assert_eq!(keyed.len(), first_id.len());
+        assert_eq!(keyed.approx_bytes(), tagged.approx_bytes());
+        for s in 0..keyed.len() {
+            assert_eq!(keyed.key(s), tagged.key(s), "key of state {s}");
+        }
     }
 
     #[test]

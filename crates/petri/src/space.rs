@@ -328,11 +328,17 @@ pub fn explore<S: StateSpace>(
     let _span = si_obs::span("explore.sequential");
     let t0 = Instant::now();
     let nw = space.words();
-    let mut interner = MarkingInterner::new(nw);
+    // Without edges no hit needs its id, so one-word states can sit in
+    // their slots.
+    let mut interner = if nw == 1 && !opts.record_edges {
+        MarkingInterner::keyed()
+    } else {
+        MarkingInterner::new(nw)
+    };
     let init = space.initial();
     debug_assert_eq!(init.len(), nw);
-    let (s0, _) = interner.intern(&init);
-    debug_assert_eq!(s0, StateId(0));
+    let s0 = interner.insert_hashed(&init, hash_word_slice(&init));
+    debug_assert_eq!(s0, Some(StateId(0)));
 
     let mut sink = SequentialSink {
         interner,
@@ -432,8 +438,9 @@ pub fn explore<S: StateSpace>(
 /// successor with its hash, and [`Self::flush`] interns the current
 /// state's buffer in one loop, in label order, once the space is done
 /// with the state. The probes of that loop do not depend on each other,
-/// so their cache misses overlap. Ids, edges, parents and violations are
-/// those of interning each successor as it is reported.
+/// so their cache misses overlap, and `successor` has already prefetched
+/// each one's home slot. Ids, edges, parents and violations are those of
+/// interning each successor as it is reported.
 struct SequentialSink<V> {
     interner: MarkingInterner,
     frontier: Vec<u32>,
@@ -466,24 +473,33 @@ impl<V> SequentialSink<V> {
         for &(label, hash) in &self.pending {
             let key = &self.pending_keys[at..at + self.nw];
             at += self.nw;
-            let (id, is_new) = self.interner.intern_hashed(key, hash);
-            if is_new {
-                if self.states >= self.cap {
-                    self.interrupted = Some(InterruptReason::CapExceeded);
-                    break;
+            // Only an edge needs the id of a state already interned.
+            let id = if self.record_edges {
+                let (id, is_new) = self.interner.intern_hashed(key, hash);
+                if !is_new {
+                    self.succ_edges.push((label, id.0));
+                    continue;
                 }
-                self.states += 1;
-                if self.record_edges {
-                    self.succ_ranges.push((0, 0));
+                id
+            } else {
+                match self.interner.insert_hashed(key, hash) {
+                    Some(id) => id,
+                    None => continue,
                 }
-                if self.witness {
-                    self.parents.push((self.src, label));
-                }
-                self.frontier.push(id.0);
+            };
+            if self.states >= self.cap {
+                self.interrupted = Some(InterruptReason::CapExceeded);
+                break;
             }
+            self.states += 1;
             if self.record_edges {
+                self.succ_ranges.push((0, 0));
                 self.succ_edges.push((label, id.0));
             }
+            if self.witness {
+                self.parents.push((self.src, label));
+            }
+            self.frontier.push(id.0);
         }
         self.pending.clear();
         self.pending_keys.clear();
@@ -503,7 +519,9 @@ impl<V> SpaceVisitor<V> for SequentialSink<V> {
         if self.interrupted.is_some() {
             return false;
         }
-        self.pending.push((label, hash_word_slice(next)));
+        let hash = hash_word_slice(next);
+        self.interner.prefetch(hash);
+        self.pending.push((label, hash));
         self.pending_keys.extend_from_slice(next);
         true
     }
@@ -1089,5 +1107,57 @@ mod tests {
         assert!(unsafe_nets > 0, "some net must reach an unsafe marking");
         assert!(failing_flaggers > 0, "some flagged space must fail");
         assert!(failing_flaggers < 12, "some flagged space must finish");
+    }
+
+    /// A counter from `u64::MAX - 3` that steps by 1 and by 2, wrapping
+    /// through the all-ones state (which a keyed slot cannot hold) to 3,
+    /// and from 3 back to the start. It flags the all-ones state.
+    struct WrappingCounter;
+
+    impl StateSpace for WrappingCounter {
+        type Violation = u64;
+
+        fn words(&self) -> usize {
+            1
+        }
+
+        fn initial(&self) -> Vec<u64> {
+            vec![u64::MAX - 3]
+        }
+
+        fn inspect<Vis: SpaceVisitor<u64>>(&self, state: &[u64], sink: &mut Vis) -> Verdict {
+            if state[0] == u64::MAX {
+                sink.violation(state[0]);
+                return Verdict::Violation;
+            }
+            Verdict::Continue
+        }
+
+        fn for_each_successor<Vis: SpaceVisitor<u64>>(
+            &self,
+            state: &[u64],
+            scratch: &mut [u64],
+            visit: &mut Vis,
+        ) -> Result<(), u64> {
+            let s = state[0];
+            let next = [s.wrapping_add(1), s.wrapping_add(2), u64::MAX - 3];
+            for (label, &n) in next.iter().enumerate() {
+                if (n >= u64::MAX - 3 || n <= 3) && (label < 2 || s == 3) {
+                    scratch[0] = n;
+                    if !visit.successor(label as u32, scratch) {
+                        return Ok(());
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn batched_sink_matches_the_one_at_a_time_sink_through_the_all_ones_state() {
+        let full = reference::explore(&WrappingCounter, ExploreOptions::with_cap(100)).unwrap();
+        assert_eq!(full.states, 8);
+        assert_eq!(full.violations, vec![(3, u64::MAX)]);
+        assert_sinks_agree(&WrappingCounter, true, "wrapping counter");
     }
 }

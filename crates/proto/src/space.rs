@@ -135,9 +135,10 @@ struct Field {
 }
 
 impl Field {
+    /// The field's value at `state`; `ONE` promises a one-word state.
     #[inline]
-    fn get(&self, state: &[u64]) -> u64 {
-        (state[self.word] >> self.shift) & self.mask
+    fn get<const ONE: bool>(&self, state: &[u64]) -> u64 {
+        (state[if ONE { 0 } else { self.word }] >> self.shift) & self.mask
     }
 }
 
@@ -198,6 +199,9 @@ pub struct ProtoSpace<'a> {
     /// `can_receive[c]` (slotted channels only) bit `s`: from local state
     /// `s`, the channel's receiver can locally reach a receive on `c`.
     can_receive: Vec<Option<Vec<u64>>>,
+    /// The channels whose message can dangle, ascending: the slotted ones
+    /// whose receiver has a local state outside their `can_receive`.
+    may_dangle: Vec<usize>,
 }
 
 #[inline]
@@ -386,6 +390,17 @@ impl<'a> ProtoSpace<'a> {
                     }
                 }
             })
+            .collect::<Vec<_>>();
+        let may_dangle = sys
+            .channels()
+            .iter()
+            .enumerate()
+            .filter(|&(c, ch)| {
+                can_receive[c].as_ref().is_some_and(|can| {
+                    (0..sys.module(ch.receiver).states.len()).any(|s| !bit(can, s as u16))
+                })
+            })
+            .map(|(c, _)| c)
             .collect();
 
         ProtoSpace {
@@ -401,6 +416,7 @@ impl<'a> ProtoSpace<'a> {
             label_start,
             has_send,
             can_receive,
+            may_dangle,
         }
     }
 
@@ -425,29 +441,32 @@ impl<'a> ProtoSpace<'a> {
 
     #[inline]
     fn local(&self, state: &[u64], m: usize) -> u16 {
-        self.module_fields[m].get(state) as u16
+        self.module_fields[m].get::<false>(state) as u16
     }
 
     #[inline]
     fn slot(&self, state: &[u64], c: usize) -> bool {
         match &self.slot_fields[c] {
-            Some(f) => f.get(state) != 0,
+            Some(f) => f.get::<false>(state) != 0,
             None => false,
         }
     }
 
-    /// The compiled masks of action `label`.
+    /// The compiled masks of action `label`. The firing rule below takes
+    /// `ONE` to promise a one-word state: its per-word loops then compile
+    /// to scalar code.
     #[inline]
-    fn masks(&self, label: usize) -> &[WordMask] {
-        &self.masks[label * self.words..(label + 1) * self.words]
+    fn masks<const ONE: bool>(&self, label: usize) -> &[WordMask] {
+        let w = if ONE { 1 } else { self.words };
+        &self.masks[label * w..(label + 1) * w]
     }
 
     /// Whether action `label` is enabled at `state`. An `async` send
     /// counts as enabled whenever its source state does: firing onto a
     /// full slot is the overflow violation, not a blocked send.
     #[inline]
-    fn enabled(&self, label: usize, state: &[u64]) -> bool {
-        self.masks(label)
+    fn enabled<const ONE: bool>(&self, label: usize, state: &[u64]) -> bool {
+        self.masks::<ONE>(label)
             .iter()
             .zip(state)
             .all(|(m, &s)| s & m.care == m.value)
@@ -458,11 +477,15 @@ impl<'a> ProtoSpace<'a> {
     /// returned `true`. Only the labels filed under each module's current
     /// local state are tested.
     #[inline]
-    fn for_each_enabled(&self, state: &[u64], mut f: impl FnMut(usize) -> bool) -> bool {
+    fn for_each_enabled<const ONE: bool>(
+        &self,
+        state: &[u64],
+        mut f: impl FnMut(usize) -> bool,
+    ) -> bool {
         for (field, &base) in self.module_fields.iter().zip(&self.state_base) {
-            let k = base as usize + field.get(state) as usize;
+            let k = base as usize + field.get::<ONE>(state) as usize;
             for label in self.label_start[k] as usize..self.label_start[k + 1] as usize {
-                if self.enabled(label, state) && !f(label) {
+                if self.enabled::<ONE>(label, state) && !f(label) {
                     return false;
                 }
             }
@@ -470,12 +493,22 @@ impl<'a> ProtoSpace<'a> {
         true
     }
 
+    /// Whether some action is enabled at `state`.
+    fn any_enabled(&self, state: &[u64]) -> bool {
+        // The visit stops at the first enabled action.
+        if self.words == 1 {
+            !self.for_each_enabled::<true>(state, |_| false)
+        } else {
+            !self.for_each_enabled::<false>(state, |_| false)
+        }
+    }
+
     /// Fires action `label`, enabled at `state`, into `out`. Returns
     /// `false` for an `async` send onto a full slot: the overflow is the
     /// caller's to report, and there is no successor.
     #[inline]
-    fn fire(&self, label: usize, state: &[u64], out: &mut [u64]) -> bool {
-        for ((o, &s), m) in out.iter_mut().zip(state).zip(self.masks(label)) {
+    fn fire<const ONE: bool>(&self, label: usize, state: &[u64], out: &mut [u64]) -> bool {
+        for ((o, &s), m) in out.iter_mut().zip(state).zip(self.masks::<ONE>(label)) {
             if s & m.overflow != 0 {
                 return false;
             }
@@ -484,40 +517,50 @@ impl<'a> ProtoSpace<'a> {
         true
     }
 
-    /// Whether some channel slot is full at `state`.
-    fn any_slot_full(&self, state: &[u64]) -> bool {
-        self.slot_bits.iter().zip(state).any(|(b, s)| b & s != 0)
+    /// [`StateSpace::for_each_successor`] for states of `ONE` word or any
+    /// width.
+    #[inline]
+    fn expand<const ONE: bool, Vis: SpaceVisitor<ProtoViolation>>(
+        &self,
+        state: &[u64],
+        scratch: &mut [u64],
+        visit: &mut Vis,
+    ) {
+        self.for_each_enabled::<ONE>(state, |label| {
+            if self.fire::<ONE>(label, state, scratch) {
+                visit.successor(label as u32, scratch)
+            } else {
+                visit.violation(self.overflows[label].expect("only async sends overflow"));
+                true
+            }
+        });
     }
 
     /// Whether a send is pending at `state`: a full slot, or a module
     /// whose current local state has an outgoing send.
     fn send_pending(&self, state: &[u64]) -> bool {
-        self.any_slot_full(state)
+        self.slot_bits.iter().zip(state).any(|(b, s)| b & s != 0)
             || self
                 .module_fields
                 .iter()
                 .zip(&self.state_base)
-                .any(|(f, &base)| self.has_send[base as usize + f.get(state) as usize])
+                .any(|(f, &base)| self.has_send[base as usize + f.get::<false>(state) as usize])
     }
 
     /// The violations `inspect` reports at `state` (deadlock, dangling
     /// sends), in canonical order.
     fn inspect_violations(&self, state: &[u64]) -> Vec<ProtoViolation> {
         let mut out = Vec::new();
-        // The visit runs to the end only when no action is enabled.
-        if self.for_each_enabled(state, |_| false) && self.send_pending(state) {
+        if !self.any_enabled(state) && self.send_pending(state) {
             out.push(ProtoViolation::Deadlock);
         }
-        if self.any_slot_full(state) {
-            for (c, ch) in self.sys.channels().iter().enumerate() {
-                if self.slot(state, c) {
-                    let can = self.can_receive[c].as_ref().expect("slotted channel");
-                    if !bit(can, self.local(state, ch.receiver.0 as usize)) {
-                        out.push(ProtoViolation::DanglingSend {
-                            channel: ChannelId(c as u32),
-                        });
-                    }
-                }
+        for &c in &self.may_dangle {
+            let can = self.can_receive[c].as_ref().expect("slotted channel");
+            let receiver = self.sys.channels()[c].receiver.0 as usize;
+            if self.slot(state, c) && !bit(can, self.local(state, receiver)) {
+                out.push(ProtoViolation::DanglingSend {
+                    channel: ChannelId(c as u32),
+                });
             }
         }
         out
@@ -530,8 +573,8 @@ impl<'a> ProtoSpace<'a> {
     pub fn violations_at(&self, state: &[u64]) -> Vec<ProtoViolation> {
         let mut out = self.inspect_violations(state);
         let mut next = vec![0u64; self.words];
-        self.for_each_enabled(state, |label| {
-            if !self.fire(label, state, &mut next) {
+        self.for_each_enabled::<false>(state, |label| {
+            if !self.fire::<false>(label, state, &mut next) {
                 out.extend(self.overflows[label]);
             }
             true
@@ -543,7 +586,7 @@ impl<'a> ProtoSpace<'a> {
     /// The enabled action labels at `state`, ascending.
     pub fn enabled_actions(&self, state: &[u64]) -> Vec<u32> {
         let mut out = Vec::new();
-        self.for_each_enabled(state, |label| {
+        self.for_each_enabled::<false>(state, |label| {
             out.push(label as u32);
             true
         });
@@ -570,7 +613,9 @@ impl<'a> ProtoSpace<'a> {
         let mut next = vec![0u64; self.words];
         for &l in labels {
             let l = l as usize;
-            if l >= self.action_count() || !self.enabled(l, &cur) || !self.fire(l, &cur, &mut next)
+            if l >= self.action_count()
+                || !self.enabled::<false>(l, &cur)
+                || !self.fire::<false>(l, &cur, &mut next)
             {
                 return None;
             }
@@ -622,14 +667,11 @@ impl StateSpace for ProtoSpace<'_> {
         scratch: &mut [u64],
         visit: &mut Vis,
     ) -> Result<(), ProtoViolation> {
-        self.for_each_enabled(state, |label| {
-            if self.fire(label, state, scratch) {
-                visit.successor(label as u32, scratch)
-            } else {
-                visit.violation(self.overflows[label].expect("only async sends overflow"));
-                true
-            }
-        });
+        if self.words == 1 {
+            self.expand::<true, Vis>(state, scratch, visit);
+        } else {
+            self.expand::<false, Vis>(state, scratch, visit);
+        }
         Ok(())
     }
 }
@@ -1106,10 +1148,11 @@ x -> y : c?
         }
     }
 
-    /// A random valid system: a tau cycle through each module's states,
-    /// channels of every kind with distinct endpoints, and extra
+    /// A random valid system: a tau cycle through each module's states
+    /// (a chain unless `cyclic`, so a receiver can leave its receives
+    /// behind), channels of every kind with distinct endpoints, and extra
     /// transitions on the right endpoint only.
-    fn random_system(rng: &mut Rng) -> ProtoSystem {
+    fn random_system(rng: &mut Rng, cyclic: bool) -> ProtoSystem {
         use crate::model::ChannelKind as K;
         let nmod = 2 + rng.below(3);
         let states: Vec<usize> = (0..nmod).map(|_| 1 + rng.below(3)).collect();
@@ -1119,7 +1162,9 @@ x -> y : c?
         for (i, &m) in mods.iter().enumerate() {
             b.init(m, "s0");
             for s in 0..states[i] {
-                b.tau(m, &format!("s{s}"), &format!("s{}", (s + 1) % states[i]));
+                if cyclic || s + 1 < states[i] {
+                    b.tau(m, &format!("s{s}"), &format!("s{}", (s + 1) % states[i]));
+                }
             }
         }
         let mut ends = Vec::new();
@@ -1183,19 +1228,21 @@ x -> y : c?
     #[test]
     fn masks_match_the_reference_rule_on_random_systems() {
         let mut rng = Rng(24);
-        let mut overflowing = 0;
-        for _ in 0..200 {
-            let sys = random_system(&mut rng);
+        let (mut overflowing, mut dangling) = (0, 0);
+        for i in 0..300 {
+            let sys = random_system(&mut rng, i < 200);
             assert_matches_reference(&sys, 100_000);
             let space = ProtoSpace::new(&sys);
             let e = explore(&space, ExploreOptions::with_cap(100_000)).unwrap();
-            overflowing += e
-                .violations
-                .iter()
-                .any(|(_, v)| matches!(v, ProtoViolation::Overflow { .. }))
-                as usize;
+            let reports = |kind| e.violations.iter().any(|(_, v)| v.kind() == kind);
+            overflowing += reports("overflow") as usize;
+            dangling += reports("dangling-send") as usize;
         }
         assert!(overflowing > 0, "some random system must overflow");
+        assert!(
+            dangling > 0,
+            "some random system must leave a send dangling"
+        );
     }
 
     #[test]
@@ -1206,5 +1253,34 @@ x -> y : c?
         let sys = crate::generators::dining(20);
         assert_eq!(ProtoSpace::new(&sys).words(), 2);
         assert_eq!(assert_matches_reference(&sys, 3_000), 3_000);
+        // pipeline(31) is the smallest two-word pipeline, 65 bits: its
+        // last channel slot lands in word 1. pipeline(30) fits in one.
+        let sys = crate::generators::pipeline(31);
+        assert_eq!(ProtoSpace::new(&sys).words(), 2);
+        assert_eq!(ProtoSpace::new(&crate::generators::pipeline(30)).words(), 1);
+        assert_eq!(assert_matches_reference(&sys, 3_000), 3_000);
+    }
+
+    #[test]
+    fn only_channels_whose_receiver_can_miss_them_may_dangle() {
+        use crate::generators::{dining, fork_join, pipeline, ring};
+        for sys in [ring(13), pipeline(8), dining(12)] {
+            assert!(
+                ProtoSpace::new(&sys).may_dangle.is_empty(),
+                "{}",
+                sys.name()
+            );
+        }
+        let sys = fork_join(3);
+        let listed: Vec<&str> = ProtoSpace::new(&sys)
+            .may_dangle
+            .iter()
+            .map(|&c| sys.channels()[c].name.as_str())
+            .collect();
+        assert!(!listed.is_empty());
+        assert!(
+            listed.iter().all(|name| name.starts_with("done")),
+            "{listed:?}"
+        );
     }
 }
